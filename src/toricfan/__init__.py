@@ -26,7 +26,6 @@ from .errors import (
     ToricFanError,
     UnknownRayError,
     UnsupportedDimensionError,
-    ZeroVectorError,
 )
 from .fan import (
     Cone,
@@ -93,5 +92,4 @@ __all__ = [
     "ToricFanError",
     "UnknownRayError",
     "UnsupportedDimensionError",
-    "ZeroVectorError",
 ]

@@ -66,22 +66,6 @@ def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
     return tuple(out)
 
 
-def blow_downs(fan: Fan) -> tuple[tuple[str, Fan, bool, bool], ...]:
-    """Valid blow-downs as (ray name, target fan, target fano, target projective)."""
-    out = []
-    for cand in blow_down_candidates(fan):
-        if cand.valid:
-            out.append(
-                (
-                    cand.ray_name(fan),
-                    cand.target,
-                    mori.is_fano(cand.target)[0],
-                    mori.is_projective(cand.target),
-                )
-            )
-    return tuple(out)
-
-
 def factor_morphism(
     fine: Fan,
     coarse: Fan,

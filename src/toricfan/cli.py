@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import birational, catalog, mori
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .fan import (
     Fan,
+    _cone_label,
     contract_ray,
     fan_isomorphism,
     parse_fan,
@@ -53,11 +53,11 @@ class _CliFailure(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
 
 
@@ -82,10 +82,6 @@ def _names(fan: Fan, cone) -> str:
     return "{" + ",".join(fan.cone_names(cone)) + "}"
 
 
-def _cone_label(fan: Fan, cone) -> str:
-    return "<" + ",".join(fan.cone_names(cone)) + ">"
-
-
 def _term(coeff: int, name: str) -> str:
     return name if coeff == 1 else f"{coeff}*{name}"
 
@@ -102,15 +98,11 @@ def _relation_text(fan: Fan, rel: mori.PrimitiveRelation) -> str:
     return f"{lhs} = {rhs}"
 
 
-def _frac_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _decomposition_text(fan: Fan, dec) -> str:
     parts = []
     for coll, lam in dec:
         r = "r(" + _names(fan, coll) + ")"
-        parts.append(r if lam == 1 else f"{_frac_text(lam)}*{r}")
+        parts.append(r if lam == 1 else f"{lam}*{r}")
     return " + ".join(parts)
 
 
@@ -209,7 +201,7 @@ def _analysis_compact(fan: Fan, report) -> str:
         )
         if info.decomposition is not None:
             entry += " decomposition=" + "+".join(
-                f"{_frac_text(lam)}*{_names(fan, coll)}"
+                f"{lam}*{_names(fan, coll)}"
                 for coll, lam in info.decomposition
             )
         lines.append(entry)

@@ -5,10 +5,6 @@ class ToricFanError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ZeroVectorError(ToricFanError):
-    """An operation received the zero vector where a nonzero one is required."""
-
-
 class DimensionMismatchError(ToricFanError):
     """Vector or matrix sizes are inconsistent with the ambient dimension."""
 

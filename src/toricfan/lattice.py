@@ -1,71 +1,61 @@
-"""Exact integer and rational linear algebra for lattice geometry.
+"""Exact linear algebra for lattice geometry, on two kernels.
 
-Everything here is exact: integers are arbitrary precision and rational
-results use `fractions.Fraction`, so yes/no answers (unimodularity,
-feasibility, strict positivity) are decisions, never approximations.
+Integers everywhere: one fraction-free Gauss-Jordan elimination gives both
+the determinant and the inverse of a unimodular matrix. `fractions.Fraction`
+appears only inside the phase-1 simplex behind `solve_eq_nonneg` and
+`nonneg_rational_combination`, which decides feasibility, extremality and
+(by Gordan's alternative) strict convexity. Every yes/no answer is a
+decision, never an approximation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError
 
 IntVector = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
 
 
-def primitive_part(v: Sequence[int]) -> tuple[IntVector, int]:
-    """Return (w, g) with v = g*w, g the gcd of the entries and w primitive."""
-    vec = tuple(int(c) for c in v)
-    if not any(vec):
-        raise ZeroVectorError("the zero vector has no primitive part")
-    g = gcd(*vec)
-    return tuple(c // g for c in vec), g
+def _square(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatchError("need a square matrix")
+    return [[int(x) for x in r] for r in rows]
+
+
+def _eliminate(m: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan elimination on the first n columns, in place.
+
+    ``m`` has n rows; columns past the n-th ride along. Each step divides
+    exactly by the previous pivot (Bareiss, Math. Comp. 22 (1968)), so every
+    entry stays an integer. Returns the determinant d of the leading n x n
+    block, or 0 as soon as it turns out singular. When d != 0 the leading
+    block ends as d*I and every other column c as d * A^-1 c.
+    """
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if piv is None:
+                return 0
+            # swap and negate: a row operation of determinant 1
+            m[k], m[piv] = m[piv], [-x for x in m[k]]
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = p
+    return prev
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("determinant needs a square matrix")
-    m = [[int(x) for x in r] for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: the division is exact by construction
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(basis: Sequence[Sequence[int]]) -> bool:
-    """True iff the n given n-vectors form a Z-basis (determinant is +-1)."""
-    vs = [tuple(v) for v in basis]
-    if not vs:
-        raise DimensionMismatchError("empty basis")
-    n = len(vs[0])
-    if len(vs) != n or any(len(v) != n for v in vs):
-        raise DimensionMismatchError(
-            f"expected {n} vectors of length {n}, got {len(vs)}"
-        )
-    return determinant(vs) in (1, -1)
+    """Exact integer determinant by fraction-free elimination."""
+    m = _square(rows)
+    return _eliminate(m, len(m))
 
 
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
@@ -73,70 +63,17 @@ def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
 
     Raises ValueError when the matrix is not invertible over the integers.
     """
-    n = len(rows)
-    aug = [
-        [Fraction(rows[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    if any(x.denominator != 1 for row in inv for x in row):
+    m = _square(rows)
+    n = len(m)
+    for i, row in enumerate(m):
+        row.extend(1 if j == i else 0 for j in range(n))
+    d = _eliminate(m, n)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
-def solve_in_smooth_cone(
-    generators: Sequence[Sequence[int]], point: Sequence[int]
-) -> list[int] | None:
-    """Integer coordinates of ``point`` over generators forming part of a Z-basis.
-
-    Returns the unique integers c with point = sum c_i * g_i when the point
-    lies in the generators' span with integral coordinates, else None.
-    """
-    gens = [tuple(g) for g in generators]
-    pt = tuple(point)
-    n = len(pt)
-    if any(len(g) != n for g in gens):
-        raise DimensionMismatchError("generator length differs from point length")
-    if not gens:
-        return [] if not any(pt) else None
-    k = len(gens)
-    # augmented system: columns are the generators, last column the point
-    aug = [
-        [Fraction(gens[j][i]) for j in range(k)] + [Fraction(pt[i])]
-        for i in range(n)
-    ]
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None  # dependent generators: no unique solution
-        aug[row], aug[piv] = aug[piv], aug[row]
-        p = aug[row][col]
-        aug[row] = [x / p for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None  # point outside the span
-    coeffs = [aug[i][k] for i in range(k)]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return [int(c) for c in coeffs]
+    # the right block holds d * A^-1, and d = 1/d here
+    return tuple(tuple(d * x for x in row[n:]) for row in m)
 
 
 def solve_eq_nonneg(
@@ -226,69 +163,6 @@ def nonneg_rational_combination(
         return [] if all(Fraction(t) == 0 for t in tgt) else None
     rows = [[g[i] for g in gens] for i in range(n)]
     return solve_eq_nonneg(rows, list(tgt))
-
-
-def separating_functional(
-    zero_on: Sequence[Sequence[int]],
-    positive_on: Sequence[Sequence[int]],
-    negative_on: Sequence[Sequence[int]],
-) -> RationalVector | None:
-    """A rational functional vanishing on, strictly positive on, and strictly
-    negative on the three vector families respectively; None if none exists.
-
-    Strictness is normalized to >= 1 resp. <= -1, which loses no generality
-    for finitely many vectors.
-    """
-    zs = [tuple(v) for v in zero_on]
-    ps = [tuple(v) for v in positive_on]
-    ns = [tuple(v) for v in negative_on]
-    every = zs + ps + ns
-    if not every:
-        raise DimensionMismatchError("no vectors given")
-    n = len(every[0])
-    if any(len(v) != n for v in every):
-        raise DimensionMismatchError("mixed vector lengths")
-
-    # variables: phi+ (n), phi- (n), one slack per strict constraint
-    k = len(ps) + len(ns)
-    rows = []
-    rhs = []
-    slot = 0
-    for v in zs:
-        rows.append(list(v) + [-c for c in v] + [0] * k)
-        rhs.append(0)
-    for v in ps:
-        row = list(v) + [-c for c in v] + [0] * k
-        row[2 * n + slot] = -1
-        slot += 1
-        rows.append(row)
-        rhs.append(1)
-    for v in ns:
-        row = list(v) + [-c for c in v] + [0] * k
-        row[2 * n + slot] = 1
-        slot += 1
-        rows.append(row)
-        rhs.append(-1)
-    sol = solve_eq_nonneg(rows, rhs)
-    if sol is None:
-        return None
-    return tuple(sol[j] - sol[n + j] for j in range(n))
-
-
-def strictly_positive_functional(
-    vectors: Sequence[Sequence[int]],
-) -> RationalVector | None:
-    """A rational functional phi with phi(v) > 0 for every given vector.
-
-    Exists iff the cone generated by the vectors is strictly convex
-    (contains no line). None signals non-existence, decided exactly.
-    """
-    vs = [tuple(v) for v in vectors]
-    if not vs:
-        raise DimensionMismatchError("need at least one vector")
-    if any(not any(v) for v in vs):
-        raise ZeroVectorError("no functional is positive on the zero vector")
-    return separating_functional([], vs, [])
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:

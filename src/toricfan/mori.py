@@ -110,8 +110,10 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
     A class is extremal when it is not a nonnegative rational combination
     of the other primitive classes; the witnessing decomposition is stored
     otherwise. Strict convexity of the generated cone (equivalently,
-    projectivity of the variety) is decided by searching for a functional
-    strictly positive on every class.
+    projectivity of the variety) is decided by Gordan's alternative: some
+    functional is strictly positive on every class iff no convex combination
+    of the classes (lam >= 0, sum lam = 1) vanishes, one LP with a column
+    per class.
     """
     collections = primitive_collections(fan)
     rels = [primitive_relation(fan, c) for c in collections]
@@ -130,10 +132,12 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
                 if lam != 0
             )
             infos.append(MoriClassInfo(rel, classes[k], False, dec))
-    if classes:
-        convex = lattice.strictly_positive_functional(classes) is not None
-    else:
-        convex = True
+    convex = (
+        lattice.nonneg_rational_combination(
+            [c + (1,) for c in classes], (0,) * len(fan.generators) + (1,)
+        )
+        is None
+    )
     return MoriConeSummary(
         tuple(infos),
         picard_number=len(fan.generators) - fan.dim,

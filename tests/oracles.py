@@ -77,6 +77,21 @@ def fm_nonneg_combination_feasible(generators, target) -> bool:
     return fourier_motzkin_feasible(rows, list(target))
 
 
+def fm_positive_functional_exists(vectors) -> bool:
+    """Is there a rational phi with phi(v) >= 1 for every vector?
+
+    Fourier-Motzkin on phi = psi - t*(1,...,1), which covers every rational
+    phi with psi >= 0 and t >= 0, and one slack s_v >= 0 per vector:
+    s_v eliminated first, then psi(v) - t*sum(v) - s_v = 1.
+    """
+    m = len(vectors)
+    rows = []
+    for i, v in enumerate(vectors):
+        slacks = [-1 if j == i else 0 for j in range(m)]
+        rows.append(slacks + list(v) + [-sum(v)])
+    return fourier_motzkin_feasible(rows, [1] * m)
+
+
 def grid_nonneg_combination_exists(
     generators, target, max_numerator=6, max_denominator=3
 ) -> bool:

@@ -80,6 +80,16 @@ def test_analyze_missing_file_exits_1(cli_run):
     assert "cannot read" in err
 
 
+def test_analyze_non_utf8_exits_1(cli_run, tmp_path):
+    bad = tmp_path / "latin1.fan"
+    bad.write_bytes(b"dim 2\nray a\xff 1 0\n")
+    code, out, err = cli_run("analyze", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cannot read {bad}: ")
+    assert "can't decode byte 0xff" in err
+
+
 def test_analyze_byte_stable(cli_run, fan_files):
     _, first, _ = cli_run("analyze", fan_files["paper-Y"])
     _, second, _ = cli_run("analyze", fan_files["paper-Y"])

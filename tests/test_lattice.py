@@ -1,15 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricfan import lattice
-from toricfan.errors import DimensionMismatchError, ZeroVectorError
+from toricfan.errors import DimensionMismatchError
 
 from oracles import (
     fm_nonneg_combination_feasible,
-    fourier_motzkin_feasible,
+    fm_positive_functional_exists,
     grid_nonneg_combination_exists,
     permutation_determinant,
 )
@@ -28,55 +28,32 @@ def vectors(dim, n=None):
 
 
 # ---------------------------------------------------------------------------
-# primitive_part
-
-
-def test_primitive_part_extracts_gcd():
-    assert lattice.primitive_part((2, 4, 6, 0)) == ((1, 2, 3, 0), 2)
-
-
-def test_primitive_part_of_primitive_vector():
-    assert lattice.primitive_part((1, 1, 1, 0)) == ((1, 1, 1, 0), 1)
-
-
-def test_primitive_part_rejects_zero():
-    with pytest.raises(ZeroVectorError):
-        lattice.primitive_part((0, 0, 0, 0))
-
-
-@given(vectors(3))
-def test_primitive_part_reconstructs(v):
-    if not any(v):
-        return
-    w, g = lattice.primitive_part(v)
-    assert g >= 1
-    assert tuple(g * c for c in w) == v
-    assert lattice.primitive_part(w) == (w, 1)
-
-
-# ---------------------------------------------------------------------------
 # determinants and unimodularity
 
 
 def test_unimodular_standard_basis():
-    assert lattice.is_unimodular([E1, E2, E3, E4])
+    basis = [E1, E2, E3, E4]
+    assert lattice.unimodular_inverse(basis) == tuple(basis)
 
 
 def test_unimodular_rejects_index_two_pair():
     basis = [(1, 0), (1, 2)]
-    assert not lattice.is_unimodular(basis)
-    assert permutation_determinant(basis) == 2
+    assert lattice.determinant(basis) == permutation_determinant(basis) == 2
+    with pytest.raises(ValueError, match="not unimodular"):
+        lattice.unimodular_inverse(basis)
 
 
 def test_unimodular_simplex_cone():
     basis = [E0, E1, E2, E3]
-    assert lattice.is_unimodular(basis)
     assert abs(permutation_determinant(basis)) == 1
+    assert lattice.unimodular_inverse(basis) == (E2, E3, E4, E0)
 
 
 def test_unimodular_wrong_count():
     with pytest.raises(DimensionMismatchError):
-        lattice.is_unimodular([E1, E2, E3])
+        lattice.unimodular_inverse([E1, E2, E3])
+    with pytest.raises(DimensionMismatchError):
+        lattice.determinant([E1, E2, E3])
 
 
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: vectors(n, n)))
@@ -84,7 +61,7 @@ def test_determinant_matches_leibniz(rows):
     assert lattice.determinant(rows) == permutation_determinant(rows)
 
 
-@given(st.integers(min_value=2, max_value=3).flatmap(lambda n: vectors(n, n)))
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: vectors(n, n)))
 def test_unimodular_inverse_roundtrip(rows):
     d = lattice.determinant(rows)
     if d not in (1, -1):
@@ -98,45 +75,6 @@ def test_unimodular_inverse_roundtrip(rows):
         for i in range(n)
     ]
     assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# solve_in_smooth_cone
-
-
-def test_solve_in_smooth_cone_sum_of_basis():
-    coeffs = lattice.solve_in_smooth_cone([E2, E3, E4], (0, 1, 1, 1))
-    assert coeffs == [1, 1, 1]
-    # verify by direct summation
-    assert tuple(
-        sum(c * g[i] for c, g in zip(coeffs, [E2, E3, E4])) for i in range(4)
-    ) == (0, 1, 1, 1)
-
-
-def test_solve_in_smooth_cone_identity():
-    assert lattice.solve_in_smooth_cone([E1], E1) == [1]
-
-
-def test_solve_in_smooth_cone_outside_span():
-    assert lattice.solve_in_smooth_cone([E1, E2], E3) is None
-
-
-def test_solve_in_smooth_cone_non_integral():
-    assert lattice.solve_in_smooth_cone([(2, 0)], (1, 0)) is None
-
-
-@given(
-    st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=2),
-    st.lists(small_int, min_size=2, max_size=2),
-)
-def test_solve_reconstruction_identity(coeffs, shear):
-    # part of a Z-basis of Z^3, sheared to stay unimodular
-    a, b = shear
-    basis = [(1, 0, a), (0, 1, b)]
-    point = tuple(
-        coeffs[0] * basis[0][i] + coeffs[1] * basis[1][i] for i in range(3)
-    )
-    assert lattice.solve_in_smooth_cone(basis, point) == coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -201,42 +139,50 @@ def test_nonneg_combination_agrees_with_fourier_motzkin(data):
 
 
 # ---------------------------------------------------------------------------
-# strictly positive functionals
+# strictly positive functionals, decided by Gordan's alternative
+
+
+def vanishing_convex_combination(vs):
+    """The LP behind mori.mori_cone's projectivity decision, on raw vectors:
+    lam >= 0 with sum(lam) = 1 and sum(lam * v) = 0, or None."""
+    n = len(vs[0])
+    return lattice.nonneg_rational_combination(
+        [tuple(v) + (1,) for v in vs], (0,) * n + (1,)
+    )
+
+
+def gordan_convex(vs):
+    return vanishing_convex_combination(vs) is None
 
 
 def test_positive_functional_first_orthant():
-    phi = lattice.strictly_positive_functional([(1, 0), (0, 1)])
-    assert phi is not None
-    assert lattice.dot(phi, (1, 0)) > 0 and lattice.dot(phi, (0, 1)) > 0
+    vs = [(1, 0), (0, 1)]
+    assert gordan_convex(vs)
+    assert fm_positive_functional_exists(vs)
 
 
 def test_positive_functional_absent_on_a_line():
-    assert lattice.strictly_positive_functional([(1, 0), (-1, 0)]) is None
+    vs = [(1, 0), (-1, 0)]
+    assert not gordan_convex(vs)
+    assert not fm_positive_functional_exists(vs)
 
 
 def test_positive_functional_rejects_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        lattice.strictly_positive_functional([(1, 0), (0, 0)])
+    # no functional is positive on the zero vector
+    vs = [(1, 0), (0, 0)]
+    assert not gordan_convex(vs)
+    assert not fm_positive_functional_exists(vs)
 
 
 def test_positive_functional_on_fano_4fold_classes(tower):
     # the classes of a projective variety span a strictly convex cone
     from toricfan import mori
 
-    _, _, _, y = tower
-    classes = [info.curve_class for info in mori.mori_cone(y).relations]
-    phi = lattice.strictly_positive_functional(classes)
-    assert phi is not None
-    assert all(lattice.dot(phi, c) > 0 for c in classes)
-    # independent route: the defining inequality system is FM-feasible
-    n = len(classes[0])
-    m = len(classes)
-    rows = []
-    for i, v in enumerate(classes):
-        row = list(v) + [-c for c in v] + [0] * m
-        row[2 * n + i] = -1
-        rows.append(row)
-    assert fourier_motzkin_feasible(rows, [1] * m)
+    for fan in tower:
+        classes = [info.curve_class for info in mori.mori_cone(fan).relations]
+        assert gordan_convex(classes)
+        assert fm_positive_functional_exists(classes)
+        assert mori.is_projective(fan)
 
 
 @settings(max_examples=60)
@@ -245,19 +191,17 @@ def test_positive_functional_on_fano_4fold_classes(tower):
         lambda n: st.lists(vectors(n), min_size=1, max_size=4)
     )
 )
+@example([(1, 0, 1), (0, 1, 1), (-1, -1, 1)])  # strictly convex
+@example([(1, 1, 0), (0, -1, 1), (-1, 0, -1)])  # the three sum to zero
 def test_gordan_duality(vs):
-    # a functional positive on all vectors exists iff no nonzero nonnegative
+    # a functional with phi(v) >= 1 on all vectors exists iff no convex
     # combination of them vanishes
-    if any(not any(v) for v in vs):
-        return
-    phi = lattice.strictly_positive_functional(vs)
-    n = len(vs[0])
-    rows = [[v[i] for v in vs] for i in range(n)]
-    rows.append([1] * len(vs))  # normalization: coefficients sum to 1
-    degenerate = lattice.solve_eq_nonneg(rows, [0] * n + [1])
-    assert (phi is None) == (degenerate is not None)
-    if phi is not None:
-        assert all(lattice.dot(phi, v) > 0 for v in vs)
+    lam = vanishing_convex_combination(vs)
+    assert (lam is None) == fm_positive_functional_exists(vs)
+    if lam is not None:
+        n = len(vs[0])
+        assert all(l >= 0 for l in lam) and sum(lam) == 1
+        assert all(sum(l * v[i] for l, v in zip(lam, vs)) == 0 for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +214,3 @@ def test_operations_are_deterministic():
     first = lattice.nonneg_rational_combination(gens, target)
     for _ in range(5):
         assert lattice.nonneg_rational_combination(gens, target) == first
-    phi = lattice.strictly_positive_functional(gens)
-    for _ in range(5):
-        assert lattice.strictly_positive_functional(gens) == phi

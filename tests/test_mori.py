@@ -1,9 +1,13 @@
 from fractions import Fraction
 
-from toricfan import mori
+from toricfan import catalog, make_fan, mori, validate_fan
 from toricfan.fan import resolve_cone
 
-from oracles import brute_primitive_collections, fm_nonneg_combination_feasible
+from oracles import (
+    brute_primitive_collections,
+    fm_nonneg_combination_feasible,
+    fm_positive_functional_exists,
+)
 
 
 def names_of(fan, cones):
@@ -275,6 +279,40 @@ def test_is_projective(tower, catalog_fans):
     assert mori.is_projective(x)
     assert mori.is_projective(w)
     assert mori.is_projective(catalog_fans["p1"])
+
+
+def twisted_threefold():
+    """A smooth complete non-projective toric threefold: the orthant
+    <a1,b1,c1>, a ring of six cones twisted around it, and the cones over
+    the outer triangle abc joined to d = (-1,-1,-1)."""
+    rays = [
+        ("a", (0, -1, -1)),
+        ("b", (-1, 0, -1)),
+        ("c", (-1, -1, 0)),
+        ("a1", (1, 0, 0)),
+        ("b1", (0, 1, 0)),
+        ("c1", (0, 0, 1)),
+        ("d", (-1, -1, -1)),
+    ]
+    a, b, c, a1, b1, c1, d = range(7)
+    cones = [
+        (a1, b1, c1),
+        (a, b, a1), (b, a1, b1),
+        (b, c, b1), (c, b1, c1),
+        (c, a, c1), (a, c1, a1),
+        (a, b, d), (b, c, d), (c, a, d),
+    ]
+    return make_fan(3, rays, cones)
+
+
+def test_is_projective_agrees_with_fourier_motzkin(catalog_fans):
+    twisted = twisted_threefold()
+    assert validate_fan(twisted).ok
+    assert not mori.is_projective(twisted)
+    fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + [twisted]
+    for fan in fans:
+        classes = [info.curve_class for info in mori.mori_cone(fan).relations]
+        assert mori.is_projective(fan) == fm_positive_functional_exists(classes)
 
 
 def test_is_fano_y(tower):
