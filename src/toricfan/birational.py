@@ -50,8 +50,7 @@ def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
     """
     star_rels = [
         rel
-        for coll in mori.primitive_collections(fan)
-        for rel in (mori.primitive_relation(fan, coll),)
+        for rel in mori.primitive_relations(fan)
         if len(rel.target) == 1 and rel.coefficients == (1,)
     ]
     star_rels.sort(key=lambda r: (fan.generators[r.target[0]].name, r.collection))

@@ -161,15 +161,11 @@ def _analysis_plain(fan: Fan, report) -> str:
     lines.append(f"extremal classes: {n_extremal}")
     lines.append(f"projective: {_yesno(summary.strictly_convex)}")
     fano, witnesses = mori.is_fano(fan)
-    if fano:
-        lines.append("fano: yes")
-    else:
-        parts = ", ".join(
-            f"witness {_names(fan, c)},"
-            f" degree {mori.primitive_relation(fan, c).degree}"
-            for c in witnesses
-        )
-        lines.append(f"fano: no ({parts})")
+    degree = {r.collection: r.degree for r in mori.primitive_relations(fan)}
+    parts = ", ".join(
+        f"witness {_names(fan, c)}, degree {degree[c]}" for c in witnesses
+    )
+    lines.append("fano: yes" if fano else f"fano: no ({parts})")
     lines += _candidate_lines(fan)
     return "\n".join(lines) + "\n"
 
@@ -341,6 +337,18 @@ def _cmd_enumerate(args) -> int:
         fans = catalog.enumerate_fano(args.dim)
     except UnsupportedDimensionError as exc:
         raise _CliFailure(EXIT_BAD_ARGUMENT, str(exc)) from exc
+    if args.out_dir is not None:
+        out = Path(args.out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for i, fan in enumerate(fans, start=1):
+                (out / f"fano{args.dim}-{i:02d}.fan").write_text(
+                    serialize_fan(fan), encoding="utf-8"
+                )
+        except OSError as exc:
+            raise _CliFailure(
+                EXIT_BAD_ARGUMENT, f"cannot write {args.out_dir}: {exc}"
+            ) from exc
     chunks = []
     for i, fan in enumerate(fans, start=1):
         chunks.append(
@@ -348,13 +356,6 @@ def _cmd_enumerate(args) -> int:
             + serialize_fan(fan)
         )
     sys.stdout.write("\n".join(chunks))
-    if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, fan in enumerate(fans, start=1):
-            (out / f"fano{args.dim}-{i:02d}.fan").write_text(
-                serialize_fan(fan), encoding="utf-8"
-            )
     return EXIT_OK
 
 

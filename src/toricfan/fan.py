@@ -36,6 +36,7 @@ Cone = tuple[int, ...]  # strictly increasing ray indices
 ZERO_CONE: Cone = ()
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,8 @@ def parse_fan(text: str) -> Fan:
 
     Format: a ``dim <n>`` line, then ``ray <name> <n integers>`` lines
     (order defines indices), then ``maxcone <name> ... <name>`` lines with
-    exactly n names. '#' starts a comment; blank lines are ignored.
+    exactly n names. Integers are ASCII decimal, ``[+-]?[0-9]+``.
+    '#' starts a comment; blank lines are ignored.
     Only structural properties are checked here; run validate_fan for the
     geometric ones.
     """
@@ -176,10 +178,9 @@ def parse_fan(text: str) -> Fan:
                 raise FanSyntaxError("duplicate 'dim' line", lineno)
             if len(tokens) != 2:
                 raise FanSyntaxError("expected 'dim <n>'", lineno)
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise FanSyntaxError("dimension must be an integer", lineno) from None
+            if not _INT_RE.match(tokens[1]):
+                raise FanSyntaxError("dimension must be an integer", lineno)
+            dim = int(tokens[1])
             if dim < 1:
                 raise FanSyntaxError("dimension must be positive", lineno)
         elif kw == "ray":
@@ -200,12 +201,11 @@ def parse_fan(text: str) -> Fan:
                     f"ray {name!r}: expected {dim} coordinates, got"
                     f" {len(coords)} (line {lineno})"
                 )
-            try:
-                vec = tuple(int(c) for c in coords)
-            except ValueError:
+            if not all(_INT_RE.match(c) for c in coords):
                 raise FanSyntaxError(
                     f"ray {name!r}: coordinates must be integers", lineno
-                ) from None
+                )
+            vec = tuple(int(c) for c in coords)
             index[name] = len(rays)
             rays.append((name, vec))
         elif kw == "maxcone":
@@ -395,10 +395,6 @@ def _cones_meet_cached(
     return lattice.solve_eq_nonneg(rows, rhs) is None
 
 
-def _pair_is_face(fan: Fan, a: Cone, b: Cone) -> bool:
-    return cones_meet_in_common_face(fan.cone_vectors(a), fan.cone_vectors(b))
-
-
 def validate_fan(fan: Fan) -> ValidationReport:
     """Check smoothness, completeness and the face condition, with witnesses.
 
@@ -488,7 +484,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
                 f"maximal cone {_cone_label(fan, a)} appears more than once"
             )
             continue
-        if not _pair_is_face(fan, a, b):
+        if not cones_meet_in_common_face(fan.cone_vectors(a), fan.cone_vectors(b)):
             faces_ok = False
             witnesses.append(
                 f"cones {_cone_label(fan, a)} and {_cone_label(fan, b)}"
@@ -600,18 +596,6 @@ def star_subdivide(
     return make_fan(fan.dim, gens, cones)
 
 
-def _star_relations(fan: Fan, ray_index: int):
-    """Primitive relations of the shape x1+...+xh = ray, in collection order."""
-    from . import mori  # deferred: mori builds on this module
-
-    out = []
-    for coll in mori.primitive_collections(fan):
-        rel = mori.primitive_relation(fan, coll)
-        if rel.target == (ray_index,) and rel.coefficients == (1,):
-            out.append(rel)
-    return out
-
-
 def contract_ray(
     fan: Fan,
     ray: int | str,
@@ -626,8 +610,14 @@ def contract_ray(
     Valid means every maximal cone containing the ray contains exactly h-1
     of the x_i. The result is fully revalidated as defense in depth.
     """
+    from . import mori  # deferred: mori builds on this module
+
     ridx = resolve_ray(fan, ray)
-    rels = _star_relations(fan, ridx)
+    rels = [
+        r
+        for r in mori.primitive_relations(fan)
+        if r.target == (ridx,) and r.coefficients == (1,)
+    ]
     if collection is not None:
         cidx = resolve_cone(fan, collection)
         rels = [r for r in rels if r.collection == cidx]
@@ -705,28 +695,48 @@ def refines(fine: Fan, coarse: Fan) -> bool:
     return True
 
 
-def _columns(vectors: Sequence[lattice.IntVector]) -> tuple[lattice.IntVector, ...]:
-    return tuple(zip(*vectors))
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
+def _key(dim: int, vectors: Sequence[lattice.IntVector], cones: Iterable[Cone]):
+    """(dim, sorted vectors, cones relabeled by the sorted positions)."""
+    order = sorted(range(len(vectors)), key=lambda i: vectors[i])
+    pos = {old: new for new, old in enumerate(order)}
+    return (
+        dim,
+        tuple(vectors[i] for i in order),
+        tuple(sorted(tuple(sorted(pos[i] for i in cone)) for cone in cones)),
     )
 
 
-def _mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+def _normal_forms(fan: Fan):
+    """(key, columns, inverse) for each ordering of each maximal cone's rays
+    that is a Z-basis, cones in max_cones order: ``columns`` holds the
+    ordered basis, ``inverse`` sends it to the standard basis and ``key`` is
+    the structural key of the fan moved by ``inverse``."""
+    for cone in fan.max_cones:
+        basis = fan.cone_vectors(cone)
+        try:
+            dual = lattice.unimodular_inverse(tuple(zip(*basis)))
+        except ValueError:
+            continue
+        coords = [tuple(lattice.dot(row, v) for row in dual) for v in fan.vectors()]
+        # reordering the basis reorders the rows of its inverse, and with
+        # them the coordinates of every generator
+        for order in permutations(range(fan.dim)):
+            images = [tuple(c[i] for i in order) for c in coords]
+            yield (
+                _key(fan.dim, images, fan.max_cones),
+                tuple(zip(*(basis[i] for i in order))),
+                tuple(dual[i] for i in order),
+            )
 
 
 def fan_isomorphism(a: Fan, b: Fan):
     """A GL(n,Z) matrix mapping a's generators and cones onto b's, or None.
 
-    Search: the first maximal cone of ``a`` is mapped onto every ordered
-    maximal cone of ``b``; each candidate map is accepted iff it carries
-    the generator set bijectively onto b's and the maximal-cone set onto
-    b's. The matrix acts on column vectors.
+    The first normal form of ``a`` (its first unimodular maximal cone, rays
+    in the given order) is looked up among the normal forms of ``b``; on a match
+    the map is b's basis columns times a's inverse, which carries a's
+    generators and maximal cones onto b's. The matrix acts on column
+    vectors. Fans with repeated generator vectors have no isomorphism.
     """
     if (
         a.dim != b.dim
@@ -734,37 +744,20 @@ def fan_isomorphism(a: Fan, b: Fan):
         or len(a.max_cones) != len(b.max_cones)
     ):
         return None
-    n = a.dim
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if not a.max_cones:
-        return identity if sorted(a.vectors()) == sorted(b.vectors()) else None
-
-    b_vec_index = {g.vector: i for i, g in enumerate(b.generators)}
-    if len(b_vec_index) != len(b.generators):
-        return None  # duplicate vectors: not a valid fan
-    b_cone_set = set(b.max_cones)
-
-    sigma = a.max_cones[0]
-    try:
-        u_inv = lattice.unimodular_inverse(_columns(a.cone_vectors(sigma)))
-    except ValueError:
+        if sorted(a.vectors()) != sorted(b.vectors()):
+            return None
+        return tuple(tuple(int(i == j) for j in range(a.dim)) for i in range(a.dim))
+    if len(set(b.vectors())) != len(b.generators):
         return None
-    a_vectors = a.vectors()
-    for tau in b.max_cones:
-        tau_vecs = b.cone_vectors(tau)
-        for perm in permutations(tau_vecs):
-            m = _mat_mul(_columns(perm), u_inv)
-            images = [_mat_vec(m, v) for v in a_vectors]
-            if any(img not in b_vec_index for img in images):
-                continue
-            mapping = [b_vec_index[img] for img in images]
-            if len(set(mapping)) != len(mapping):
-                continue
-            if all(
-                tuple(sorted(mapping[i] for i in cone)) in b_cone_set
-                for cone in a.max_cones
-            ):
-                return m
+    # without a unimodular cone in a, the None key matches no form of b
+    key, _, inverse = next(_normal_forms(a), (None, None, None))
+    for other, columns, _ in _normal_forms(b):
+        if other == key:
+            return tuple(
+                tuple(lattice.dot(row, col) for col in zip(*inverse))
+                for row in columns
+            )
     return None
 
 
@@ -772,13 +765,7 @@ def structural_key(fan: Fan):
     """Name-independent canonical key: lexicographically sorted generator
     vectors with cones relabeled accordingly. Equal keys mean equal fans
     as sets of cones in the fixed lattice (names and ray order ignored)."""
-    order = sorted(range(len(fan.generators)), key=lambda i: fan.generators[i].vector)
-    pos = {old: new for new, old in enumerate(order)}
-    vectors = tuple(fan.generators[i].vector for i in order)
-    cones = tuple(
-        sorted(tuple(sorted(pos[i] for i in cone)) for cone in fan.max_cones)
-    )
-    return (fan.dim, vectors, cones)
+    return _key(fan.dim, fan.vectors(), fan.max_cones)
 
 
 def structurally_equal(a: Fan, b: Fan) -> bool:
@@ -786,30 +773,10 @@ def structurally_equal(a: Fan, b: Fan) -> bool:
 
 
 def canonical_gl_key(fan: Fan):
-    """Canonical form under GL(n,Z): minimize the structural key over all
-    maps sending an ordered maximal cone onto the standard basis. Two valid
-    fans get equal keys iff fan_isomorphism finds a map between them."""
-    best = None
-    vectors = fan.vectors()
-    for mc in fan.max_cones:
-        for perm in permutations(fan.cone_vectors(mc)):
-            try:
-                m = lattice.unimodular_inverse(_columns(perm))
-            except ValueError:
-                continue
-            images = [_mat_vec(m, v) for v in vectors]
-            order = sorted(range(len(images)), key=lambda i: images[i])
-            pos = {old: new for new, old in enumerate(order)}
-            key = (
-                fan.dim,
-                tuple(images[i] for i in order),
-                tuple(
-                    sorted(
-                        tuple(sorted(pos[i] for i in cone))
-                        for cone in fan.max_cones
-                    )
-                ),
-            )
-            if best is None or key < best:
-                best = key
-    return best
+    """Canonical form under GL(n,Z): the least structural key over all
+    normal forms, i.e. over all maps sending an ordered maximal cone onto
+    the standard basis; None without a unimodular maximal cone.
+    fan_isomorphism matches normal forms of the same kind, so two fans
+    without repeated generator vectors get equal keys iff it finds a map
+    between them."""
+    return min((key for key, _, _ in _normal_forms(fan)), default=None)

@@ -8,6 +8,9 @@ relation among generators is a curve class. The classes of the primitive
 relations generate the cone of effective curves, which makes extremality,
 projectivity (strict convexity) and the Fano verdict finite, exact
 computations.
+
+``primitive_relations`` is the one cached relation table per fan; the Mori
+cone, the Fano verdict, blow-downs and contractions all read it.
 """
 
 from __future__ import annotations
@@ -87,6 +90,12 @@ def primitive_relation(fan: Fan, collection: Iterable[int | str]) -> PrimitiveRe
     return PrimitiveRelation(coll, target, coeffs, degree)
 
 
+@lru_cache(maxsize=4096)
+def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
+    """The relation of every primitive collection, in collection order."""
+    return tuple(primitive_relation(fan, c) for c in primitive_collections(fan))
+
+
 def curve_class(fan: Fan, relation: PrimitiveRelation) -> tuple[int, ...]:
     """Integer relation among generators: +1 on the collection, -a_i on the
     target rays, 0 elsewhere. The weighted sum of generator vectors is 0."""
@@ -115,8 +124,7 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
     of the classes (lam >= 0, sum lam = 1) vanishes, one LP with a column
     per class.
     """
-    collections = primitive_collections(fan)
-    rels = [primitive_relation(fan, c) for c in collections]
+    rels = primitive_relations(fan)
     classes = [curve_class(fan, r) for r in rels]
     infos = []
     for k, rel in enumerate(rels):
@@ -125,9 +133,9 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
         if sol is None:
             infos.append(MoriClassInfo(rel, classes[k], True, None))
         else:
-            other_colls = collections[:k] + collections[k + 1 :]
+            other_rels = rels[:k] + rels[k + 1 :]
             dec = tuple(
-                (other_colls[j], lam)
+                (other_rels[j].collection, lam)
                 for j, lam in enumerate(sol)
                 if lam != 0
             )
@@ -155,9 +163,5 @@ def is_fano(fan: Fan) -> tuple[bool, tuple[Cone, ...]]:
 
     Returns the verdict plus the witnesses: all collections of degree <= 0.
     """
-    bad = tuple(
-        c
-        for c in primitive_collections(fan)
-        if primitive_relation(fan, c).degree <= 0
-    )
+    bad = tuple(r.collection for r in primitive_relations(fan) if r.degree <= 0)
     return (not bad, bad)

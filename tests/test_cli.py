@@ -74,6 +74,15 @@ def test_analyze_parse_error_exits_1(cli_run, tmp_path):
     assert "expected 2 coordinates" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0661"])
+def test_analyze_non_decimal_integer_exits_1(cli_run, tmp_path, token):
+    bad = tmp_path / "bad.fan"
+    bad.write_text(f"dim 2\nray a {token} 0\n", encoding="utf-8")
+    code, _, err = cli_run("analyze", str(bad))
+    assert code == 1
+    assert "line 2" in err and "must be integers" in err
+
+
 def test_analyze_missing_file_exits_1(cli_run):
     code, _, err = cli_run("analyze", "/does/not/exist.fan")
     assert code == 1
@@ -234,6 +243,16 @@ def test_enumerate_dim2_out_dir(cli_run, tmp_path):
     code, _, _ = cli_run("enumerate", "--dim", "2", "--out-dir", str(out_dir))
     assert code == 0
     assert len(list(out_dir.glob("*.fan"))) == 5
+
+
+def test_enumerate_out_dir_on_existing_file_exits_5(cli_run, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    code, out, err = cli_run("enumerate", "--dim", "2", "--out-dir", str(taken))
+    assert code == 5
+    assert out == ""
+    assert err.startswith(f"cannot write {taken}: ")
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_enumerate_dim3_needs_long_flag(cli_run):

@@ -14,8 +14,10 @@ from toricfan import (
     StarConditionViolatedError,
     UnknownRayError,
     canonical_gl_key,
+    catalog,
     contract_ray,
     fan_isomorphism,
+    lattice,
     locate_relint,
     make_fan,
     parse_fan,
@@ -99,6 +101,24 @@ def test_parse_duplicate_name():
 def test_parse_syntax_errors(text):
     with pytest.raises(FanSyntaxError):
         parse_fan(text)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661"])
+@pytest.mark.parametrize(
+    "template, line",
+    [("dim {}\n", 1), ("dim 2\nray a 1 0\nray b 0 {}\n", 3)],
+)
+def test_parse_accepts_only_ascii_decimal_integers(token, template, line):
+    # int() alone would read "1_0" as 10 and the Arabic-Indic one as 1
+    with pytest.raises(FanSyntaxError) as exc:
+        parse_fan(template.format(token))
+    assert exc.value.line == line
+
+
+def test_parse_signed_integers():
+    fan = parse_fan("dim +2\nray a +1 -0\nray b -1 007\n")
+    assert fan.dim == 2
+    assert fan.vectors() == ((1, 0), (-1, 7))
 
 
 def test_parse_error_reports_line_number():
@@ -537,13 +557,59 @@ def test_face_pair_fast_path_matches_exact_solver():
         tried += 1
 
 
-def test_isomorphism_is_equivalence_on_catalog(catalog_fans):
-    fans = list(catalog_fans.values())
+def _transports(m, a, b):
+    """Whether m maps a's generators bijectively onto b's and a's maximal
+    cones onto b's."""
+    index = {v: i for i, v in enumerate(b.vectors())}
+    images = [tuple(lattice.dot(row, v) for row in m) for v in a.vectors()]
+    if sorted(images) != sorted(index):
+        return False
+    cones = {tuple(sorted(index[images[i]] for i in cone)) for cone in a.max_cones}
+    return cones == set(b.max_cones) and lattice.determinant(m) in (1, -1)
+
+
+def _reversed(fan):
+    """The same fan with its rays listed in reverse order."""
+    last = len(fan.generators) - 1
+    return make_fan(
+        fan.dim,
+        [(g.name, g.vector) for g in reversed(fan.generators)],
+        [[last - i for i in cone] for cone in fan.max_cones],
+    )
+
+
+def test_isomorphism_is_equivalence_on_catalog(catalog_fans, tower):
+    shear = ((1, 1, 0, 2), (0, 1, 0, 0), (1, 0, 1, 1), (0, 0, 0, 1))
+    y = tower[3]
+    fans = (
+        list(catalog_fans.values())
+        + catalog.enumerate_fano(2)
+        + [contract_ray(y, "e7", ("e1", "e6"))]
+        + [_twist(f, shear) for f in tower]
+        + [_twist(_reversed(f), shear) for f in tower[1:]]
+    )
+    keys = [canonical_gl_key(f) for f in fans]
     for a in fans:
         assert fan_isomorphism(a, a) is not None
-    for a in fans:
-        for b in fans:
-            ab = fan_isomorphism(a, b) is not None
+    for a, key_a in zip(fans, keys):
+        for b, key_b in zip(fans, keys):
+            m = fan_isomorphism(a, b)
             ba = fan_isomorphism(b, a) is not None
-            assert ab == ba
-            assert ab == (canonical_gl_key(a) == canonical_gl_key(b))
+            assert (m is not None) == ba == (key_a == key_b)
+            if m is not None:
+                assert _transports(m, a, b)
+
+
+def test_isomorphism_skips_non_unimodular_first_cone():
+    # <a,b> has determinant 2; the other two cones are unimodular
+    fan = make_fan(
+        2, [("a", (1, 0)), ("b", (1, 2)), ("c", (-1, -1))], [(0, 1), (1, 2), (0, 2)]
+    )
+    assert fan.max_cones[0] == (0, 1)
+    assert fan_isomorphism(fan, fan) == ((1, 0), (0, 1))
+    assert canonical_gl_key(fan) is not None
+
+
+def test_isomorphism_rejects_repeated_vectors():
+    fan = make_fan(2, [("a", (1, 0)), ("b", (1, 0)), ("c", (0, 1))], [(0, 2), (1, 2)])
+    assert fan_isomorphism(fan, fan) is None

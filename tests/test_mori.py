@@ -63,10 +63,13 @@ def test_collections_y(tower):
     }
 
 
-def test_collections_match_brute_force(catalog_fans):
-    for fan in catalog_fans.values():
-        assert list(mori.primitive_collections(fan)) == brute_primitive_collections(
-            fan
+def test_collections_match_brute_force(catalog_fans, seeded_chains):
+    fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + seeded_chains
+    for fan in fans:
+        brute = brute_primitive_collections(fan)
+        assert list(mori.primitive_collections(fan)) == brute
+        assert mori.primitive_relations(fan) == tuple(
+            mori.primitive_relation(fan, c) for c in brute
         )
 
 
