@@ -4,7 +4,9 @@ Subcommands: analyze, blowup, blowdown, blowdowns, factor, example,
 enumerate, isomorphic. Fan files are read from a path or standard input
 ('-'); reports are plain text and byte-stable: identical inputs produce
 identical output. Exit codes: 0 ok, 1 parse error, 2 invalid fan,
-3 no factorization, 4 not a refinement, 5 invalid operation argument.
+3 no factorization, 4 not a refinement, 5 invalid operation argument
+(usage errors included: a missing subcommand, option or argument, or an
+unknown choice).
 """
 
 from __future__ import annotations
@@ -372,8 +374,17 @@ def _cmd_isomorphic(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as argparse does, but with EXIT_BAD_ARGUMENT:
+    argparse's own code 2 would read as "invalid fan"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_ARGUMENT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricfan",
         description=(
             "Exact computations on smooth complete toric fans: validation,"

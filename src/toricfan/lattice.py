@@ -1,16 +1,19 @@
 """Exact linear algebra for lattice geometry, on two kernels.
 
 Integers everywhere: one fraction-free Gauss-Jordan elimination gives both
-the determinant and the inverse of a unimodular matrix. `fractions.Fraction`
-appears only inside the phase-1 simplex behind `solve_eq_nonneg` and
-`nonneg_rational_combination`, which decides feasibility, extremality and
-(by Gordan's alternative) strict convexity. Every yes/no answer is a
-decision, never an approximation.
+the determinant and the inverse of a unimodular matrix, and the phase-1
+simplex behind `solve_eq_nonneg` and `nonneg_rational_combination`, which
+decides feasibility, extremality and (by Gordan's alternative) strict
+convexity, pivots on an integer tableau by the same exact division.
+`fractions.Fraction` appears only at the boundary: rational input is scaled
+to integers, and the vertex found is returned as Fractions. Every yes/no
+answer is a decision, never an approximation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -81,10 +84,32 @@ def solve_eq_nonneg(
 ) -> list[Fraction] | None:
     """Find x >= 0 with (rows) @ x = rhs, exactly; None when infeasible.
 
-    Phase-1 simplex over Fraction with Bland's rule (entering: smallest
-    eligible structural column; leaving: smallest basic index among the
-    minimum ratios), which guarantees termination. Artificial variables
-    never re-enter the basis.
+    Phase-1 simplex on an integer tableau (fraction-free pivoting, Bareiss,
+    Math. Comp. 22 (1968); for the simplex, Azulay & Pique, ACM TOMS 27
+    (2001)). Entries are ints or Fractions. The system is multiplied by the
+    lcm of all its denominators: one factor for every row keeps the reduced
+    costs proportional to those of the rational tableau, so the pivots are
+    the same. Each row with a negative rhs is then negated. The tableau
+    keeps the structural columns and the rhs; the artificial columns are
+    dropped, since artificials never re-enter the basis, and their labels
+    n + i live on only in ``basis``. The objective row, the sum of the rows
+    whose basic variable is artificial, starts as the column sums.
+
+    One integer d > 0 holds the whole tableau: every entry is d times its
+    rational value (d is the determinant of the current basis). Pivoting on
+    (r, e) with p = tab[r][e] > 0 turns every other row into
+    (p * row - row[e] * tab[r]) // d, an exact division, keeps row r as it
+    is and sets d = p.
+
+    Bland's rule guarantees termination: the entering column is the first
+    with a positive reduced cost; the leaving row has the least ratio
+    rhs / entry, compared by cross-multiplication, ties going to the
+    smaller basis label. The loop stops as soon as the infeasibility (the
+    objective's rhs) is 0: from there on every positive reduced cost has a
+    positive entry in a row whose artificial is basic at value 0, so any
+    further pivot is degenerate and x cannot change. The vertex is the one
+    that pivoting on to optimality would reach, returned as
+    Fraction(tab[i][-1], d) for each structural basic variable.
     """
     m = len(rows)
     if m != len(rhs):
@@ -95,57 +120,44 @@ def solve_eq_nonneg(
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("ragged constraint matrix")
     if n == 0:
-        return [] if all(Fraction(b) == 0 for b in rhs) else None
+        return [] if all(b == 0 for b in rhs) else None
 
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        b = Fraction(rhs[i])
-        row = [Fraction(x) for x in rows[i]]
-        if b < 0:
-            b = -b
-            row = [-x for x in row]
-        tab.append(row + [Fraction(1 if j == i else 0) for j in range(m)] + [b])
+    system = [[*row, b] for row, b in zip(rows, rhs)]
+    scale = lcm(*(x.denominator for row in system for x in row))
+    tab = []
+    for row in system:
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        tab.append([-x for x in ints] if ints[-1] < 0 else ints)
+    tab.append([sum(col) for col in zip(*tab)])  # the objective row, tab[m]
     basis = list(range(n, n + m))
-    # objective row: minimize the sum of artificials; for structural columns
-    # this equals the reduced cost, artificial columns are never candidates
-    obj = [sum(tab[i][j] for i in range(m)) for j in range(n + m + 1)]
-
-    while True:
-        enter = next((j for j in range(n) if obj[j] > 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            t = tab[i][enter]
-            if t > 0:
-                ratio = tab[i][-1] / t
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave is None:  # cannot happen: obj[enter] > 0 forces a positive entry
+    d = 1
+    while tab[m][-1]:
+        obj = tab[m]
+        e = next((j for j in range(n) if obj[j] > 0), None)
+        if e is None:
             return None
-        p = tab[leave][enter]
-        tab[leave] = [x / p for x in tab[leave]]
+        r = None
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
-        basis[leave] = enter
+            t = tab[i][e]
+            if t > 0 and (
+                r is None
+                or (c := tab[i][-1] * tab[r][e] - tab[r][-1] * t) < 0
+                or (c == 0 and basis[i] < basis[r])
+            ):
+                r = i
+        pivot_row = tab[r]
+        p = pivot_row[e]
+        for i, row in enumerate(tab):
+            if i != r:
+                f = row[e]
+                tab[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        basis[r] = e
+        d = p
 
-    if obj[-1] != 0:
-        return None
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab[i][-1]
+            x[bv] = Fraction(tab[i][-1], d)
     return x
 
 

@@ -2,13 +2,16 @@
 
 Each oracle re-decides a question answered by the library through a
 different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
-exhaustive subset or grid search) so that the two sides check each other.
+exhaustive subset or grid search, a simplex pivoting over Fraction) so that
+the two sides check each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from toricfan.errors import DimensionMismatchError
 
 
 def permutation_determinant(rows) -> int:
@@ -67,6 +70,80 @@ def fourier_motzkin_feasible(rows, rhs) -> bool:
             new.add(normalized(coeffs, const))
         cons = new
     return all(const >= 0 for _, const in cons)
+
+
+def fraction_phase1_simplex(rows, rhs):
+    """Find x >= 0 with (rows) @ x = rhs, exactly; None when infeasible.
+
+    The reference for the integer tableau of ``lattice.solve_eq_nonneg``,
+    which must return the same vertex or None.
+
+    Phase-1 simplex over Fraction with Bland's rule (entering: smallest
+    eligible structural column; leaving: smallest basic index among the
+    minimum ratios), which guarantees termination. Artificial variables
+    never re-enter the basis.
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise DimensionMismatchError("row count differs from rhs length")
+    if m == 0:
+        raise DimensionMismatchError("need at least one equation")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatchError("ragged constraint matrix")
+    if n == 0:
+        return [] if all(Fraction(b) == 0 for b in rhs) else None
+
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        b = Fraction(rhs[i])
+        row = [Fraction(x) for x in rows[i]]
+        if b < 0:
+            b = -b
+            row = [-x for x in row]
+        tab.append(row + [Fraction(1 if j == i else 0) for j in range(m)] + [b])
+    basis = list(range(n, n + m))
+    # objective row: minimize the sum of artificials; for structural columns
+    # this equals the reduced cost, artificial columns are never candidates
+    obj = [sum(tab[i][j] for i in range(m)) for j in range(n + m + 1)]
+
+    while True:
+        enter = next((j for j in range(n) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            t = tab[i][enter]
+            if t > 0:
+                ratio = tab[i][-1] / t
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:  # cannot happen: obj[enter] > 0 forces a positive entry
+            return None
+        p = tab[leave][enter]
+        tab[leave] = [x / p for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    if obj[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tab[i][-1]
+    return x
 
 
 def fm_nonneg_combination_feasible(generators, target) -> bool:

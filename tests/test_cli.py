@@ -302,6 +302,37 @@ def test_invalid_fan_rejected_by_operations(cli_run, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# usage errors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],  # no subcommand
+        ["blowup", "f.fan"],  # no --center
+        ["analyze", "f", "--format", "json"],  # unknown choice
+    ],
+)
+def test_usage_error_exits_5(capsys, argv):
+    # exit 2 is reserved for an invalid fan
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: toricfan")
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: toricfan")
+
+
+# ---------------------------------------------------------------------------
 # the installed entry point
 
 

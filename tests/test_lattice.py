@@ -4,12 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricfan import lattice
+from toricfan import catalog, fan, lattice, mori
 from toricfan.errors import DimensionMismatchError
 
 from oracles import (
     fm_nonneg_combination_feasible,
     fm_positive_functional_exists,
+    fraction_phase1_simplex,
     grid_nonneg_combination_exists,
     permutation_determinant,
 )
@@ -136,6 +137,80 @@ def test_nonneg_combination_agrees_with_fourier_motzkin(data):
             sum(l * g[i] for l, g in zip(sol, gens)) == target[i]
             for i in range(n)
         )
+
+
+# ---------------------------------------------------------------------------
+# the integer tableau returns the vertex of the Fraction simplex oracle
+
+small_fraction = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+
+
+def lp_systems(entry, feasible=False):
+    """(rows, rhs) with 1-5 equations in 0-8 unknowns. When ``feasible``,
+    rhs = rows @ x0 for an x0 >= 0 with many zeros, which makes degenerate
+    vertices common."""
+
+    def build(shape):
+        m, n = shape
+        row = st.lists(entry, min_size=n, max_size=n)
+        rows = st.lists(row, min_size=m, max_size=m)
+        if not feasible:
+            return st.tuples(rows, st.lists(entry, min_size=m, max_size=m))
+        x0 = st.lists(st.sampled_from((0, 0, 1, 2)), min_size=n, max_size=n)
+        return st.tuples(rows, x0).map(
+            lambda t: (t[0], [sum(a * x for a, x in zip(r, t[1])) for r in t[0]])
+        )
+
+    return st.tuples(st.integers(1, 5), st.integers(0, 8)).flatmap(build)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        lp_systems(small_int),
+        lp_systems(st.one_of(small_int, small_fraction)),
+        lp_systems(small_int, feasible=True),
+        lp_systems(small_fraction, feasible=True),
+    )
+)
+@example(([[3, 1, -2], [1, 2, 4]], [5, 4]))  # integer
+# Fraction; scaling each row by its own lcm would give another vertex
+@example(([[-2, -2, -1], [Fraction(-3, 2), -1, 2]], [-3, 1]))
+@example(([[1, -1, 2], [2, 3, -1]], [0, 0]))  # zero rhs
+@example(([[1, -2, 0], [-1, 0, 3]], [-4, -1]))  # negative rhs
+@example(([[2, 0], [0, 1]], [2, 0]))  # degenerate: the Fraction loop pivots on at 0
+@example(([[], []], [0, 1]))  # no columns
+def test_integer_tableau_matches_fraction_simplex(system):
+    rows, rhs = system
+    got = lattice.solve_eq_nonneg(rows, rhs)
+    assert got == fraction_phase1_simplex(rows, rhs)
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+
+
+def test_replayed_package_lps_match_fraction_simplex(
+    monkeypatch, catalog_fans, seeded_chains
+):
+    # every LP that mori_cone and validate_fan issue, replayed on the oracle
+    real = lattice.solve_eq_nonneg
+    issued = []
+
+    def record(rows, rhs):
+        out = real(rows, rhs)
+        issued.append((rows, rhs, out))
+        return out
+
+    monkeypatch.setattr(lattice, "solve_eq_nonneg", record)
+    mori.mori_cone.cache_clear()
+    fan._cones_meet_cached.cache_clear()
+    fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + seeded_chains
+    for f in fans:
+        fan.validate_fan(f)
+        mori.mori_cone(f)
+    assert sum(out is None for _, _, out in issued) > 0
+    assert sum(out is not None for _, _, out in issued) > 0
+    for rows, rhs, out in issued:
+        assert out == fraction_phase1_simplex(rows, rhs), (rows, rhs)
 
 
 # ---------------------------------------------------------------------------

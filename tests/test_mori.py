@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 from toricfan import catalog, make_fan, mori, validate_fan
 from toricfan.fan import resolve_cone
 
+from conftest import blowup_chain
 from oracles import (
     brute_primitive_collections,
     fm_nonneg_combination_feasible,
@@ -263,6 +265,22 @@ def test_extremality_agrees_with_fourier_motzkin(catalog_fans):
             others = classes[:k] + classes[k + 1 :]
             feasible = fm_nonneg_combination_feasible(others, classes[k])
             assert info.extremal == (not feasible)
+
+
+def test_no_two_primitive_classes_are_proportional(catalog_fans):
+    # so "extremal" is a property of one class, not of a ray shared by two;
+    # the seeded chains enter with every prefix, not only their last fan
+    chains = [blowup_chain(1, 3, k) for k in range(1, 7)]
+    chains += [blowup_chain(2, 4, k) for k in range(1, 5)]
+    fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + chains
+    for fan in fans:
+        classes = [info.curve_class for info in mori.mori_cone(fan).relations]
+        for a, b in combinations(classes, 2):
+            # proportional iff every 2x2 minor of the pair vanishes
+            assert any(
+                a[i] * b[j] != a[j] * b[i]
+                for i, j in combinations(range(len(a)), 2)
+            ), (a, b)
 
 
 def test_picard_number(catalog_fans):
