@@ -1,31 +1,35 @@
-"""Enumeration of smooth toric Fano threefolds.
+"""Enumeration of smooth toric Fano fans in dimensions 1 to 3.
 
-Strategy: grow simplicial complexes of unimodular 3-cones around the
-standard cone, advancing-front style. Every complete smooth fan can be
-mapped by GL(3,Z) so that one maximal cone is the standard cone, so each
-isomorphism class is reachable; completed fans are deduplicated by
+One advancing-front search serves every dimension (the module keeps its
+name because ``bench/tracer.py`` lists it). It grows simplicial complexes
+of unimodular cones around the standard cone. Every complete smooth fan
+can be mapped by GL(n,Z) so that one maximal cone is the standard cone, so
+each isomorphism class is reachable; completed fans are deduplicated by
 canonical form.
 
-The front is the set of walls (2-faces) lying in exactly one cone so far.
-The expansion step picks the lexicographically smallest uncovered wall
-{u, v} with its unique flanking cone apex p and tries every candidate apex
-w on the opposite side. Writing w = a*u + b*v - p (the coefficient of p is
-forced to -1 by unimodularity plus the side condition), the pair {p, w}
-can never span a cone of any completed fan when a, b >= 0 and a + b >= 1:
-its sum p + w = a*u + b*v would then lie in the relative interior of a
-face of the existing cone, so {p, w} is a primitive collection with degree
-2 - a - b. Fano forces degree >= 1, which cuts every branch with
-a >= 1 and b >= 1, a >= 2 and b = 0, or a = 0 and b >= 2.
+The front is the set of walls ((n-1)-faces) lying in exactly one cone so
+far. The expansion step picks the lexicographically smallest open wall
+with its unique flanking cone apex p and tries every candidate apex w on
+the opposite side: unimodularity and the side condition force the
+coordinate of w on p to be -1 in the basis (wall, p), so
+w = sum(a_i * u_i) - p over the wall vectors u_i.
 
-Vertex and cone counts are capped (8 vertices, hence 2*8 - 4 = 12 cones
-for a simplicial 2-sphere) and vertex coordinates are bounded; the caps
-are validated by reproducing the known classification count.
+Degree rule: when every a_i >= 0, the sum p + w = sum(a_i * u_i) lies in
+the relative interior of a face of the existing cone, so {p, w} can span
+no cone of a completed fan and is a primitive collection of degree
+2 - sum(a_i). Fano forces degree >= 1, so w is cut when every a_i >= 0 and
+sum(a_i) >= 2.
+
+Vertex and cone counts are capped (8 vertices, hence at most
+2*8 - 4 = 12 cones for a simplicial 2-sphere) and vertex coordinates lie
+in [-2, 2]; the caps are validated by reproducing the known
+classification counts 1, 5 and 18.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from . import mori
@@ -41,62 +45,58 @@ from .fan import (
 
 MAX_VERTICES = 8
 MAX_CONES = 2 * MAX_VERTICES - 4
-
-Vec = tuple[int, int, int]
-ConeV = tuple[Vec, Vec, Vec]  # sorted vector triple
+COORD_BOUND = 2
 
 
-def _primitive_pool(bound: int) -> tuple[Vec, ...]:
-    pool = []
-    rng = range(-bound, bound + 1)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if (x, y, z) != (0, 0, 0) and gcd(x, y, z) == 1:
-                    pool.append((x, y, z))
-    return tuple(pool)
+@lru_cache(maxsize=None)
+def _primitive_pool(dim: int):
+    rng = range(-COORD_BOUND, COORD_BOUND + 1)
+    return tuple(v for v in product(rng, repeat=dim) if gcd(*v) == 1)
 
 
-def _walls(cone: ConeV):
-    return combinations(cone, 2)
+@lru_cache(maxsize=16384)  # dimension 3 meets 8,804 (wall, p) pairs
+def _candidates(wall, p):
+    """Pool vectors w with coordinate -1 on p in the basis (wall, p) that
+    the degree rule keeps, in pool order."""
+    dual = _dual_rows(wall + (p,))
+    out = []
+    for w in _primitive_pool(len(p)):
+        *a, on_p = (sum(r * x for r, x in zip(row, w)) for row in dual)
+        if on_p != -1:
+            continue  # not unimodular against the wall, or on p's side
+        if min(a, default=0) >= 0 and sum(a) >= 2:
+            continue  # {p, w} would have degree 2 - sum(a) <= 0
+        out.append(w)
+    return tuple(out)
 
 
-@lru_cache(maxsize=262144)
-def _apex_coords(u: Vec, v: Vec, p: Vec, w: Vec):
-    """Coordinates of w in the basis (u, v, p), or None when not a basis."""
-    dual = _dual_rows((u, v, p))
-    if dual is None:
-        return None
-    return tuple(
-        sum(row[i] * w[i] for i in range(3)) for row in dual
-    )
-
-
-def _fan_from_cones(cones: frozenset[ConeV]) -> Fan:
+def _fan_from_cones(dim: int, cones) -> Fan:
     vertices = sorted({v for cone in cones for v in cone})
     index = {v: i for i, v in enumerate(vertices)}
     return make_fan(
-        3,
+        dim,
         [(f"e{i}", v) for i, v in enumerate(vertices)],
         [tuple(index[v] for v in cone) for cone in cones],
     )
 
 
-def enumerate_fano_threefolds(coord_bound: int = 2) -> list[Fan]:
-    """All smooth toric Fano threefold fans up to GL(3,Z), canonically ordered."""
-    pool = _primitive_pool(coord_bound)
-    start: ConeV = tuple(sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+def enumerate_fano_fans(dim: int) -> list[Fan]:
+    """All smooth toric Fano fans of dimension ``dim`` within the caps, up
+    to GL(dim,Z), in canonical-key order."""
+    start = tuple(
+        sorted(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    )
     found: dict = {}
-    visited: set[frozenset[ConeV]] = set()
+    visited: set = set()
 
     def wall_counts(cones):
-        counts: dict[tuple[Vec, Vec], list[ConeV]] = {}
+        counts: dict = {}
         for cone in cones:
-            for a, b in _walls(cone):
-                counts.setdefault((a, b), []).append(cone)
+            for wall in combinations(cone, dim - 1):
+                counts.setdefault(wall, []).append(cone)
         return counts
 
-    def grow(cones: frozenset[ConeV]):
+    def grow(cones: frozenset):
         if cones in visited:
             return
         visited.add(cones)
@@ -105,7 +105,7 @@ def enumerate_fano_threefolds(coord_bound: int = 2) -> list[Fan]:
             raise InternalInconsistencyError("wall covered three times")
         open_walls = sorted(w for w, owners in counts.items() if len(owners) == 1)
         if not open_walls:
-            fan = _fan_from_cones(cones)
+            fan = _fan_from_cones(dim, cones)
             if not validate_fan(fan).ok:
                 raise InternalInconsistencyError(
                     "closed cone complex failed validation"
@@ -115,28 +115,20 @@ def enumerate_fano_threefolds(coord_bound: int = 2) -> list[Fan]:
             return
         if len(cones) >= MAX_CONES:
             return
-        u, v = open_walls[0]
-        (owner,) = counts[(u, v)]
-        (p,) = [x for x in owner if x not in (u, v)]
+        wall = open_walls[0]
+        (owner,) = counts[wall]
+        (p,) = [x for x in owner if x not in wall]
         vertices = {x for cone in cones for x in cone}
-        for w in pool:
-            coords = _apex_coords(u, v, p, w)
-            if coords is None or coords[2] != -1:
-                continue  # not unimodular against the wall, or wrong side
-            a, b = coords[0], coords[1]
-            if (a >= 1 and b >= 1) or (a >= 2 and b == 0) or (a == 0 and b >= 2):
-                continue  # forces a primitive collection of degree <= 0
+        for w in _candidates(wall, p):
             if w not in vertices and len(vertices) >= MAX_VERTICES:
                 continue
-            new_cone: ConeV = tuple(sorted([u, v, w]))
+            new_cone = tuple(sorted(wall + (w,)))
             if new_cone in cones:
                 continue
-            ok = True
-            for a2, b2 in _walls(new_cone):
-                if len(counts.get((a2, b2), ())) >= 2:
-                    ok = False
-                    break
-            if not ok:
+            if any(
+                len(counts.get(w2, ())) >= 2
+                for w2 in combinations(new_cone, dim - 1)
+            ):
                 continue
             if all(
                 cones_meet_in_common_face(new_cone, cone) for cone in cones

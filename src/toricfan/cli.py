@@ -265,7 +265,7 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_blowdown(args) -> int:
     fan = _load_valid_fan(args.fan)
-    via = _split_names(args.via) if args.via else None
+    via = _split_names(args.via) if args.via is not None else None
     try:
         result = contract_ray(fan, args.ray, via)
     except StarConditionViolatedError as exc:

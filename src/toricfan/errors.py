@@ -48,17 +48,12 @@ class NoBlowdownRelationError(ToricFanError):
 class StarConditionViolatedError(ToricFanError):
     """A contraction failed: some cone around the ray misses the required rays.
 
-    ``witnesses`` lists every offending maximal cone (as index tuples);
-    ``witness`` is the first of them.
+    ``witnesses`` lists every offending maximal cone (as index tuples).
     """
 
     def __init__(self, message: str, witnesses):
         super().__init__(message)
         self.witnesses = tuple(witnesses)
-
-    @property
-    def witness(self):
-        return self.witnesses[0]
 
 
 class ResultInvalidError(ToricFanError):

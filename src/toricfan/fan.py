@@ -713,9 +713,8 @@ def _normal_forms(fan: Fan):
     the structural key of the fan moved by ``inverse``."""
     for cone in fan.max_cones:
         basis = fan.cone_vectors(cone)
-        try:
-            dual = lattice.unimodular_inverse(tuple(zip(*basis)))
-        except ValueError:
+        dual = _dual_rows(basis)
+        if dual is None:
             continue
         coords = [tuple(lattice.dot(row, v) for row in dual) for v in fan.vectors()]
         # reordering the basis reorders the rows of its inverse, and with

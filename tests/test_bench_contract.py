@@ -1,8 +1,9 @@
 """The traced benchmark run wraps functions by module and name.
 
-``bench/tracer.py`` lists them in ``TRACED``; a rename or deletion in the
-package would break the traced run without failing any other test. The
-list is read with ``ast`` so that no benchmark code runs here. The wrappers
+``bench/tracer.py`` lists them in ``TRACED`` and the modules whose bindings
+it patches in ``MODULES``; a rename or deletion in the package would break
+the traced run without failing any other test. Both tables are read with
+``ast`` so that no benchmark code runs here. The wrappers
 replace module attributes, so a call sees them only when it goes through
 the module global, which the LP case below checks.
 """
@@ -16,18 +17,25 @@ from toricfan import catalog, fan, lattice, mori
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def traced_functions():
+def tracer_table(name):
     tree = ast.parse(TRACER.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no TRACED table in {TRACER}")
+    raise AssertionError(f"no {name} table in {TRACER}")
+
+
+def test_traced_modules_import():
+    modules = tracer_table("MODULES")
+    assert modules
+    for module in modules:
+        importlib.import_module(f"toricfan.{module}")
 
 
 def test_traced_functions_exist():
-    traced = traced_functions()
+    traced = tracer_table("TRACED")
     assert traced
     for module, names in traced.items():
         mod = importlib.import_module(f"toricfan.{module}")

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
-from toricfan import catalog, mori
-from toricfan import fan_isomorphism, structurally_equal, validate_fan
+from toricfan import _fano3, catalog, lattice, mori
+from toricfan import canonical_gl_key, fan_isomorphism, structurally_equal
+from toricfan import validate_fan
+from toricfan.fan import _dual_rows
 from toricfan.errors import InvalidDimensionError, UnsupportedDimensionError
 
 
@@ -106,9 +110,15 @@ def test_enumerate_dim1():
     assert fan_isomorphism(fans[0], catalog.projective_space(1)) is not None
 
 
+def picard_counts(fans):
+    return dict(Counter(mori.mori_cone(f).picard_number for f in fans))
+
+
 def test_enumerate_dim2_count():
     fans = catalog.enumerate_fano(2)
     assert len(fans) == 5
+    # P^2; P^1 x P^1 and F_1; the blow-ups of P^2 in two and three points
+    assert picard_counts(fans) == {1: 1, 2: 2, 3: 1, 4: 1}
 
 
 def test_enumerate_dim2_shapes():
@@ -143,6 +153,33 @@ def test_enumerate_dim2_deterministic():
     assert first == second
 
 
+def test_degree_prune_keeps_every_class(monkeypatch):
+    """The degree rule cuts only branches that cannot close Fano: with the
+    side condition alone, dimensions 1 and 2 give the same classes."""
+    real = _fano3._candidates
+    cut = []
+
+    def side_condition_only(wall, p):
+        phi = _dual_rows(wall + (p,))[-1]
+        out = tuple(
+            w for w in _fano3._primitive_pool(len(p)) if lattice.dot(phi, w) == -1
+        )
+        cut.extend(set(out) - set(real(wall, p)))
+        return out
+
+    def keys():
+        return [
+            [canonical_gl_key(f) for f in _fano3.enumerate_fano_fans(d)]
+            for d in (1, 2)
+        ]
+
+    pruned = keys()
+    monkeypatch.setattr(_fano3, "_candidates", side_condition_only)
+    unpruned = keys()
+    assert cut  # the rule does cut something in dimension 2
+    assert unpruned == pruned
+
+
 def test_enumerate_rejects_other_dims():
     with pytest.raises(UnsupportedDimensionError):
         catalog.enumerate_fano(0)
@@ -154,6 +191,7 @@ def test_enumerate_rejects_other_dims():
 def test_enumerate_dim3_count():
     fans = catalog.enumerate_fano(3)
     assert len(fans) == 18
+    assert picard_counts(fans) == {1: 1, 2: 4, 3: 7, 4: 4, 5: 2}
     for fan in fans:
         assert validate_fan(fan).ok
         assert mori.is_fano(fan)[0]

@@ -164,6 +164,16 @@ def test_blowdown_via_selects_relation(cli_run, fan_files):
     assert out == w_text
 
 
+@pytest.mark.parametrize("via", ["", ","])
+def test_blowdown_empty_via_exits_5(cli_run, fan_files, via):
+    # an empty --via is an empty ray list, not an absent option
+    code, out, err = cli_run(
+        "blowdown", fan_files["paper-Y"], "--ray", "e7", "--via", via
+    )
+    assert (code, out) == (5, "")
+    assert "empty ray list" in err
+
+
 def test_blowdown_no_relation_exits_5(cli_run, fan_files):
     code, _, err = cli_run("blowdown", fan_files["p4"], "--ray", "e0")
     assert code == 5

@@ -2,7 +2,8 @@
 
 The transcript holds ``analyze`` (plain and compact) and ``blowdowns`` for
 every catalog key, plus ``isomorphic`` from paper-W to W-bar (the contraction
-of e7 in paper-Y steered by {e1,e6}) with its map. After an intended change
+of e7 in paper-Y steered by {e1,e6}) with its map, and ``enumerate`` in
+dimensions 1 and 2. After an intended change
 of output, regenerate it with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
@@ -27,6 +28,8 @@ def _commands() -> list[list[str]]:
         out.append(["analyze", "--format", "compact", f"{key}.fan"])
         out.append(["blowdowns", f"{key}.fan"])
     out.append(["isomorphic", "paper-W.fan", "wbar.fan"])
+    out.append(["enumerate", "--dim", "1"])
+    out.append(["enumerate", "--dim", "2"])
     return out
 
 
