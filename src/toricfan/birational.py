@@ -11,10 +11,11 @@ intermediate be Fano.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import mori
 from .errors import NotARefinementError, StarConditionViolatedError
-from .fan import Cone, Fan, contract_ray, refines, structural_key
+from .fan import Cone, Fan, _masks_cover, _ray_masks, contract_ray, structural_key
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,15 @@ class FactorizationPath:
     steps: tuple[FactorStep, ...]
 
 
+@lru_cache(maxsize=4096)
 def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
     """All relations of blow-down shape, each tested by actual contraction.
 
-    Ordered by contracted ray name, then by collection.
+    Ordered by contracted ray name, then by collection. The shapes are read
+    from the cached ``mori.primitive_relations`` table; every one is handed
+    to ``contract_ray``, which validates the contracted fan in full. The
+    result is cached per fan (``lru_cache``, 4096 fans), so a fan the
+    factorization search reaches again costs no contraction.
     """
     star_rels = [
         rel
@@ -75,13 +81,19 @@ def factor_morphism(
 
     Depth-first backtracking over valid blow-down candidates whose targets
     still refine ``coarse``; a path is complete when the current fan equals
-    ``coarse`` structurally. With ``require_fano``, intermediates strictly
+    ``coarse`` structurally. The coarse-cone bitmasks of ``fine``'s rays are
+    computed once (see ``fan.refines``); every target's rays are among
+    them, so each refinement test is one AND per maximal cone. Candidates
+    come from the cached ``blow_down_candidates``; the step flags come from
+    ``mori.is_fano`` (which reads the cached relation table) and the cached
+    ``mori.is_projective``. With ``require_fano``, intermediates strictly
     between the endpoints must be Fano. With ``exhaustive``, all complete
     paths are returned, otherwise only the first; the empty tuple means the
     search finished and no factorization exists. Candidate order (by
     contracted ray name, then collection) makes results deterministic.
     """
-    if not refines(fine, coarse):
+    masks = _ray_masks(fine, coarse)
+    if not _masks_cover(fine, masks):
         raise NotARefinementError(
             "the first fan does not refine the second; no equivariant"
             " morphism to factor"
@@ -114,7 +126,7 @@ def factor_morphism(
             if not cand.valid:
                 continue
             target = cand.target
-            if not refines(target, coarse):
+            if not _masks_cover(target, masks):
                 continue
             if (
                 require_fano

@@ -675,22 +675,45 @@ def contract_ray(
 
 
 def refines(fine: Fan, coarse: Fan) -> bool:
-    """True iff every maximal cone of ``fine`` lies in some cone of ``coarse``."""
+    """True iff every maximal cone of ``fine`` lies in some cone of ``coarse``.
+
+    A cone lies in a convex cone iff its generators do, so a fine cone lies
+    in the coarse fan iff the AND of its rays' ``_ray_masks`` is non-zero.
+    """
+    return _masks_cover(fine, _ray_masks(fine, coarse))
+
+
+def _ray_masks(fine: Fan, coarse: Fan) -> dict[lattice.IntVector, int]:
+    """Each fine generator vector -> bitmask of the coarse maximal cones
+    holding it, by the signs of the dual rows or, for a non-unimodular
+    cone, exactly by ``lattice.nonneg_rational_combination``."""
     if fine.dim != coarse.dim:
         raise DimensionMismatchError(
             f"cannot compare fans of dimension {fine.dim} and {coarse.dim}"
         )
-    duals = []
-    for cone in coarse.max_cones:
-        dual = _dual_rows(coarse.cone_vectors(cone))
-        if dual is not None:
-            duals.append(dual)
-    for mc in fine.max_cones:
-        vecs = fine.cone_vectors(mc)
-        if not any(
-            all(lattice.dot(row, v) >= 0 for v in vecs for row in dual)
-            for dual in duals
-        ):
+    masks = dict.fromkeys(fine.vectors(), 0)
+    for bit, cone in enumerate(coarse.max_cones):
+        vecs = coarse.cone_vectors(cone)
+        dual = _dual_rows(vecs)
+        for v in masks:
+            if (
+                all(lattice.dot(row, v) >= 0 for row in dual)
+                if dual
+                else lattice.nonneg_rational_combination(vecs, v) is not None
+            ):
+                masks[v] |= 1 << bit
+    return masks
+
+
+def _masks_cover(fan: Fan, masks: dict[lattice.IntVector, int]) -> bool:
+    """Does each maximal cone of ``fan`` (whose rays are among the masked
+    vectors) lie in one coarse cone?"""
+    ray_masks = [masks[g.vector] for g in fan.generators]
+    for mc in fan.max_cones:
+        common = -1
+        for i in mc:
+            common &= ray_masks[i]
+        if not common:
             return False
     return True
 

@@ -10,7 +10,8 @@ projectivity (strict convexity) and the Fano verdict finite, exact
 computations.
 
 ``primitive_relations`` is the one cached relation table per fan; the Mori
-cone, the Fano verdict, blow-downs and contractions all read it.
+cone, the Fano and projectivity verdicts, blow-downs and contractions all
+read it.
 """
 
 from __future__ import annotations
@@ -117,12 +118,10 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
     """Classes of all primitive relations with extremality flags.
 
     A class is extremal when it is not a nonnegative rational combination
-    of the other primitive classes; the witnessing decomposition is stored
-    otherwise. Strict convexity of the generated cone (equivalently,
-    projectivity of the variety) is decided by Gordan's alternative: some
-    functional is strictly positive on every class iff no convex combination
-    of the classes (lam >= 0, sum lam = 1) vanishes, one LP with a column
-    per class.
+    of the other primitive classes (one LP per class against all others);
+    the witnessing decomposition is stored otherwise. ``strictly_convex``
+    is ``is_projective(fan)``, so the summary and the verdict share one
+    Gordan LP. Cached per fan (``lru_cache``, 4096 fans).
     """
     rels = primitive_relations(fan)
     classes = [curve_class(fan, r) for r in rels]
@@ -140,22 +139,31 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
                 if lam != 0
             )
             infos.append(MoriClassInfo(rel, classes[k], False, dec))
-    convex = (
+    return MoriConeSummary(
+        tuple(infos),
+        picard_number=len(fan.generators) - fan.dim,
+        strictly_convex=is_projective(fan),
+    )
+
+
+@lru_cache(maxsize=4096)
+def is_projective(fan: Fan) -> bool:
+    """Kleiman: projective iff the cone of effective curves is strictly convex.
+
+    The primitive classes (from the cached ``primitive_relations`` table)
+    generate that cone, and Gordan's alternative decides its strict
+    convexity with one LP: some functional is strictly positive on every
+    class iff no convex combination of the classes (lam >= 0, sum lam = 1)
+    vanishes. No extremality or decomposition is computed. Cached per fan
+    (``lru_cache``, 4096 fans).
+    """
+    classes = [curve_class(fan, r) for r in primitive_relations(fan)]
+    return (
         lattice.nonneg_rational_combination(
             [c + (1,) for c in classes], (0,) * len(fan.generators) + (1,)
         )
         is None
     )
-    return MoriConeSummary(
-        tuple(infos),
-        picard_number=len(fan.generators) - fan.dim,
-        strictly_convex=convex,
-    )
-
-
-def is_projective(fan: Fan) -> bool:
-    """Kleiman: projective iff the cone of effective curves is strictly convex."""
-    return mori_cone(fan).strictly_convex
 
 
 def is_fano(fan: Fan) -> tuple[bool, tuple[Cone, ...]]:

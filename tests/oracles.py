@@ -256,3 +256,25 @@ def brute_primitive_collections(fan):
             if all(is_face(s - {i}) for i in cand):
                 out.append(cand)
     return sorted(out)
+
+
+def brute_refines(fine, coarse) -> bool:
+    """Does every maximal cone of ``fine`` lie in one maximal cone of
+    ``coarse``? Each generator is tested by an exact Fraction solve over the
+    coarse cone's generators, or by Fourier-Motzkin when that solve has no
+    unique answer (dependent generators)."""
+
+    def inside(vecs, v):
+        coords = rational_solve(vecs, v)
+        if coords is None:
+            return fm_nonneg_combination_feasible(vecs, v)
+        return all(c >= 0 for c in coords)
+
+    return all(
+        any(
+            all(inside(coarse.cone_vectors(cc), v) for v in fine.cone_vectors(fc))
+            for cc in coarse.max_cones
+        )
+        for fc in fine.max_cones
+    )
+

@@ -5,14 +5,15 @@ it patches in ``MODULES``; a rename or deletion in the package would break
 the traced run without failing any other test. Both tables are read with
 ``ast`` so that no benchmark code runs here. The wrappers
 replace module attributes, so a call sees them only when it goes through
-the module global, which the LP case below checks.
+the module global, which the LP case below checks. The work counts at the
+end count calls the same way.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-from toricfan import catalog, fan, lattice, mori
+from toricfan import birational, catalog, fan, lattice, mori
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -60,3 +61,49 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     before = len(calls)
     fan.validate_fan(w)  # the overlap LP in cones_meet_in_common_face
     assert len(calls) > before
+
+
+def test_is_projective_is_one_gordan_lp(monkeypatch):
+    real = lattice.solve_eq_nonneg
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(rows)
+        return real(rows, rhs)
+
+    def no_mori_cone(f):
+        raise AssertionError("is_projective built the Mori cone")
+
+    monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
+    monkeypatch.setattr(mori, "mori_cone", no_mori_cone)
+    mori.is_projective.cache_clear()
+    mori.primitive_relations.cache_clear()
+    mori.primitive_collections.cache_clear()
+    w = catalog.catalog_entry("paper-W").fan
+    assert mori.is_projective(w) is True
+    assert len(calls) == 1
+    # one column per primitive class, plus the row sum lam = 1
+    assert len(calls[0]) == len(w.generators) + 1
+    assert len(calls[0][0]) == len(mori.primitive_relations(w))
+
+
+def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
+    real = birational.contract_ray
+    calls = []
+
+    def counting(f, ray, collection=None):
+        calls.append((f, ray, collection))
+        return real(f, ray, collection)
+
+    monkeypatch.setattr(birational, "contract_ray", counting)
+    birational.blow_down_candidates.cache_clear()
+    _, x, _, y = tower
+    assert birational.factor_morphism(y, x, exhaustive=True)
+    assert len(calls) == len(set(calls))
+    visited = list(dict.fromkeys(f for f, _, _ in calls))
+    assert visited[0] == y and len(visited) > 1
+    for f in visited:
+        cands = birational.blow_down_candidates(f)
+        assert [(c, r, k) for c, r, k in calls if c == f] == [
+            (f, cand.relation.target[0], cand.relation.collection) for cand in cands
+        ]

@@ -1,5 +1,9 @@
+import sys
+import threading
+
 import pytest
 
+from conftest import blowup_chain
 from toricfan import (
     NotARefinementError,
     contract_ray,
@@ -9,7 +13,7 @@ from toricfan import (
     structurally_equal,
     validate_fan,
 )
-from toricfan import birational, mori
+from toricfan import birational, catalog, fan, mori
 
 
 def candidate_summary(fan):
@@ -240,3 +244,63 @@ def test_extremality_iff_projective_target(tower):
             assert extremal_by_coll[cand.relation.collection] == mori.is_projective(
                 cand.target
             )
+
+
+def clear_package_caches():
+    """Every cache a factorization reads; the Fano enumeration's are kept."""
+    for module in (fan, mori, birational):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_factor_same_on_cold_and_warm_caches(tower):
+    p4, x, w, y = tower
+    runs = [
+        (y, x, {"exhaustive": True}),
+        (y, x, {"require_fano": True}),
+        (y, p4, {"exhaustive": True}),
+        (w, x, {}),
+        (blowup_chain(2, 4, 6), p4, {}),
+        (blowup_chain(1, 3, 5), catalog.projective_space(3), {"exhaustive": True}),
+    ]
+    cold = []
+    for fine, coarse, options in runs:
+        clear_package_caches()
+        cold.append(birational.factor_morphism(fine, coarse, **options))
+    warm = [
+        birational.factor_morphism(fine, coarse, **options)
+        for fine, coarse, options in runs
+    ]
+    assert warm == cold
+    assert all(cold[i] for i in (0, 2, 3, 4, 5)) and cold[1] == ()
+
+
+def test_factor_under_concurrent_calls_matches_sequential(tower):
+    # the per-fan caches are shared by every thread of the process
+    p4, x, _, y = tower
+    runs = [(y, x), (y, p4), (blowup_chain(2, 4, 5), p4)]
+    clear_package_caches()
+    expected = [birational.factor_morphism(f, c, exhaustive=True) for f, c in runs]
+    results = {}
+
+    def worker(t):
+        for k in range(len(runs)):
+            fine, coarse = runs[(t + k) % len(runs)]
+            results[t, k] = birational.factor_morphism(fine, coarse, exhaustive=True)
+
+    clear_package_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == {
+        (t, k): expected[(t + k) % len(runs)] for t in range(4) for k in range(len(runs))
+    }

@@ -2,8 +2,10 @@
 
 The transcript holds ``analyze`` (plain and compact) and ``blowdowns`` for
 every catalog key, plus ``isomorphic`` from paper-W to W-bar (the contraction
-of e7 in paper-Y steered by {e1,e6}) with its map, and ``enumerate`` in
-dimensions 1 and 2. After an intended change
+of e7 in paper-Y steered by {e1,e6}) with its map, ``enumerate`` in
+dimensions 1 and 2, and ``factor`` along the paper tower (with ``--all``,
+and with ``--require-fano``, which finds no path and exits 3) and from one
+seeded blow-up chain back to P^4. After an intended change
 of output, regenerate it with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
@@ -16,6 +18,7 @@ import io
 import tempfile
 from pathlib import Path
 
+from conftest import blowup_chain
 from toricfan import catalog, cli, contract_ray, serialize_fan
 
 GOLDEN = Path(__file__).parent / "data" / "cli_transcript.txt"
@@ -30,6 +33,12 @@ def _commands() -> list[list[str]]:
     out.append(["isomorphic", "paper-W.fan", "wbar.fan"])
     out.append(["enumerate", "--dim", "1"])
     out.append(["enumerate", "--dim", "2"])
+    out.append(["factor", "paper-Y.fan", "paper-X.fan", "--all"])
+    out.append(["factor", "paper-Y.fan", "paper-X.fan", "--require-fano"])
+    out.append(["factor", "paper-Y.fan", "p4.fan"])
+    out.append(["factor", "paper-W.fan", "paper-X.fan"])
+    out.append(["factor", "paper-X.fan", "p4.fan"])
+    out.append(["factor", "chain.fan", "p4.fan"])
     return out
 
 
@@ -37,6 +46,7 @@ def transcript(workdir: Path) -> str:
     """Run every command on fan files written into ``workdir``."""
     fans = {key: catalog.catalog_fan(key) for key in catalog.catalog_keys()}
     fans["wbar"] = contract_ray(fans["paper-Y"], "e7", ("e1", "e6"))
+    fans["chain"] = blowup_chain(2, 4, 6)
     for key, fan in fans.items():
         (workdir / f"{key}.fan").write_text(serialize_fan(fan), encoding="utf-8")
     chunks = []

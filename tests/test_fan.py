@@ -30,7 +30,8 @@ from toricfan import (
 )
 from toricfan.fan import _auto_name
 
-from oracles import permutation_determinant, relint_claims
+from conftest import blowup_chain
+from oracles import brute_refines, permutation_determinant, relint_claims
 
 P4_TEXT = """\
 # the projective 4-space fan
@@ -445,6 +446,57 @@ def test_refines_dimension_mismatch(catalog_fans):
 def test_subdivision_refines_base(tower):
     p4 = tower[0]
     assert refines(star_subdivide(p4, ("e2", "e4")), p4)
+
+
+def _non_smooth_plane_fan():
+    # complete, every cone of determinant +-2 or 4: no dual rows anywhere
+    return make_fan(
+        2, [("a", (1, 0)), ("b", (-1, 2)), ("c", (-1, -2))], [(0, 1), (1, 2), (0, 2)]
+    )
+
+
+def test_refines_decides_non_unimodular_coarse_cones(catalog_fans):
+    f = _non_smooth_plane_fan()
+    assert refines(f, f) is True
+    # (0,1) splits <a,b>; the pieces lie in non-unimodular cones of f
+    split = make_fan(
+        2,
+        [("a", (1, 0)), ("b", (-1, 2)), ("c", (-1, -2)), ("d", (0, 1))],
+        [(0, 3), (1, 3), (1, 2), (0, 2)],
+    )
+    assert refines(split, f) is True
+    # <e1,e2> of P^2 runs from (0,1) to (-1,-1), across the ray b of f
+    assert refines(catalog_fans["p2"], f) is False
+    assert refines(f, catalog_fans["p2"]) is False
+
+
+def _refinement_pairs(catalog_fans):
+    fans = list(catalog_fans.values())
+    yield from ((a, b) for a in fans for b in fans if a.dim == b.dim)
+    surfaces = catalog.enumerate_fano(2)
+    yield from ((a, b) for a in surfaces for b in surfaces)
+    for seed, dim, steps in ((1, 3, 6), (2, 4, 4)):
+        prefixes = [blowup_chain(seed, dim, k) for k in range(steps + 1)]
+        yield from ((a, b) for a in prefixes for b in prefixes)
+        twist = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        twist[0][dim - 1] = 2
+        twist[dim - 1][1] = -1
+        assert lattice.determinant(twist) == 1
+        twisted = [_twist(f, twist) for f in prefixes]
+        yield from zip(twisted, [twisted[0]] * len(twisted))
+        yield from zip(twisted, prefixes)
+        yield from zip(prefixes, twisted)
+    f = _non_smooth_plane_fan()
+    yield from ((f, f), (f, catalog_fans["p2"]), (catalog_fans["p2"], f))
+
+
+def test_refines_matches_brute_force_oracle(catalog_fans):
+    verdicts = []
+    for fine, coarse in _refinement_pairs(catalog_fans):
+        verdict = refines(fine, coarse)
+        assert verdict == brute_refines(fine, coarse), (fine, coarse)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
