@@ -50,7 +50,8 @@ def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
 
     Ordered by contracted ray name, then by collection. The shapes are read
     from the cached ``mori.primitive_relations`` table; every one is handed
-    to ``contract_ray``, which validates the contracted fan in full. The
+    to ``contract_ray``, which validates the contracted fan in full, in
+    time linear in its number of cones when the contraction is valid. The
     result is cached per fan (``lru_cache``, 4096 fans), so a fan the
     factorization search reaches again costs no contraction.
     """

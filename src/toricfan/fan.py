@@ -11,7 +11,6 @@ pure function.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -338,6 +337,8 @@ def cones_meet_in_common_face(
     """Whether two cones (given by generator vectors) intersect exactly in
     the cone spanned by their shared generators.
 
+    The Fano enumerator tests each new cone with it, and ``validate_fan``
+    uses it only when its linear check fails, to name the offending pairs.
     Sufficient certificate first: a functional that vanishes on the shared
     generators, is positive on the rest of one cone and negative on the
     rest of the other (sums of dual-basis rows, tried from both sides).
@@ -400,10 +401,26 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
     smooth: every maximal cone's generators form a Z-basis.
     complete: every wall (codimension-1 face) lies in exactly two maximal
-    cones and the wall-adjacency graph is connected; for fans of unimodular
-    full-dimensional cones this forces the support to be the whole space.
-    faces_ok: any two maximal cones intersect in the common face spanned by
-    their shared rays, and every generator is used.
+    cones and the wall-adjacency graph is connected. This alone does not
+    force the support to be the whole space: the cycle (1,0) (-2,-1)
+    (-1,-1) (-1,-2) (0,-1), cones r_i r_(i+1), passes and folds back over
+    part of the plane. Together with faces_ok it does.
+    faces_ok: no generator vector repeats, every generator is used and any
+    two maximal cones intersect in the cone of their shared rays.
+
+    When the rest passes, the pairs are decided at once by ``_degree_one``:
+    (a) the two cones of every wall lie on opposite sides of it and (b) one
+    integer point x0, on no facet hyperplane, is interior to exactly one
+    maximal cone. By (a), crossing a wall off the (n-2)-skeleton swaps one
+    cone for one, so the number of cones holding a generic point is the
+    same everywhere (n >= 2; for n = 1, (a) alone forces the rays 1 and
+    -1), and (b) makes it 1. The same count in the quotient by a face F
+    shows that the cones containing F cover a neighbourhood of relint F.
+    So if x lies in cones s and s', with x in relint F for a face F of s,
+    the generic points of s' near x lie in a cone containing F, which can
+    only be s'; F is then the face of s' holding x, and every pair meets in
+    the cone of its shared rays. When (a) or (b) fails, every pair of cones
+    is tested with ``cones_meet_in_common_face`` and each failure is named.
     """
     witnesses: list[str] = []
 
@@ -421,36 +438,26 @@ def validate_fan(fan: Fan) -> ValidationReport:
         complete = False
         witnesses.append("fan has no maximal cones")
     else:
-        wall_count: Counter[Cone] = Counter()
-        for cone in fan.max_cones:
+        owners: dict[Cone, list[int]] = {}
+        for ci, cone in enumerate(fan.max_cones):
             for wall in combinations(cone, fan.dim - 1):
-                wall_count[wall] += 1
-        for wall, cnt in sorted(wall_count.items()):
-            if cnt != 2:
+                owners.setdefault(wall, []).append(ci)
+        for wall, cones in sorted(owners.items()):
+            if len(cones) != 2:
                 complete = False
                 witnesses.append(
-                    f"wall {_cone_label(fan, wall)} lies in {cnt} maximal"
+                    f"wall {_cone_label(fan, wall)} lies in {len(cones)} maximal"
                     " cone(s), expected 2"
                 )
         if complete and len(fan.max_cones) > 1:
-            adj: dict[Cone, list[int]] = {}
-            for ci, cone in enumerate(fan.max_cones):
-                for wall in combinations(cone, fan.dim - 1):
-                    adj.setdefault(wall, []).append(ci)
             reached = {0}
             frontier = [0]
-            neighbours: dict[int, set[int]] = {}
-            for members in adj.values():
-                for i in members:
-                    neighbours.setdefault(i, set()).update(members)
             while frontier:
-                nxt = []
-                for i in frontier:
-                    for j in neighbours.get(i, ()):
+                for wall in combinations(fan.max_cones[frontier.pop()], fan.dim - 1):
+                    for j in owners[wall]:
                         if j not in reached:
                             reached.add(j)
-                            nxt.append(j)
-                frontier = nxt
+                            frontier.append(j)
             if len(reached) != len(fan.max_cones):
                 complete = False
                 witnesses.append(
@@ -476,6 +483,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
         if i not in used:
             faces_ok = False
             witnesses.append(f"generator {g.name} lies in no maximal cone")
+    if smooth and complete and faces_ok and _degree_one(fan):
+        return ValidationReport(True, True, True, ())
     for ai, bi in combinations(range(len(fan.max_cones)), 2):
         a, b = fan.max_cones[ai], fan.max_cones[bi]
         if a == b:
@@ -492,6 +501,27 @@ def validate_fan(fan: Fan) -> ValidationReport:
             )
 
     return ValidationReport(smooth, complete, faces_ok, tuple(witnesses))
+
+
+def _degree_one(fan: Fan) -> bool:
+    """Conditions (a) and (b) of ``validate_fan``, for a smooth fan with
+    every wall in two maximal cones. x0 = (1, t, ..., t^(n-1)) with t = 1 +
+    the largest |entry| of a dual row: on a nonzero row, the term of highest
+    degree outweighs the others (Cauchy's bound), so no row vanishes at x0."""
+    duals = [_dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones]
+    vectors = fan.vectors()
+    seen: dict[Cone, lattice.IntVector] = {}
+    for cone, dual in zip(fan.max_cones, duals):
+        for k, p in enumerate(cone):
+            wall = cone[:k] + cone[k + 1 :]
+            if wall not in seen:
+                seen[wall] = dual[k]
+            elif lattice.dot(seen[wall], vectors[p]) >= 0:
+                return False  # (a): both cones on one side of the wall
+    t = 1 + max(abs(x) for dual in duals for row in dual for x in row)
+    x0 = tuple(t**i for i in range(fan.dim))
+    inside = sum(all(lattice.dot(row, x0) > 0 for row in dual) for dual in duals)
+    return inside == 1  # (b)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +638,8 @@ def contract_ray(
     order and the first valid one is used; a ray may carry several (the
     choice then changes the target fan), so pass the collection to pin it.
     Valid means every maximal cone containing the ray contains exactly h-1
-    of the x_i. The result is fully revalidated as defense in depth.
+    of the x_i. The result is fully revalidated as defense in depth; for a
+    valid result that costs time linear in the number of cones.
     """
     from . import mori  # deferred: mori builds on this module
 

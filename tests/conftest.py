@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from toricfan import catalog, star_subdivide
+from toricfan import catalog, make_fan, star_subdivide
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +40,42 @@ def blowup_chain(seed, dim, steps):
 def seeded_chains():
     """Last fans of two seeded blow-up chains, one on P^3 and one on P^4."""
     return [blowup_chain(1, 3, 6), blowup_chain(2, 4, 4)]
+
+
+def chain_prefixes():
+    """Every fan of the two ``seeded_chains``, from P^3 and P^4 on."""
+    return [blowup_chain(1, 3, k) for k in range(7)] + [
+        blowup_chain(2, 4, k) for k in range(5)
+    ]
+
+
+def cycle_fan(*vectors):
+    """A 2-dimensional cone complex on the rays r_i = vectors[i] with the
+    maximal cones r_i r_(i+1), indices cyclic."""
+    k = len(vectors)
+    return make_fan(
+        2,
+        [(f"r{i}", v) for i, v in enumerate(vectors)],
+        [(i, (i + 1) % k) for i in range(k)],
+    )
+
+
+# Smooth, every ray in two cones, the cones of each ray on opposite sides of
+# it, and the cycle winds twice around the origin: every point off the rays
+# lies in two maximal cones.
+TWICE_WINDING = cycle_fan(
+    (1, 0), (-3, 1), (-1, 0), (-3, -1), (-2, -1),
+    (-3, -2), (2, 1), (1, 1), (0, 1), (-1, -1),
+)
+# Smooth with every ray in two cones, but <r0,r1> folds back over the other
+# four cones: the support is only part of the plane.
+FOLDED_CYCLE = cycle_fan((1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1))
+# Two cones overlap in their interiors: <a,c> contains b.
+OVERLAPPING_TEXT = (
+    "dim 2\nray a 1 0\nray b 1 1\nray c 0 1\nray d -1 -1\n"
+    "maxcone a c\nmaxcone a b\nmaxcone b c\nmaxcone c d\nmaxcone d a\n"
+)
+# Smooth with every ray in two cones; <r3,r4> folds back over <r2,r3>, so
+# the interior of <r2,r3> is covered three times and the rest of the plane
+# once.
+ZIGZAG_CYCLE = cycle_fan((1, 0), (0, -1), (-1, 0), (-1, -1), (0, 1))

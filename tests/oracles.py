@@ -9,6 +9,7 @@ the two sides check each other.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from toricfan.errors import DimensionMismatchError
@@ -278,3 +279,32 @@ def brute_refines(fine, coarse) -> bool:
         for fc in fine.max_cones
     )
 
+
+def pairwise_faces_ok(fan) -> bool:
+    """The face condition by its definition: distinct generator vectors,
+    each used, distinct maximal cones, and no two maximal cones sharing a
+    point with weight outside their shared generators."""
+    vectors = fan.vectors()
+    if len(set(vectors)) != len(vectors):
+        return False
+    if {i for mc in fan.max_cones for i in mc} != set(range(len(vectors))):
+        return False
+    if len(set(fan.max_cones)) != len(fan.max_cones):
+        return False
+    return not any(
+        _cones_overlap(fan.cone_vectors(a), fan.cone_vectors(b))
+        for a, b in combinations(fan.max_cones, 2)
+    )
+
+
+@lru_cache(maxsize=None)
+def _cones_overlap(a_vecs, b_vecs) -> bool:
+    """Is U x - V y = 0 solvable with x, y >= 0 and weight 1 on the
+    generators the cones do not share? Decided by
+    ``fraction_phase1_simplex``; cached, since mutants of one fan repeat
+    most of its pairs."""
+    n = len(a_vecs[0])
+    rows = [[u[k] for u in a_vecs] + [-v[k] for v in b_vecs] for k in range(n)]
+    off = [int(u not in b_vecs) for u in a_vecs]
+    off += [int(v not in a_vecs) for v in b_vecs]
+    return fraction_phase1_simplex(rows + [off], [0] * n + [1]) is not None

@@ -15,6 +15,8 @@ from pathlib import Path
 
 from toricfan import birational, catalog, fan, lattice, mori
 
+from conftest import TWICE_WINDING, chain_prefixes
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -59,7 +61,9 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     mori.mori_cone(w)  # through nonneg_rational_combination
     assert len(calls) > 0
     before = len(calls)
-    fan.validate_fan(w)  # the overlap LP in cones_meet_in_common_face
+    # a valid fan needs no pairwise test; this one reaches the overlap LP in
+    # cones_meet_in_common_face
+    fan.validate_fan(TWICE_WINDING)
     assert len(calls) > before
 
 
@@ -107,3 +111,20 @@ def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
         assert [(c, r, k) for c, r, k in calls if c == f] == [
             (f, cand.relation.target[0], cand.relation.collection) for cand in cands
         ]
+
+
+def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
+    real = fan.cones_meet_in_common_face
+    calls = []
+
+    def counting(a_vecs, b_vecs):
+        calls.append((a_vecs, b_vecs))
+        return real(a_vecs, b_vecs)
+
+    monkeypatch.setattr(fan, "cones_meet_in_common_face", counting)
+    fans = list(catalog_fans.values()) + chain_prefixes() + catalog.enumerate_fano(2)
+    for f in fans:
+        assert fan.validate_fan(f).ok
+    assert calls == []
+    assert not fan.validate_fan(TWICE_WINDING).ok
+    assert len(calls) > 0

@@ -6,6 +6,8 @@ import pytest
 
 from toricfan import cli, serialize_fan
 
+from conftest import FOLDED_CYCLE
+
 
 def run_cli(*argv, stdin="", capsys=None, monkeypatch=None):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -64,6 +66,17 @@ def test_analyze_broken_fan_exits_2(cli_run, tmp_path, catalog_fans):
     assert code == 2
     assert "complete: no" in out
     assert "witnesses:" in out
+
+
+def test_analyze_folded_cycle_exits_2(cli_run, tmp_path):
+    # every wall lies in two cones, so the fan reads complete, but its
+    # cones overlap
+    path = tmp_path / "folded.fan"
+    path.write_text(serialize_fan(FOLDED_CYCLE), encoding="utf-8")
+    code, out, _ = cli_run("analyze", str(path))
+    assert code == 2
+    assert "complete: yes\nfaces: no\n" in out
+    assert "do not intersect in a common face" in out
 
 
 def test_analyze_parse_error_exits_1(cli_run, tmp_path):

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -28,10 +29,23 @@ from toricfan import (
     structurally_equal,
     validate_fan,
 )
+from toricfan import fan as fan_module
 from toricfan.fan import _auto_name
 
-from conftest import blowup_chain
-from oracles import brute_refines, permutation_determinant, relint_claims
+from conftest import (
+    FOLDED_CYCLE,
+    OVERLAPPING_TEXT,
+    TWICE_WINDING,
+    ZIGZAG_CYCLE,
+    blowup_chain,
+    chain_prefixes,
+)
+from oracles import (
+    brute_refines,
+    pairwise_faces_ok,
+    permutation_determinant,
+    relint_claims,
+)
 
 P4_TEXT = """\
 # the projective 4-space fan
@@ -208,12 +222,7 @@ def test_validate_unused_generator():
 
 
 def test_validate_overlapping_cones():
-    # two cones overlap in their interiors: <a,c> contains b
-    text = (
-        "dim 2\nray a 1 0\nray b 1 1\nray c 0 1\nray d -1 -1\n"
-        "maxcone a c\nmaxcone a b\nmaxcone b c\nmaxcone c d\nmaxcone d a\n"
-    )
-    report = validate_fan(parse_fan(text))
+    report = validate_fan(parse_fan(OVERLAPPING_TEXT))
     assert not report.ok
 
 
@@ -232,6 +241,86 @@ def test_witnesses_iff_not_ok(catalog_fans):
     for fan in catalog_fans.values():
         report = validate_fan(fan)
         assert report.ok == (not report.witnesses)
+
+
+def test_complete_cycles_that_are_not_fans():
+    # every wall lies in two cones, so each reads complete: the folded and
+    # the zigzag cycle fail (a), the twice-winding one passes (a) and (b)
+    # finds its probe point in two cones
+    for f in (FOLDED_CYCLE, ZIGZAG_CYCLE, TWICE_WINDING):
+        report = validate_fan(f)
+        assert report.smooth and report.complete and not report.faces_ok
+        assert report.witnesses
+        assert fan_module._degree_one(f) is False
+    for f in catalog.enumerate_fano(2):
+        assert fan_module._degree_one(f) is True
+
+
+GL_TWISTS = {
+    1: ((-1,),),
+    2: ((2, 1), (1, 1)),
+    3: ((1, 2, 0), (0, 1, 0), (3, 1, 1)),
+    4: ((1, 1, 0, 2), (0, 1, 0, 0), (1, 0, 1, 1), (0, 0, 0, 1)),
+}
+
+
+def _single_ray_moves(fans, per_fan, seed):
+    """Each fan with one generator vector replaced by a primitive vector of
+    coordinates in [-2, 2]; the cones stay."""
+    rng = random.Random(seed)
+    out = []
+    for f in fans:
+        pool = [v for v in product(range(-2, 3), repeat=f.dim) if gcd(*v) == 1]
+        for _ in range(per_fan):
+            i = rng.randrange(len(f.generators))
+            v = rng.choice(pool)
+            gens = [
+                (g.name, v if j == i else g.vector)
+                for j, g in enumerate(f.generators)
+            ]
+            out.append(make_fan(f.dim, gens, f.max_cones))
+    return out
+
+
+def _face_check_inputs(catalog_fans):
+    chains = chain_prefixes()
+    base = (
+        list(catalog_fans.values())
+        + catalog.enumerate_fano(1)
+        + catalog.enumerate_fano(2)
+        + chains
+    )
+    twisted = [_twist(f, GL_TWISTS[f.dim]) for f in base]
+    deleted = [
+        make_fan(
+            f.dim,
+            [(g.name, g.vector) for g in f.generators],
+            f.max_cones[:i] + f.max_cones[i + 1 :],
+        )
+        for f in base
+        for i in range(len(f.max_cones))
+    ]
+    return (
+        base
+        + twisted
+        + deleted
+        + _single_ray_moves(chains, 20, 7)
+        + [parse_fan(OVERLAPPING_TEXT), FOLDED_CYCLE, ZIGZAG_CYCLE, TWICE_WINDING]
+    )
+
+
+def test_linear_face_check_matches_all_pairs_and_oracle(monkeypatch, catalog_fans):
+    fans = _face_check_inputs(catalog_fans)
+    linear = [validate_fan(f) for f in fans]
+    monkeypatch.setattr(fan_module, "_degree_one", lambda f: False)
+    pairs = [validate_fan(f) for f in fans]
+    for f, fast, slow in zip(fans, linear, pairs):
+        assert fast == slow, serialize_fan(f)
+        assert fast.faces_ok == pairwise_faces_ok(f), serialize_fan(f)
+    # both verdicts occur among the smooth complete inputs
+    tried = [r for r in linear if r.smooth and r.complete]
+    assert any(r.faces_ok for r in tried)
+    assert any(not r.faces_ok for r in tried)
 
 
 # ---------------------------------------------------------------------------
