@@ -107,7 +107,7 @@ def make_fan(
         if name in seen:
             raise DuplicateNameError(f"duplicate ray name {name!r}")
         seen.add(name)
-        v = tuple(int(c) for c in vec)
+        v = _integer_vector(vec, f"ray {name!r}")
         if len(v) != dim:
             raise DimensionMismatchError(
                 f"ray {name!r}: expected {dim} coordinates, got {len(v)}"
@@ -129,6 +129,16 @@ def make_fan(
     return Fan(dim, tuple(gens), tuple(sorted(cones)))
 
 
+def _integer_vector(coords: Iterable, what: str) -> lattice.IntVector:
+    """The coordinates as ints; a value that is not an integer is an error,
+    never truncated."""
+    raw = tuple(coords)
+    vec = tuple(int(c) for c in raw)
+    if vec != raw:
+        raise FanSyntaxError(f"{what}: coordinates must be integers")
+    return vec
+
+
 def resolve_ray(fan: Fan, ray: int | str) -> int:
     """Ray index from a name or an index, with range checking."""
     if isinstance(ray, str):
@@ -141,9 +151,10 @@ def resolve_ray(fan: Fan, ray: int | str) -> int:
 
 def resolve_cone(fan: Fan, rays: Iterable[int | str]) -> Cone:
     """Sorted index tuple from a mix of ray names and indices."""
+    rays = tuple(rays)  # the message reads them again
     idx = tuple(sorted(resolve_ray(fan, r) for r in rays))
     if len(set(idx)) != len(idx):
-        raise UnknownRayError(f"repeated ray in {tuple(rays)!r}")
+        raise UnknownRayError(f"repeated ray in {rays!r}")
     return idx
 
 
@@ -266,71 +277,6 @@ def _cone_label(fan: Fan, cone: Cone) -> str:
     return "<" + ",".join(fan.cone_names(cone)) + ">"
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _in_shared_cone_3d(d, shared) -> bool:
-    """Is d a nonnegative combination of the (at most two) shared vectors?"""
-    if not shared:
-        return False
-    u = shared[0]
-    if len(shared) == 1:
-        return (
-            _cross(d, u) == (0, 0, 0)
-            and d[0] * u[0] + d[1] * u[1] + d[2] * u[2] > 0
-        )
-    v = shared[1]
-    n = _cross(u, v)
-    if n[0] * d[0] + n[1] * d[1] + n[2] * d[2] != 0:
-        return False  # outside the span
-    # d = a*u + b*v gives d x v = a*n and u x d = b*n; only signs matter
-    dv = _cross(d, v)
-    ud = _cross(u, d)
-    return (
-        dv[0] * n[0] + dv[1] * n[1] + dv[2] * n[2] >= 0
-        and ud[0] * n[0] + ud[1] * n[1] + ud[2] * n[2] >= 0
-    )
-
-
-def _overlap_beyond_shared_3d(a_vecs, b_vecs, shared):
-    """3-dimensional fast path: does the intersection of two unimodular
-    cones exceed the cone on their shared generators?
-
-    The intersection is cut out by the six integer facet normals (the dual
-    bases); every extreme ray of a pointed cone in dimension 3 lies on two
-    independent facets, so the cross products of normal pairs, filtered by
-    the inequalities, generate the intersection exactly. Returns None when
-    a dual basis is unavailable (non-unimodular input), signalling the
-    caller to fall back to the general solver.
-    """
-    da = _dual_rows(a_vecs)
-    db = _dual_rows(b_vecs)
-    if da is None or db is None:
-        return None
-    normals = da + db
-    shared_t = tuple(shared)
-    m = len(normals)
-    for i in range(m):
-        ni = normals[i]
-        for j in range(i + 1, m):
-            d = _cross(ni, normals[j])
-            if d == (0, 0, 0):
-                continue
-            for sx, sy, sz in (d, (-d[0], -d[1], -d[2])):
-                for n in normals:
-                    if n[0] * sx + n[1] * sy + n[2] * sz < 0:
-                        break
-                else:
-                    if not _in_shared_cone_3d((sx, sy, sz), shared_t):
-                        return True
-    return False
-
-
 def cones_meet_in_common_face(
     a_vecs: tuple[lattice.IntVector, ...], b_vecs: tuple[lattice.IntVector, ...]
 ) -> bool:
@@ -339,13 +285,21 @@ def cones_meet_in_common_face(
 
     The Fano enumerator tests each new cone with it, and ``validate_fan``
     uses it only when its linear check fails, to name the offending pairs.
-    Sufficient certificate first: a functional that vanishes on the shared
-    generators, is positive on the rest of one cone and negative on the
-    rest of the other (sums of dual-basis rows, tried from both sides).
-    When the cheap certificates fail, the exact feasibility solver searches
-    for a common point with weight outside the shared generators; such a
-    point exists iff the intersection is strictly larger than the shared
-    face. Full-dimensional cones in Z^3 take an integer-only fast path.
+    For two unimodular cones A and B with shared generators S, both are
+    simplicial and S spans a face of each. A ∩ B is larger than cone(S) iff
+    the images of A and B in the quotient by span(S) meet outside 0: a
+    point of A ∩ B off cone(S) has A-coordinates off S not all zero, so its
+    image is not 0; a nonzero common image lifts to such a point once
+    enough of S is added on both sides. The rows of A's dual basis off S
+    are coordinates on the quotient in which A is the nonnegative orthant;
+    B's image is the cone of B's generators off S written in them. That
+    cone is clipped to the orthant one coordinate at a time, as in a
+    double-description step (Fukuda-Prodon 1996): a generator g with
+    g_i >= 0 stays, and each pair with p_i > 0 > q_i adds p_i*q - q_i*p.
+    The cones meet in their common face iff no generator survives. All of
+    this is in integers. When a cone is not unimodular, the exact
+    feasibility solver searches instead for a common point with weight
+    outside the shared generators.
     """
     if b_vecs < a_vecs:  # the answer is symmetric: normalize the cache key
         a_vecs, b_vecs = b_vecs, a_vecs
@@ -356,34 +310,33 @@ def cones_meet_in_common_face(
 def _cones_meet_cached(
     a_vecs: tuple[lattice.IntVector, ...], b_vecs: tuple[lattice.IntVector, ...]
 ) -> bool:
-    shared = set(a_vecs) & set(b_vecs)
-    if (
-        len(a_vecs) == 3
-        and len(b_vecs) == 3
-        and len(a_vecs[0]) == 3
-        and len(shared) <= 2  # the membership helper handles at most a wall
-    ):
-        overlap = _overlap_beyond_shared_3d(a_vecs, b_vecs, sorted(shared))
-        if overlap is not None:
-            return not overlap
-    a_only = [v for v in a_vecs if v not in shared]
-    b_only = [v for v in b_vecs if v not in shared]
-    if not a_only or not b_only:
-        return True  # one cone is a face of the other
-
     dual = _dual_rows(a_vecs)
-    if dual is not None:
-        pos = dict(zip(a_vecs, dual))
-        phi = [sum(col) for col in zip(*(pos[v] for v in a_only))]
-        if all(lattice.dot(phi, w) < 0 for w in b_only):
-            return True
-    dual = _dual_rows(b_vecs)
-    if dual is not None:
-        pos = dict(zip(b_vecs, dual))
-        psi = [sum(col) for col in zip(*(pos[v] for v in b_only))]
-        if all(lattice.dot(psi, u) < 0 for u in a_only):
-            return True
+    if dual is not None and _dual_rows(b_vecs) is not None:
+        rows = [row for row, v in zip(dual, a_vecs) if v not in b_vecs]
+        # B's generators off S are independent in the quotient, so each
+        # generator made below is a nonzero nonnegative combination of them:
+        # the clipped cone is 0 exactly when the list is empty
+        gens = [
+            tuple(lattice.dot(row, w) for row in rows)
+            for w in b_vecs
+            if w not in a_vecs
+        ]
+        for i in range(len(rows)):
+            pos = [g for g in gens if g[i] > 0]
+            neg = [g for g in gens if g[i] < 0]
+            gens = [g for g in gens if g[i] == 0] + pos
+            gens += [
+                tuple(p[i] * y - q[i] * x for x, y in zip(p, q))
+                for p in pos
+                for q in neg
+            ]
+            if not gens:
+                return True
+        return not gens
 
+    shared = set(a_vecs) & set(b_vecs)
+    if shared >= set(a_vecs) or shared >= set(b_vecs):
+        return True  # one cone is a face of the other
     # overlap search: U x - V y = 0 with x, y >= 0 and the coordinates on
     # non-shared generators summing to 1
     n = len(a_vecs[0])
@@ -420,7 +373,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
     the generic points of s' near x lie in a cone containing F, which can
     only be s'; F is then the face of s' holding x, and every pair meets in
     the cone of its shared rays. When (a) or (b) fails, every pair of cones
-    is tested with ``cones_meet_in_common_face`` and each failure is named.
+    is tested with ``cones_meet_in_common_face`` (in integers when both are
+    unimodular, by the exact LP otherwise) and each failure is named.
     """
     witnesses: list[str] = []
 
@@ -537,7 +491,7 @@ def locate_relint(
     integer coefficients over its generators; the zero vector yields the
     zero cone with no coefficients. Requires a valid complete fan.
     """
-    pt = tuple(int(c) for c in point)
+    pt = _integer_vector(point, "point")
     if len(pt) != fan.dim:
         raise DimensionMismatchError(
             f"point has {len(pt)} coordinates in a dim-{fan.dim} fan"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from toricfan import birational, catalog, fan, lattice, mori
 
-from conftest import TWICE_WINDING, chain_prefixes
+from conftest import NON_SMOOTH_OVERLAP, TWICE_WINDING, chain_prefixes
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -61,9 +61,9 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     mori.mori_cone(w)  # through nonneg_rational_combination
     assert len(calls) > 0
     before = len(calls)
-    # a valid fan needs no pairwise test; this one reaches the overlap LP in
-    # cones_meet_in_common_face
-    fan.validate_fan(TWICE_WINDING)
+    # a valid fan needs no pairwise test and a unimodular pair no LP; this
+    # one reaches the overlap LP in cones_meet_in_common_face
+    fan.validate_fan(NON_SMOOTH_OVERLAP)
     assert len(calls) > before
 
 
@@ -128,3 +128,27 @@ def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
     assert calls == []
     assert not fan.validate_fan(TWICE_WINDING).ok
     assert len(calls) > 0
+
+
+def test_enumerations_issue_no_lp(monkeypatch):
+    # every face check of the search pairs two unimodular cones, which the
+    # integer path decides
+    real = lattice.solve_eq_nonneg
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(rows)
+        return real(rows, rhs)
+
+    monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
+    fan._cones_meet_cached.cache_clear()
+    mori.primitive_relations.cache_clear()
+    mori.primitive_collections.cache_clear()
+    mori.is_projective.cache_clear()
+    mori.mori_cone.cache_clear()
+    # the uncached enumeration: clearing catalog's cache would drop a
+    # dimension-3 result that later tests read
+    enumerate_fano = catalog._enumerate_cached.__wrapped__
+    assert len(enumerate_fano(1)) == 1
+    assert len(enumerate_fano(2)) == 5
+    assert calls == []

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -41,6 +42,7 @@ from conftest import (
     chain_prefixes,
 )
 from oracles import (
+    _cones_overlap,
     brute_refines,
     pairwise_faces_ok,
     permutation_determinant,
@@ -355,6 +357,19 @@ def test_locate_relint_dimension_check(tower):
         locate_relint(tower[0], (1, 2))
 
 
+def test_non_integral_coordinates_are_rejected(tower):
+    # int() alone would truncate 1.5 to 1 and 1/2 to 0
+    with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
+        make_fan(2, [("a", (1.5, 0)), ("b", (0, 1))], [(0, 1)])
+    with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
+        locate_relint(catalog.projective_space(2), (Fraction(1, 2), 0))
+    p4 = tower[0]
+    assert locate_relint(p4, (Fraction(2), 1.0, 0, 0)) == locate_relint(
+        p4, (2, 1, 0, 0)
+    )
+    assert make_fan(1, [("a", (Fraction(-1),))], [(0,)]).generators[0].vector == (-1,)
+
+
 def test_locate_relint_rejects_incomplete_fan():
     fan = parse_fan("dim 2\nray a 1 0\nray b 0 1\nmaxcone a b\n")
     from toricfan import InternalInconsistencyError
@@ -434,6 +449,9 @@ def test_star_subdivide_errors(tower):
         star_subdivide(p4, ("e1", "e2"), "e0")
     with pytest.raises(UnknownRayError):
         star_subdivide(p4, ("e1", "nope"))
+    # a one-shot iterable is read once; the message still names its rays
+    with pytest.raises(UnknownRayError, match=r"\('e1', 'e1'\)"):
+        star_subdivide(p4, (r for r in ["e1", "e1"]))
 
 
 # ---------------------------------------------------------------------------
@@ -666,36 +684,55 @@ def test_isomorphism_found_after_gl_twist(tower):
     assert canonical_gl_key(y) == canonical_gl_key(twisted)
 
 
-def test_face_pair_fast_path_matches_exact_solver():
-    # the integer-only 3D overlap test must agree with the rational solver
-    from toricfan import lattice
-    from toricfan.fan import _overlap_beyond_shared_3d
+def _unimodular_cone(rng, n, fixed=()):
+    """A sorted Z-basis of Z^n with entries in [-2, 2] holding ``fixed``."""
+    while True:
+        vecs = list(fixed) + [
+            tuple(rng.randint(-2, 2) for _ in range(n))
+            for _ in range(n - len(fixed))
+        ]
+        if len(set(vecs)) == n and lattice.determinant(vecs) in (1, -1):
+            return tuple(sorted(vecs))
+
+
+def test_face_pair_fast_path_matches_exact_solver(monkeypatch):
+    # the integer path against the Fraction-simplex overlap oracle, in both
+    # argument orders: seeded unimodular pairs sharing 0..n-1 rays, their
+    # GL-twisted copies and every pair the 1- and 2-D enumerations test
+    from toricfan import _fano3
 
     rng = random.Random(20240917)
-    tried = 0
-    while tried < 500:
-        a = tuple(
-            sorted(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
+    pairs = []
+    for n in (2, 3, 4):
+        for _ in range(150):
+            a = _unimodular_cone(rng, n)
+            shared = rng.sample(a, rng.randrange(n))
+            pairs.append((a, _unimodular_cone(rng, n, shared)))
+    pairs += [
+        tuple(
+            tuple(tuple(lattice.dot(r, v) for r in GL_TWISTS[len(v)]) for v in cone)
+            for cone in pair
         )
-        b = tuple(
-            sorted(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
-        )
-        if len(set(a)) < 3 or len(set(b)) < 3:
-            continue
-        if lattice.determinant(a) not in (1, -1):
-            continue
-        if lattice.determinant(b) not in (1, -1):
-            continue
-        shared = sorted(set(a) & set(b))
-        fast = _overlap_beyond_shared_3d(a, b, shared)
-        rows = [[u[i] for u in a] + [-v[i] for v in b] for i in range(3)]
-        rows.append(
-            [0 if v in set(shared) else 1 for v in a]
-            + [0 if v in set(shared) else 1 for v in b]
-        )
-        lp_overlap = lattice.solve_eq_nonneg(rows, [0, 0, 0, 1]) is not None
-        assert fast == lp_overlap
-        tried += 1
+        for pair in pairs
+    ]
+    queried = []
+    real = _fano3.cones_meet_in_common_face
+
+    def record(a, b):
+        queried.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(_fano3, "cones_meet_in_common_face", record)
+    for dim in (1, 2):
+        _fano3.enumerate_fano_fans(dim)
+    assert queried
+    exact = fan_module._cones_meet_cached.__wrapped__
+    verdicts = set()
+    for a, b in pairs + queried:
+        meet = not _cones_overlap(a, b)
+        assert exact(a, b) == exact(b, a) == meet, (a, b)
+        verdicts.add(meet)
+    assert verdicts == {False, True}
 
 
 def _transports(m, a, b):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from toricfan import catalog, fan, lattice, mori
 from toricfan.errors import DimensionMismatchError
 
-from conftest import TWICE_WINDING
+from conftest import NON_SMOOTH_OVERLAP
 from oracles import (
     fm_nonneg_combination_feasible,
     fm_positive_functional_exists,
@@ -208,8 +208,9 @@ def test_replayed_package_lps_match_fraction_simplex(
     for f in fans:
         fan.validate_fan(f)
         mori.mori_cone(f)
-    # valid fans pass the linear face check; this one reaches the overlap LPs
-    fan.validate_fan(TWICE_WINDING)
+    # valid fans pass the linear face check and unimodular pairs need no
+    # LP; this one reaches the overlap LPs
+    fan.validate_fan(NON_SMOOTH_OVERLAP)
     assert sum(out is None for _, _, out in issued) > 0
     assert sum(out is not None for _, _, out in issued) > 0
     for rows, rhs, out in issued:
