@@ -14,11 +14,19 @@ the opposite side: unimodularity and the side condition force the
 coordinate of w on p to be -1 in the basis (wall, p), so
 w = sum(a_i * u_i) - p over the wall vectors u_i.
 
-Degree rule: when every a_i >= 0, the sum p + w = sum(a_i * u_i) lies in
-the relative interior of a face of the existing cone, so {p, w} can span
-no cone of a completed fan and is a primitive collection of degree
-2 - sum(a_i). Fano forces degree >= 1, so w is cut when every a_i >= 0 and
-sum(a_i) >= 2.
+Wall rule: once both cones of a wall are placed, the wall relation
+p + q = sum(a_i * u_i) is fixed, and it stays a wall relation in every
+completion, since no cone is ever removed. Its anticanonical degree is
+2 - sum(a_i), the degree of -K on the torus-invariant curve of the wall,
+and a divisor on a complete toric variety is ample iff it is positive on
+every such curve (the toric Kleiman criterion: Cox, Little and Schenck,
+*Toric Varieties*, Thm 6.3.13; Reid, "Decomposition of toric morphisms",
+1983). So a branch is cut as soon as it closes a wall with sum(a_i) >= 2,
+whatever the signs of the a_i: the wall it expands, or any other facet of
+the new cone that meets an open wall. Every wall of a closed complex was
+closed by some step, so every closed complex is Fano; the
+primitive-collection verdict of ``mori.is_fano`` is checked against the
+wall verdict on each one.
 
 Vertex and cone counts are capped (8 vertices, hence at most
 2*8 - 4 = 12 cones for a simplicial 2-sphere) and vertex coordinates lie
@@ -31,6 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from . import mori
 from .errors import InternalInconsistencyError
@@ -54,20 +63,34 @@ def _primitive_pool(dim: int):
     return tuple(v for v in product(rng, repeat=dim) if gcd(*v) == 1)
 
 
+def _wall_sum(wall, p, q):
+    """sum(a_i) in the wall relation p + q = sum(a_i * u_i) over the vectors
+    u_i of ``wall``, or None when q does not have coordinate -1 on p in the
+    basis (wall, p)."""
+    *rows, on_p = _dual_rows(wall + (p,))
+    if sum(map(mul, on_p, q)) != -1:
+        return None
+    return sum(sum(map(mul, row, q)) for row in rows)
+
+
+def _breaks_fano(wall, p, q) -> bool:
+    """The wall rule: cones (wall, p) and (wall, q) make a wall relation of
+    anticanonical degree <= 0. When q's coordinate on p is not -1 the pair
+    is left to the face check, which rejects it."""
+    s = _wall_sum(wall, p, q)
+    return s is not None and s >= 2
+
+
 @lru_cache(maxsize=16384)  # dimension 3 meets 8,804 (wall, p) pairs
 def _candidates(wall, p):
     """Pool vectors w with coordinate -1 on p in the basis (wall, p) that
-    the degree rule keeps, in pool order."""
-    dual = _dual_rows(wall + (p,))
-    out = []
-    for w in _primitive_pool(len(p)):
-        *a, on_p = (sum(r * x for r, x in zip(row, w)) for row in dual)
-        if on_p != -1:
-            continue  # not unimodular against the wall, or on p's side
-        if min(a, default=0) >= 0 and sum(a) >= 2:
-            continue  # {p, w} would have degree 2 - sum(a) <= 0
-        out.append(w)
-    return tuple(out)
+    the wall rule keeps, in pool order."""
+    on_p = _dual_rows(wall + (p,))[-1]
+    return tuple(
+        w
+        for w in _primitive_pool(len(p))
+        if sum(map(mul, on_p, w)) == -1 and not _breaks_fano(wall, p, w)
+    )
 
 
 def _fan_from_cones(dim: int, cones) -> Fan:
@@ -80,6 +103,29 @@ def _fan_from_cones(dim: int, cones) -> Fan:
     )
 
 
+def _wall_owners(cones) -> dict:
+    """Each wall of a complex of sorted vector tuples, with the cones on it."""
+    owners: dict = {}
+    for cone in cones:
+        for wall in combinations(cone, len(cone) - 1):
+            owners.setdefault(wall, []).append(cone)
+    return owners
+
+
+def _apex(cone, wall):
+    (x,) = [x for x in cone if x not in wall]
+    return x
+
+
+def _fano_by_walls(cones) -> bool:
+    """Kleiman's verdict on a complete complex: every wall relation has
+    anticanonical degree 2 - sum(a_i) >= 1."""
+    return all(
+        _wall_sum(wall, _apex(a, wall), _apex(b, wall)) <= 1
+        for wall, (a, b) in _wall_owners(cones).items()
+    )
+
+
 def enumerate_fano_fans(dim: int) -> list[Fan]:
     """All smooth toric Fano fans of dimension ``dim`` within the caps, up
     to GL(dim,Z), in canonical-key order."""
@@ -89,18 +135,11 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
     found: dict = {}
     visited: set = set()
 
-    def wall_counts(cones):
-        counts: dict = {}
-        for cone in cones:
-            for wall in combinations(cone, dim - 1):
-                counts.setdefault(wall, []).append(cone)
-        return counts
-
     def grow(cones: frozenset):
         if cones in visited:
             return
         visited.add(cones)
-        counts = wall_counts(cones)
+        counts = _wall_owners(cones)
         if any(len(owners) > 2 for owners in counts.values()):
             raise InternalInconsistencyError("wall covered three times")
         open_walls = sorted(w for w, owners in counts.items() if len(owners) == 1)
@@ -110,14 +149,19 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
                 raise InternalInconsistencyError(
                     "closed cone complex failed validation"
                 )
-            if mori.is_fano(fan)[0]:
+            fano = mori.is_fano(fan)[0]
+            if fano != _fano_by_walls(cones):
+                raise InternalInconsistencyError(
+                    "wall and primitive-collection Fano verdicts disagree"
+                )
+            if fano:
                 found.setdefault(canonical_gl_key(fan), fan)
             return
         if len(cones) >= MAX_CONES:
             return
         wall = open_walls[0]
         (owner,) = counts[wall]
-        (p,) = [x for x in owner if x not in wall]
+        p = _apex(owner, wall)
         vertices = {x for cone in cones for x in cone}
         for w in _candidates(wall, p):
             if w not in vertices and len(vertices) >= MAX_VERTICES:
@@ -125,11 +169,15 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             new_cone = tuple(sorted(wall + (w,)))
             if new_cone in cones:
                 continue
-            if any(
-                len(counts.get(w2, ())) >= 2
-                for w2 in combinations(new_cone, dim - 1)
-            ):
+            facets = [f for f in combinations(new_cone, dim - 1) if f != wall]
+            if any(len(counts.get(f, ())) >= 2 for f in facets):
                 continue
+            if any(
+                _breaks_fano(f, _apex(counts[f][0], f), _apex(new_cone, f))
+                for f in facets
+                if f in counts
+            ):
+                continue  # closes another wall with degree <= 0
             if all(
                 cones_meet_in_common_face(new_cone, cone) for cone in cones
             ):

@@ -97,8 +97,8 @@ def make_fan(
     max_cones: Iterable[Iterable[int]],
 ) -> Fan:
     """Construct a Fan after structural checks (geometry is validate_fan's job)."""
-    if dim < 1:
-        raise DimensionMismatchError("fan dimension must be positive")
+    if type(dim) is not int or dim < 1:
+        raise DimensionMismatchError("fan dimension must be a positive integer")
     gens = []
     seen = set()
     for name, vec in generators:

@@ -87,3 +87,27 @@ NON_SMOOTH_OVERLAP = make_fan(
     [("a", (1, 0)), ("b", (-1, 2)), ("c", (-1, -2)), ("d", (1, 2))],
     [(0, 1), (1, 2), (0, 2), (0, 3)],
 )
+
+
+def twisted_threefold():
+    """A smooth complete non-projective toric threefold: the orthant
+    <a1,b1,c1>, a ring of six cones twisted around it, and the cones over
+    the outer triangle abc joined to d = (-1,-1,-1)."""
+    rays = [
+        ("a", (0, -1, -1)),
+        ("b", (-1, 0, -1)),
+        ("c", (-1, -1, 0)),
+        ("a1", (1, 0, 0)),
+        ("b1", (0, 1, 0)),
+        ("c1", (0, 0, 1)),
+        ("d", (-1, -1, -1)),
+    ]
+    a, b, c, a1, b1, c1, d = range(7)
+    cones = [
+        (a1, b1, c1),
+        (a, b, a1), (b, a1, b1),
+        (b, c, b1), (c, b1, c1),
+        (c, a, c1), (a, c1, a1),
+        (a, b, d), (b, c, d), (c, a, d),
+    ]
+    return make_fan(3, rays, cones)

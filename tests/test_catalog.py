@@ -2,11 +2,12 @@ from collections import Counter
 
 import pytest
 
-from toricfan import _fano3, catalog, lattice, mori
+from toricfan import _fano3, catalog, mori
 from toricfan import canonical_gl_key, fan_isomorphism, structurally_equal
 from toricfan import validate_fan
-from toricfan.fan import _dual_rows
 from toricfan.errors import InvalidDimensionError, UnsupportedDimensionError
+
+from conftest import chain_prefixes, twisted_threefold
 
 
 # ---------------------------------------------------------------------------
@@ -153,31 +154,67 @@ def test_enumerate_dim2_deterministic():
     assert first == second
 
 
+def closed_complexes(monkeypatch, dims):
+    """Every complex the search closes, per dimension, with the classes it
+    returns."""
+    closed = []
+    real = _fano3._fan_from_cones
+
+    def record(dim, cones):
+        fan = real(dim, cones)
+        closed[-1].append(fan)
+        return fan
+
+    monkeypatch.setattr(_fano3, "_fan_from_cones", record)
+    keys = []
+    for d in dims:
+        closed.append([])
+        keys.append([canonical_gl_key(f) for f in _fano3.enumerate_fano_fans(d)])
+    return keys, closed
+
+
 def test_degree_prune_keeps_every_class(monkeypatch):
-    """The degree rule cuts only branches that cannot close Fano: with the
-    side condition alone, dimensions 1 and 2 give the same classes."""
-    real = _fano3._candidates
-    cut = []
+    """The wall rule cuts only branches that cannot close Fano: with it off
+    at both of its sites, the expanded wall and the other walls a new cone
+    closes, dimensions 1 and 2 give the same classes."""
+    _fano3._candidates.cache_clear()  # it holds the rule's cuts
+    try:
+        pruned, closed = closed_complexes(monkeypatch, (1, 2))
+        assert [len(c) for c in closed] == [1, 12]
+        assert all(mori.is_fano(f)[0] for c in closed for f in c)
 
-    def side_condition_only(wall, p):
-        phi = _dual_rows(wall + (p,))[-1]
-        out = tuple(
-            w for w in _fano3._primitive_pool(len(p)) if lattice.dot(phi, w) == -1
+        monkeypatch.setattr(_fano3, "_breaks_fano", lambda wall, p, q: False)
+        _fano3._candidates.cache_clear()
+        unpruned, closed = closed_complexes(monkeypatch, (1, 2))
+        assert not all(mori.is_fano(f)[0] for f in closed[1])
+        assert unpruned == pruned
+    finally:
+        monkeypatch.undo()
+        _fano3._candidates.cache_clear()
+
+
+def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
+    """Kleiman's criterion, "every wall relation has sum(a_i) <= 1", read
+    through the rule helper, against the primitive-collection verdict, on
+    every fan of the seeded chains too, not only their last ones, W and the
+    non-projective threefold among them."""
+    fans = (
+        list(catalog_fans.values())
+        + catalog.enumerate_fano(2)
+        + chain_prefixes()
+        + [twisted_threefold()]
+    )
+    verdicts = []
+    for fan in fans:
+        cones = [tuple(sorted(fan.cone_vectors(c))) for c in fan.max_cones]
+        by_rule = not any(
+            _fano3._breaks_fano(wall, _fano3._apex(a, wall), _fano3._apex(b, wall))
+            for wall, (a, b) in _fano3._wall_owners(cones).items()
         )
-        cut.extend(set(out) - set(real(wall, p)))
-        return out
-
-    def keys():
-        return [
-            [canonical_gl_key(f) for f in _fano3.enumerate_fano_fans(d)]
-            for d in (1, 2)
-        ]
-
-    pruned = keys()
-    monkeypatch.setattr(_fano3, "_candidates", side_condition_only)
-    unpruned = keys()
-    assert cut  # the rule does cut something in dimension 2
-    assert unpruned == pruned
+        assert _fano3._fano_by_walls(cones) == by_rule == mori.is_fano(fan)[0]
+        verdicts.append(by_rule)
+    assert (verdicts.count(True), verdicts.count(False)) == (15, 10)
+    assert verdicts[5] is False and verdicts[-1] is False  # W, the threefold
 
 
 def test_enumerate_rejects_other_dims():
@@ -185,6 +222,18 @@ def test_enumerate_rejects_other_dims():
         catalog.enumerate_fano(0)
     with pytest.raises(UnsupportedDimensionError):
         catalog.enumerate_fano(4)
+
+
+@pytest.mark.parametrize("dim", [2.5, "2", 2.0, True, None, [2]])
+def test_enumerate_rejects_non_integer_dims(dim):
+    with pytest.raises(UnsupportedDimensionError):
+        catalog.enumerate_fano(dim)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+def test_projective_space_rejects_non_integer(n):
+    with pytest.raises(InvalidDimensionError):
+        catalog.projective_space(n)
 
 
 @pytest.mark.slow
@@ -197,3 +246,14 @@ def test_enumerate_dim3_count():
         assert mori.is_fano(fan)[0]
     keys = {tuple(map(tuple, f.vectors())) for f in fans}
     assert len(keys) == 18
+
+
+@pytest.mark.slow
+def test_enumerate_dim3_closes_only_fano(monkeypatch):
+    """In dimension 3 the wall rule at the other walls a new cone closes
+    does most of the cutting: with the rule on the expanded wall alone the
+    search closes 2,721 complexes, with both sites 233, all of them Fano."""
+    keys, closed = closed_complexes(monkeypatch, (3,))
+    assert len(closed[0]) == 233
+    assert all(mori.is_fano(f)[0] for f in closed[0])
+    assert keys[0] == [canonical_gl_key(f) for f in catalog.enumerate_fano(3)]

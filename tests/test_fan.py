@@ -370,6 +370,14 @@ def test_non_integral_coordinates_are_rejected(tower):
     assert make_fan(1, [("a", (Fraction(-1),))], [(0,)]).generators[0].vector == (-1,)
 
 
+@pytest.mark.parametrize("dim", [2.0, True, "2"])
+def test_non_integer_dimension_is_rejected(dim):
+    # a float dimension used to build Fan(dim=2.0), which serialize_fan wrote
+    # as "dim 2.0" and parse_fan rejected
+    with pytest.raises(DimensionMismatchError):
+        make_fan(dim, [("a", (1, 0)), ("b", (0, 1))], [(0, 1)])
+
+
 def test_locate_relint_rejects_incomplete_fan():
     fan = parse_fan("dim 2\nray a 1 0\nray b 0 1\nmaxcone a b\n")
     from toricfan import InternalInconsistencyError

@@ -4,7 +4,7 @@ from itertools import combinations
 from toricfan import catalog, make_fan, mori, validate_fan
 from toricfan.fan import resolve_cone
 
-from conftest import blowup_chain
+from conftest import blowup_chain, twisted_threefold
 from oracles import (
     brute_primitive_collections,
     fm_nonneg_combination_feasible,
@@ -300,30 +300,6 @@ def test_is_projective(tower, catalog_fans):
     assert mori.is_projective(x)
     assert mori.is_projective(w)
     assert mori.is_projective(catalog_fans["p1"])
-
-
-def twisted_threefold():
-    """A smooth complete non-projective toric threefold: the orthant
-    <a1,b1,c1>, a ring of six cones twisted around it, and the cones over
-    the outer triangle abc joined to d = (-1,-1,-1)."""
-    rays = [
-        ("a", (0, -1, -1)),
-        ("b", (-1, 0, -1)),
-        ("c", (-1, -1, 0)),
-        ("a1", (1, 0, 0)),
-        ("b1", (0, 1, 0)),
-        ("c1", (0, 0, 1)),
-        ("d", (-1, -1, -1)),
-    ]
-    a, b, c, a1, b1, c1, d = range(7)
-    cones = [
-        (a1, b1, c1),
-        (a, b, a1), (b, a1, b1),
-        (b, c, b1), (c, b1, c1),
-        (c, a, c1), (a, c1, a1),
-        (a, b, d), (b, c, d), (c, a, d),
-    ]
-    return make_fan(3, rays, cones)
 
 
 def test_is_projective_agrees_with_fourier_motzkin(catalog_fans):
