@@ -39,9 +39,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
-from operator import mul
 
-from . import mori
+from . import lattice, mori
 from .errors import InternalInconsistencyError
 from .fan import (
     Fan,
@@ -68,9 +67,9 @@ def _wall_sum(wall, p, q):
     u_i of ``wall``, or None when q does not have coordinate -1 on p in the
     basis (wall, p)."""
     *rows, on_p = _dual_rows(wall + (p,))
-    if sum(map(mul, on_p, q)) != -1:
+    if lattice.dot(on_p, q) != -1:
         return None
-    return sum(sum(map(mul, row, q)) for row in rows)
+    return sum(lattice.dot(row, q) for row in rows)
 
 
 def _breaks_fano(wall, p, q) -> bool:
@@ -89,7 +88,7 @@ def _candidates(wall, p):
     return tuple(
         w
         for w in _primitive_pool(len(p))
-        if sum(map(mul, on_p, w)) == -1 and not _breaks_fano(wall, p, w)
+        if lattice.dot(on_p, w) == -1 and not _breaks_fano(wall, p, w)
     )
 
 

@@ -32,7 +32,6 @@ from .errors import (
 from .fan import (
     Fan,
     _cone_label,
-    contract_ray,
     fan_isomorphism,
     parse_fan,
     serialize_fan,
@@ -267,7 +266,7 @@ def _cmd_blowdown(args) -> int:
     fan = _load_valid_fan(args.fan)
     via = _split_names(args.via) if args.via is not None else None
     try:
-        result = contract_ray(fan, args.ray, via)
+        result = birational.blow_down(fan, args.ray, via)
     except StarConditionViolatedError as exc:
         cones = ", ".join(_cone_label(fan, c) for c in exc.witnesses)
         raise _CliFailure(

@@ -258,11 +258,6 @@ def serialize_fan(fan: Fan) -> str:
 
 
 @lru_cache(maxsize=65536)
-def _det(vectors: tuple[lattice.IntVector, ...]) -> int:
-    return lattice.determinant(vectors)
-
-
-@lru_cache(maxsize=65536)
 def _dual_rows(vectors: tuple[lattice.IntVector, ...]) -> tuple[lattice.IntVector, ...] | None:
     """Rows phi_i with phi_i(v_j) = delta_ij, or None when not unimodular."""
     try:
@@ -380,11 +375,12 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
     smooth = True
     for cone in fan.max_cones:
-        d = _det(fan.cone_vectors(cone))
-        if d not in (1, -1):
+        vectors = fan.cone_vectors(cone)
+        if _dual_rows(vectors) is None:
             smooth = False
             witnesses.append(
-                f"maximal cone {_cone_label(fan, cone)} has determinant {d}"
+                f"maximal cone {_cone_label(fan, cone)} has determinant"
+                f" {lattice.determinant(vectors)}"
             )
 
     complete = True
@@ -583,76 +579,63 @@ def star_subdivide(
 def contract_ray(
     fan: Fan,
     ray: int | str,
-    collection: Iterable[int | str] | None = None,
+    collection: Iterable[int | str],
 ) -> Fan:
-    """Blow down the divisor of ``ray``: the inverse of star subdivision.
+    """Blow down the divisor of ``ray`` onto the cone of ``collection``: the
+    inverse of star subdivision.
 
-    The contraction is steered by a relation x1+...+xh = ray. When
-    ``collection`` is omitted, all such relations are tried in collection
-    order and the first valid one is used; a ray may carry several (the
-    choice then changes the target fan), so pass the collection to pin it.
-    Valid means every maximal cone containing the ray contains exactly h-1
-    of the x_i. The result is fully revalidated as defense in depth; for a
-    valid result that costs time linear in the number of cones.
+    The collection's vectors must sum to the ray's vector; for a primitive
+    collection x1..xh that is the relation x1+...+xh = ray. Which relations
+    of a fan have that shape, and which one a bare ray contracts by, is
+    decided in ``birational``. The contraction is valid when every maximal
+    cone containing the ray contains exactly h-1 of the x_i. The result is
+    fully revalidated as defense in depth; for a valid result that costs
+    time linear in the number of cones.
     """
-    from . import mori  # deferred: mori builds on this module
-
     ridx = resolve_ray(fan, ray)
-    rels = [
-        r
-        for r in mori.primitive_relations(fan)
-        if r.target == (ridx,) and r.coefficients == (1,)
-    ]
-    if collection is not None:
-        cidx = resolve_cone(fan, collection)
-        rels = [r for r in rels if r.collection == cidx]
-    if not rels:
+    cidx = resolve_cone(fan, collection)
+    total = tuple(sum(col) for col in zip(*fan.cone_vectors(cidx)))
+    # a collection holding the ray itself would put it back into every cone
+    if ridx in cidx or total != fan.generators[ridx].vector:
         raise NoBlowdownRelationError(
             f"no relation of the shape x1+...+xh = {fan.generators[ridx].name}"
-            + ("" if collection is None else " with the requested collection")
+            " with the requested collection"
         )
-
-    failures: list[tuple[Cone, tuple[Cone, ...]]] = []
-    for rel in rels:
-        cset = set(rel.collection)
-        h = len(rel.collection)
-        bad = tuple(
-            mc
-            for mc in fan.max_cones
-            if ridx in mc and len(cset & set(mc)) != h - 1
-        )
-        if bad:
-            failures.append((rel.collection, bad))
-            continue
-        new_cones = set()
-        for mc in fan.max_cones:
-            if ridx in mc:
-                merged = (set(mc) - {ridx}) | cset
-            else:
-                merged = set(mc)
-            new_cones.add(tuple(sorted(i - (i > ridx) for i in merged)))
-        gens = [
-            (g.name, g.vector)
-            for i, g in enumerate(fan.generators)
-            if i != ridx
-        ]
-        result = make_fan(fan.dim, gens, sorted(new_cones))
-        report = validate_fan(result)
-        if not report.ok:
-            raise ResultInvalidError(
-                "contraction produced an invalid fan: "
-                + "; ".join(report.witnesses)
-            )
-        return result
-
-    coll, bad = failures[0]
-    names = ",".join(fan.cone_names(coll))
-    raise StarConditionViolatedError(
-        f"cannot contract {fan.generators[ridx].name} via {{{names}}}:"
-        f" cone {_cone_label(fan, bad[0])} does not contain exactly"
-        f" {len(coll) - 1} collection rays",
-        witnesses=bad,
+    cset = set(cidx)
+    h = len(cidx)
+    bad = tuple(
+        mc
+        for mc in fan.max_cones
+        if ridx in mc and len(cset & set(mc)) != h - 1
     )
+    if bad:
+        names = ",".join(fan.cone_names(cidx))
+        raise StarConditionViolatedError(
+            f"cannot contract {fan.generators[ridx].name} via {{{names}}}:"
+            f" cone {_cone_label(fan, bad[0])} does not contain exactly"
+            f" {h - 1} collection rays",
+            witnesses=bad,
+        )
+    new_cones = set()
+    for mc in fan.max_cones:
+        if ridx in mc:
+            merged = (set(mc) - {ridx}) | cset
+        else:
+            merged = set(mc)
+        new_cones.add(tuple(sorted(i - (i > ridx) for i in merged)))
+    gens = [
+        (g.name, g.vector)
+        for i, g in enumerate(fan.generators)
+        if i != ridx
+    ]
+    result = make_fan(fan.dim, gens, sorted(new_cones))
+    report = validate_fan(result)
+    if not report.ok:
+        raise ResultInvalidError(
+            "contraction produced an invalid fan: "
+            + "; ".join(report.witnesses)
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -180,4 +181,4 @@ def nonneg_rational_combination(
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise DimensionMismatchError("dot product of unequal lengths")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))

@@ -15,7 +15,7 @@ def tower():
 @pytest.fixture(scope="session")
 def catalog_fans():
     """All built-in fans keyed by catalog key."""
-    return {e.key: e.fan for e in catalog.entries()}
+    return {key: catalog.catalog_fan(key) for key in catalog.catalog_keys()}
 
 
 def blowup_chain(seed, dim, steps):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from toricfan import birational, catalog, fan, lattice, mori
 
-from conftest import NON_SMOOTH_OVERLAP, TWICE_WINDING, chain_prefixes
+from conftest import NON_SMOOTH_OVERLAP, TWICE_WINDING, blowup_chain, chain_prefixes
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -57,7 +57,7 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
     mori.mori_cone.cache_clear()
     fan._cones_meet_cached.cache_clear()
-    w = catalog.catalog_entry("paper-W").fan
+    w = catalog.catalog_fan("paper-W")
     mori.mori_cone(w)  # through nonneg_rational_combination
     assert len(calls) > 0
     before = len(calls)
@@ -83,7 +83,7 @@ def test_is_projective_is_one_gordan_lp(monkeypatch):
     mori.is_projective.cache_clear()
     mori.primitive_relations.cache_clear()
     mori.primitive_collections.cache_clear()
-    w = catalog.catalog_entry("paper-W").fan
+    w = catalog.catalog_fan("paper-W")
     assert mori.is_projective(w) is True
     assert len(calls) == 1
     # one column per primitive class, plus the row sum lam = 1
@@ -111,6 +111,23 @@ def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
         assert [(c, r, k) for c, r, k in calls if c == f] == [
             (f, cand.relation.target[0], cand.relation.collection) for cand in cands
         ]
+
+
+def test_factor_search_lists_candidates_once_per_intermediate(monkeypatch):
+    # the exhaustive search reaches most intermediates by several paths
+    real = birational.blow_down_candidates
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(birational, "blow_down_candidates", counting)
+    paths = birational.factor_morphism(
+        blowup_chain(2, 4, 8), catalog.projective_space(4), exhaustive=True
+    )
+    assert len(paths) == 84
+    assert len(calls) == len({fan.structural_key(f) for f in calls}) == 27
 
 
 def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):

@@ -15,6 +15,7 @@ from toricfan import (
     NoBlowdownRelationError,
     StarConditionViolatedError,
     UnknownRayError,
+    birational,
     canonical_gl_key,
     catalog,
     contract_ray,
@@ -480,7 +481,7 @@ def test_contract_other_route_gives_isomorphic_not_equal(tower):
 
 def test_contract_bare_ray_uses_first_valid_relation(tower):
     _, _, _, y = tower
-    bare = contract_ray(y, "e7")
+    bare = birational.blow_down(y, "e7")
     assert structurally_equal(bare, contract_ray(y, "e7", ("e1", "e6")))
 
 
@@ -488,7 +489,7 @@ def test_contract_obstructed_rays(tower):
     _, _, _, y = tower
     for ray in ("e5", "e6"):
         with pytest.raises(StarConditionViolatedError) as exc:
-            contract_ray(y, ray)
+            birational.blow_down(y, ray)
         witness_names = {y.cone_names(c) for c in exc.value.witnesses}
         assert ("e3", "e5", "e6", "e7") in witness_names
 
@@ -496,9 +497,18 @@ def test_contract_obstructed_rays(tower):
 def test_contract_without_relation(tower):
     p4, x, _, _ = tower
     with pytest.raises(NoBlowdownRelationError):
-        contract_ray(p4, "e0")
+        birational.blow_down(p4, "e0")
     with pytest.raises(NoBlowdownRelationError):
         contract_ray(x, "e5", ("e1", "e2"))
+    # a + c + b = b and both cones on b hold two of {a, b, c}, but a
+    # collection holding the ray is no blow-down
+    p1xp1 = make_fan(
+        2,
+        [("a", (1, 0)), ("b", (0, 1)), ("c", (-1, 0)), ("d", (0, -1))],
+        [(0, 1), (1, 2), (2, 3), (0, 3)],
+    )
+    with pytest.raises(NoBlowdownRelationError):
+        contract_ray(p1xp1, "b", ("a", "b", "c"))
 
 
 def test_contract_revalidation_catches_corrupt_input(tower):
@@ -515,7 +525,7 @@ def test_contract_revalidation_catches_corrupt_input(tower):
 
 def test_contract_x_recovers_p4(tower):
     p4, x, _, _ = tower
-    assert structurally_equal(contract_ray(x, "e5"), p4)
+    assert structurally_equal(birational.blow_down(x, "e5"), p4)
 
 
 def test_roundtrip_over_all_catalog_cones(catalog_fans):
