@@ -14,19 +14,14 @@ the opposite side: unimodularity and the side condition force the
 coordinate of w on p to be -1 in the basis (wall, p), so
 w = sum(a_i * u_i) - p over the wall vectors u_i.
 
-Wall rule: once both cones of a wall are placed, the wall relation
-p + q = sum(a_i * u_i) is fixed, and it stays a wall relation in every
-completion, since no cone is ever removed. Its anticanonical degree is
-2 - sum(a_i), the degree of -K on the torus-invariant curve of the wall,
-and a divisor on a complete toric variety is ample iff it is positive on
-every such curve (the toric Kleiman criterion: Cox, Little and Schenck,
-*Toric Varieties*, Thm 6.3.13; Reid, "Decomposition of toric morphisms",
-1983). So a branch is cut as soon as it closes a wall with sum(a_i) >= 2,
-whatever the signs of the a_i: the wall it expands, or any other facet of
-the new cone that meets an open wall. Every wall of a closed complex was
-closed by some step, so every closed complex is Fano; the
-primitive-collection verdict of ``mori.is_fano`` is checked against the
-wall verdict on each one.
+Wall rule: once both cones of a wall are placed, its relation
+p + q = sum(a_i * u_i) (``mori._wall_coefficients``) is fixed, since no
+cone is ever removed, and -K is ample iff every such relation has degree
+2 - sum(a_i) > 0 (see ``mori.wall_classes``). So a branch is cut as soon
+as it closes a wall with sum(a_i) >= 2: the wall it expands, or any other
+facet of the new cone that meets an open wall. Every closed complex is
+then Fano; on each, the wall verdict of ``mori.is_fano`` is checked
+against the degrees of the primitive relations.
 
 Vertex and cone counts are capped (8 vertices, hence at most
 2*8 - 4 = 12 cones for a simplicial 2-sphere) and vertex coordinates lie
@@ -62,33 +57,24 @@ def _primitive_pool(dim: int):
     return tuple(v for v in product(rng, repeat=dim) if gcd(*v) == 1)
 
 
-def _wall_sum(wall, p, q):
-    """sum(a_i) in the wall relation p + q = sum(a_i * u_i) over the vectors
-    u_i of ``wall``, or None when q does not have coordinate -1 on p in the
-    basis (wall, p)."""
-    *rows, on_p = _dual_rows(wall + (p,))
-    if lattice.dot(on_p, q) != -1:
-        return None
-    return sum(lattice.dot(row, q) for row in rows)
+def _breaks_fano(cone, k, q) -> bool:
+    """The wall rule: ``cone`` and the cone across its facet opposite
+    ``cone[k]`` with apex q make a wall relation of anticanonical degree
+    <= 0, that is, sum(a_i) >= 2. When q's coordinate on ``cone[k]`` is not
+    -1 the pair is left to the face check, which rejects it."""
+    coeffs = mori._wall_coefficients(cone, k, q)
+    return coeffs is not None and sum(coeffs) >= 2
 
 
-def _breaks_fano(wall, p, q) -> bool:
-    """The wall rule: cones (wall, p) and (wall, q) make a wall relation of
-    anticanonical degree <= 0. When q's coordinate on p is not -1 the pair
-    is left to the face check, which rejects it."""
-    s = _wall_sum(wall, p, q)
-    return s is not None and s >= 2
-
-
-@lru_cache(maxsize=16384)  # dimension 3 meets 8,804 (wall, p) pairs
-def _candidates(wall, p):
-    """Pool vectors w with coordinate -1 on p in the basis (wall, p) that
-    the wall rule keeps, in pool order."""
-    on_p = _dual_rows(wall + (p,))[-1]
+@lru_cache(maxsize=16384)  # dimension 3 meets 8,804 (cone, k) pairs
+def _candidates(cone, k):
+    """Pool vectors w with coordinate -1 on ``cone[k]`` in the basis
+    ``cone`` that the wall rule keeps, in pool order."""
+    on_p = _dual_rows(cone)[k]
     return tuple(
         w
-        for w in _primitive_pool(len(p))
-        if lattice.dot(on_p, w) == -1 and not _breaks_fano(wall, p, w)
+        for w in _primitive_pool(len(cone))
+        if lattice.dot(on_p, w) == -1 and not _breaks_fano(cone, k, w)
     )
 
 
@@ -99,29 +85,6 @@ def _fan_from_cones(dim: int, cones) -> Fan:
         dim,
         [(f"e{i}", v) for i, v in enumerate(vertices)],
         [tuple(index[v] for v in cone) for cone in cones],
-    )
-
-
-def _wall_owners(cones) -> dict:
-    """Each wall of a complex of sorted vector tuples, with the cones on it."""
-    owners: dict = {}
-    for cone in cones:
-        for wall in combinations(cone, len(cone) - 1):
-            owners.setdefault(wall, []).append(cone)
-    return owners
-
-
-def _apex(cone, wall):
-    (x,) = [x for x in cone if x not in wall]
-    return x
-
-
-def _fano_by_walls(cones) -> bool:
-    """Kleiman's verdict on a complete complex: every wall relation has
-    anticanonical degree 2 - sum(a_i) >= 1."""
-    return all(
-        _wall_sum(wall, _apex(a, wall), _apex(b, wall)) <= 1
-        for wall, (a, b) in _wall_owners(cones).items()
     )
 
 
@@ -138,7 +101,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
         if cones in visited:
             return
         visited.add(cones)
-        counts = _wall_owners(cones)
+        counts = mori._wall_owners(cones)
         if any(len(owners) > 2 for owners in counts.values()):
             raise InternalInconsistencyError("wall covered three times")
         open_walls = sorted(w for w, owners in counts.items() if len(owners) == 1)
@@ -149,7 +112,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
                     "closed cone complex failed validation"
                 )
             fano = mori.is_fano(fan)[0]
-            if fano != _fano_by_walls(cones):
+            if fano != all(r.degree > 0 for r in mori.primitive_relations(fan)):
                 raise InternalInconsistencyError(
                     "wall and primitive-collection Fano verdicts disagree"
                 )
@@ -159,22 +122,25 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
         if len(cones) >= MAX_CONES:
             return
         wall = open_walls[0]
-        (owner,) = counts[wall]
-        p = _apex(owner, wall)
+        ((owner, k),) = counts[wall]
         vertices = {x for cone in cones for x in cone}
-        for w in _candidates(wall, p):
+        for w in _candidates(owner, k):
             if w not in vertices and len(vertices) >= MAX_VERTICES:
                 continue
             new_cone = tuple(sorted(wall + (w,)))
             if new_cone in cones:
                 continue
-            facets = [f for f in combinations(new_cone, dim - 1) if f != wall]
-            if any(len(counts.get(f, ())) >= 2 for f in facets):
+            # (facet, apex of new_cone off it) for every other facet;
+            # combinations drops the last ray first
+            facets = [
+                (f, x)
+                for f, x in zip(combinations(new_cone, dim - 1), reversed(new_cone))
+                if f != wall
+            ]
+            if any(len(counts.get(f, ())) >= 2 for f, _ in facets):
                 continue
             if any(
-                _breaks_fano(f, _apex(counts[f][0], f), _apex(new_cone, f))
-                for f in facets
-                if f in counts
+                _breaks_fano(*counts[f][0], x) for f, x in facets if f in counts
             ):
                 continue  # closes another wall with degree <= 0
             if all(

@@ -1,20 +1,21 @@
 """Blow-down discovery and factorization of refinement morphisms.
 
-A blow-down candidate is a primitive relation of the shape
-x1+...+xh = x (single target ray with coefficient 1); it is valid when the
-contraction it steers succeeds. This module alone decides which
-relations are blow-downs: ``fan.contract_ray`` only carries out the
-contraction along a given collection, and ``blow_down`` picks the
-collection for a bare ray. Factorization searches for chains of valid
-blow-downs carrying a fine fan onto a coarse one it refines, depth-first
-with one memo of the step suffixes below each intermediate, optionally
-insisting that every strict intermediate be Fano.
+A blow-down is a relation x1+...+xh = x (single target ray with
+coefficient 1) along which ``fan.contract_ray`` succeeds. This module alone
+decides which relations are tried: ``blow_downs`` finds the valid ones
+around each ray, ``blow_down_candidates`` tests the primitive relations of
+that shape for the reports, and ``blow_down`` picks the collection for a
+bare ray. Factorization searches for chains of valid blow-downs carrying a
+fine fan onto a coarse one it refines, depth-first with one memo of the
+step suffixes below each intermediate, optionally insisting that every
+strict intermediate be Fano.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from . import mori
@@ -60,25 +61,15 @@ class FactorizationPath:
     steps: tuple[FactorStep, ...]
 
 
-@lru_cache(maxsize=4096)
-def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
-    """All relations of blow-down shape, each tested by actual contraction.
-
-    Ordered by contracted ray name, then by collection. The shape is tested
-    here only, on the cached ``mori.primitive_relations`` table; every match
-    is handed to ``contract_ray``, which validates the contracted fan in
-    full, in time linear in its number of cones when the contraction is
-    valid. The result is cached per fan (``lru_cache``, 4096 fans), so a fan
-    the search or ``blow_down`` reaches again costs no contraction.
-    """
-    star_rels = [
-        rel
-        for rel in mori.primitive_relations(fan)
-        if len(rel.target) == 1 and rel.coefficients == (1,)
-    ]
-    star_rels.sort(key=lambda r: (fan.generators[r.target[0]].name, r.collection))
+def _contracted(fan: Fan, rels) -> tuple[BlowdownCandidate, ...]:
+    """Each relation x1+...+xh = x tested by ``contract_ray``, the one
+    validity rule, which validates the contracted fan in full (in time
+    linear in its number of cones when the contraction is valid). Ordered
+    by contracted ray name, then by collection."""
     out = []
-    for rel in star_rels:
+    for rel in sorted(
+        rels, key=lambda r: (fan.generators[r.target[0]].name, r.collection)
+    ):
         try:
             target = contract_ray(fan, rel.target[0], rel.collection)
         except StarConditionViolatedError as exc:
@@ -86,6 +77,43 @@ def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
         else:
             out.append(BlowdownCandidate(rel, True, None, target))
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def blow_downs(fan: Fan) -> tuple[BlowdownCandidate, ...]:
+    """The valid entries of ``blow_down_candidates``, found without the
+    relation table. A valid x1+...+xh = x leaves h-1 of the x_i in every
+    maximal cone holding x (Batyrev, *Tohoku Math. J.* 43, 1991); so for
+    each ray x and one maximal cone sigma holding it, each nonempty subset
+    S of sigma without x with v_x - sum(S) a generator y gives S plus y to
+    try. Cached per fan (``lru_cache``, 4096 fans).
+    """
+    index = {v: i for i, v in enumerate(fan.vectors())}
+    # the first maximal cone holding each ray
+    around = {x: mc for mc in reversed(fan.max_cones) for x in mc}
+    rels = []
+    for x, sigma in around.items():
+        rest = [i for i in sigma if i != x]
+        for size in range(1, len(rest) + 1):
+            for sub in combinations(rest, size):
+                diff = zip(fan.generators[x].vector, *fan.cone_vectors(sub))
+                y = index.get(tuple(v - sum(us) for v, *us in diff))
+                if y is not None:
+                    coll = tuple(sorted(sub + (y,)))
+                    rels.append(mori.PrimitiveRelation(coll, (x,), (1,), len(coll) - 1))
+    return tuple(c for c in _contracted(fan, rels) if c.valid)
+
+
+@lru_cache(maxsize=4096)
+def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
+    """Every relation of blow-down shape in the cached
+    ``mori.primitive_relations`` table, with the obstructions of those that
+    fail: what the reports list. Cached per fan (``lru_cache``, 4096
+    fans)."""
+    return _contracted(
+        fan,
+        (r for r in mori.primitive_relations(fan) if r.coefficients == (1,)),
+    )
 
 
 def blow_down(
@@ -125,10 +153,11 @@ def factor_morphism(
     refine ``coarse``; a path is complete when the current fan equals
     ``coarse`` structurally. The coarse-cone bitmasks of ``fine``'s rays are
     computed once (see ``fan.refines``); every target's rays are among
-    them, so each refinement test is one AND per maximal cone. Candidates
-    come from the cached ``blow_down_candidates``; the step flags come from
-    ``mori.is_fano`` (which reads the cached relation table) and the cached
-    ``mori.is_projective``. With ``require_fano``, intermediates strictly
+    them, so each refinement test is one AND per maximal cone. Blow-downs
+    come from the cached ``blow_downs``; the step flags come from
+    ``mori.is_fano_by_walls`` and the cached ``mori.is_projective``, both
+    read off ``mori.wall_classes``, so the search builds no primitive
+    relation table. With ``require_fano``, intermediates strictly
     between the endpoints must be Fano. With ``exhaustive``, all complete
     paths are returned, otherwise only the first; the empty tuple means the
     search finished and no factorization exists. Candidate order (by
@@ -154,16 +183,14 @@ def factor_morphism(
         if key in memo:
             return memo[key]
         found: list[tuple[FactorStep, ...]] = []
-        for cand in blow_down_candidates(current):
-            if not cand.valid:
-                continue
+        for cand in blow_downs(current):
             target = cand.target
             if not _masks_cover(target, masks):
                 continue
             if (
                 require_fano
                 and structural_key(target) != coarse_key
-                and not mori.is_fano(target)[0]
+                and not mori.is_fano_by_walls(target)
             ):
                 continue
             rest = suffixes(target)
@@ -175,7 +202,7 @@ def factor_morphism(
                 cand.ray_name(current),
                 current.cone_names(cand.relation.collection),
                 target,
-                mori.is_fano(target)[0],
+                mori.is_fano_by_walls(target),
                 mori.is_projective(target),
             )
             found.extend((step,) + r for r in rest)

@@ -120,7 +120,7 @@ def _candidate_lines(fan: Fan) -> list[str]:
             f" {_names(fan, cand.relation.collection)}:"
         )
         if cand.valid:
-            fano = mori.is_fano(cand.target)[0]
+            fano = mori.is_fano_by_walls(cand.target)
             proj = mori.is_projective(cand.target)
             lines.append(
                 f"{head} valid (target: fano={_yesno(fano)},"
@@ -217,7 +217,7 @@ def _analysis_compact(fan: Fan, report) -> str:
         )
         if cand.valid:
             entry += (
-                f" target_fano={_yesno(mori.is_fano(cand.target)[0])}"
+                f" target_fano={_yesno(mori.is_fano_by_walls(cand.target))}"
                 f" target_projective={_yesno(mori.is_projective(cand.target))}"
             )
         else:

@@ -501,8 +501,12 @@ def locate_relint(
             raise InternalInconsistencyError(
                 f"maximal cone {_cone_label(fan, cone)} is not unimodular"
             )
-        coords = [lattice.dot(row, pt) for row in dual]
-        if all(c >= 0 for c in coords):
+        coords = []
+        for row in dual:  # most cones miss the point at an early row
+            coords.append(lattice.dot(row, pt))
+            if coords[-1] < 0:
+                break
+        else:
             face = tuple(i for i, c in zip(cone, coords) if c > 0)
             coeffs = tuple(c for c in coords if c > 0)
             answers.add((face, coeffs))

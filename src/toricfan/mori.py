@@ -5,13 +5,15 @@ spanning no cone all of whose one-element deletions span cones. Its
 associated relation locates the sum of the collection's vectors in the
 unique cone holding it in its relative interior; the resulting integer
 relation among generators is a curve class. The classes of the primitive
-relations generate the cone of effective curves, which makes extremality,
-projectivity (strict convexity) and the Fano verdict finite, exact
-computations.
+relations generate the cone of effective curves, which makes extremality
+a finite, exact computation.
 
 ``primitive_relations`` is the one cached relation table per fan; the Mori
-cone, the Fano and projectivity verdicts, blow-downs and contractions all
-read it.
+cone, the Fano witnesses and blow-down reports read it. The Fano and
+projectivity verdicts read ``wall_classes``, the classes of the
+torus-invariant curves of the walls, instead: a divisor is ample iff it is
+positive on each (Reid, "Decomposition of toric morphisms", 1983; Cox,
+Little and Schenck, *Toric Varieties*, Thm 6.3.13).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable
 
 from . import lattice
 from .errors import InternalInconsistencyError
-from .fan import Cone, Fan, locate_relint, resolve_cone
+from .fan import Cone, Fan, _cone_label, _dual_rows, locate_relint, resolve_cone
 
 
 @dataclass(frozen=True)
@@ -56,21 +58,22 @@ class MoriConeSummary:
 
 @lru_cache(maxsize=4096)
 def primitive_collections(fan: Fan) -> tuple[Cone, ...]:
-    """All minimal non-faces, in lexicographic order of sorted index tuples."""
+    """All minimal non-faces, in lexicographic order of sorted index tuples.
+
+    Every proper subset of a minimal non-face is a face, so each one of
+    size h >= 2 is a nonempty face F plus one ray r > max(F), and arises
+    once that way: the work is bounded by #faces x #rays.
+    """
     faces = set()
     for mc in fan.max_cones:
-        for r in range(fan.dim + 1):
-            for sub in combinations(mc, r):
-                faces.add(sub)
+        for r in range(1, fan.dim + 1):
+            faces.update(combinations(mc, r))
     out = []
-    # a collection of size h has all its (h-1)-subsets among the faces, and
-    # faces have at most dim rays, so h <= dim + 1
-    for h in range(2, fan.dim + 2):
-        for cand in combinations(range(len(fan.generators)), h):
-            if cand in faces:
-                continue
-            if all(
-                cand[:i] + cand[i + 1 :] in faces for i in range(h)
+    for face in faces:
+        for r in range(face[-1] + 1, len(fan.generators)):
+            cand = face + (r,)
+            if cand not in faces and all(
+                cand[:i] + cand[i + 1 :] in faces for i in range(len(face))
             ):
                 out.append(cand)
     return tuple(sorted(out))
@@ -146,30 +149,94 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
     )
 
 
+def _wall_owners(cones) -> dict:
+    """wall -> [(cone, k), ...] over the cones holding it, k the position
+    of the cone's ray off the wall; cones are sorted tuples of ray indices
+    or of vectors."""
+    owners: dict = {}
+    for cone in cones:
+        k = len(cone)
+        for wall in combinations(cone, k - 1):  # drops the last ray first
+            k -= 1
+            owners.setdefault(wall, []).append((cone, k))
+    return owners
+
+
+def _wall_coefficients(cone, k: int, q) -> tuple[int, ...] | None:
+    """The a_i of the wall relation p + q = sum(a_i * u_i), p = cone[k] and
+    the u_i the other vectors of ``cone``, read off its cached dual rows;
+    None unless ``cone`` is unimodular and q has coordinate -1 on p, as the
+    apex of a unimodular cone across the wall has."""
+    dual = _dual_rows(cone)
+    if dual is None:
+        return None
+    coords = [lattice.dot(row, q) for row in dual]
+    return tuple(coords) if coords.pop(k) == -1 else None
+
+
+# the verdicts read a fan's classes right after they are computed and are
+# cached themselves, so a few fans' classes are enough to keep
+@lru_cache(maxsize=16)
+def wall_classes(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """The curve class of every wall, without duplicates, sorted.
+
+    The wall between maximal cones sigma and sigma' with apexes p and q
+    gives p + q = sum(a_i * u_i), the class +1 on p and q and -a_i on the
+    u_i, of degree 2 - sum(a_i); the a_i come from the dual rows of sigma.
+    A wall that does not join two unimodular cones from opposite sides
+    raises ``InternalInconsistencyError``. Cached for the last 16 fans.
+    """
+    vectors = fan.vectors()
+    classes = set()
+    for wall, sides in _wall_owners(fan.max_cones).items():
+        coeffs = None
+        if len(sides) == 2:
+            (cone, k), (other, j) = sides
+            coeffs = _wall_coefficients(fan.cone_vectors(cone), k, vectors[other[j]])
+        if coeffs is None:
+            raise InternalInconsistencyError(
+                f"wall {_cone_label(fan, wall)} does not join two unimodular"
+                " maximal cones from opposite sides"
+            )
+        entries = [0] * len(vectors)
+        entries[cone[k]] = entries[other[j]] = 1
+        for i, a in zip(wall, coeffs):
+            entries[i] = -a
+        classes.add(tuple(entries))
+    return tuple(sorted(classes))
+
+
 @lru_cache(maxsize=4096)
 def is_projective(fan: Fan) -> bool:
-    """Kleiman: projective iff the cone of effective curves is strictly convex.
+    """Kleiman: projective iff some divisor (a strictly convex support
+    function) is positive on every class of ``wall_classes``.
 
-    The primitive classes (from the cached ``primitive_relations`` table)
-    generate that cone, and Gordan's alternative decides its strict
-    convexity with one LP: some functional is strictly positive on every
+    -K is such a divisor on a Fano fan. Otherwise Gordan's alternative
+    decides it with one LP: some functional is strictly positive on every
     class iff no convex combination of the classes (lam >= 0, sum lam = 1)
-    vanishes. No extremality or decomposition is computed. Cached per fan
-    (``lru_cache``, 4096 fans).
+    vanishes. Cached per fan (``lru_cache``, 4096 fans).
     """
-    classes = [curve_class(fan, r) for r in primitive_relations(fan)]
-    return (
+    return is_fano_by_walls(fan) or (
         lattice.nonneg_rational_combination(
-            [c + (1,) for c in classes], (0,) * len(fan.generators) + (1,)
+            [c + (1,) for c in wall_classes(fan)],
+            (0,) * len(fan.generators) + (1,),
         )
         is None
     )
 
 
-def is_fano(fan: Fan) -> tuple[bool, tuple[Cone, ...]]:
-    """Fano iff every primitive collection has strictly positive degree.
+@lru_cache(maxsize=4096)
+def is_fano_by_walls(fan: Fan) -> bool:
+    """-K is ample iff every class of ``wall_classes`` has degree > 0.
+    Cached per fan (``lru_cache``, 4096 fans)."""
+    return all(anticanonical_degree(c) > 0 for c in wall_classes(fan))
 
-    Returns the verdict plus the witnesses: all collections of degree <= 0.
-    """
+
+def is_fano(fan: Fan) -> tuple[bool, tuple[Cone, ...]]:
+    """The verdict of ``is_fano_by_walls`` plus the witnesses: all
+    primitive collections of degree <= 0, which exist iff it is False
+    (Batyrev). The relation table is read only to list them."""
+    if is_fano_by_walls(fan):
+        return (True, ())
     bad = tuple(r.collection for r in primitive_relations(fan) if r.degree <= 0)
-    return (not bad, bad)
+    return (False, bad)

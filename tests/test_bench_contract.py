@@ -11,6 +11,7 @@ end count calls the same way.
 
 import ast
 import importlib
+from itertools import combinations
 from pathlib import Path
 
 from toricfan import birational, catalog, fan, lattice, mori
@@ -67,6 +68,16 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     assert len(calls) > before
 
 
+def no_relation_table(monkeypatch):
+    """Make every entry into the primitive-relation table raise."""
+
+    def refuse(*args):
+        raise AssertionError("built the primitive-relation table")
+
+    for name in ("primitive_collections", "primitive_relation", "primitive_relations"):
+        monkeypatch.setattr(mori, name, refuse)
+
+
 def test_is_projective_is_one_gordan_lp(monkeypatch):
     real = lattice.solve_eq_nonneg
     calls = []
@@ -80,54 +91,100 @@ def test_is_projective_is_one_gordan_lp(monkeypatch):
 
     monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
     monkeypatch.setattr(mori, "mori_cone", no_mori_cone)
+    no_relation_table(monkeypatch)
     mori.is_projective.cache_clear()
-    mori.primitive_relations.cache_clear()
-    mori.primitive_collections.cache_clear()
+    mori.wall_classes.cache_clear()
     w = catalog.catalog_fan("paper-W")
     assert mori.is_projective(w) is True
     assert len(calls) == 1
-    # one column per primitive class, plus the row sum lam = 1
+    # one column per wall class, plus the row sum lam = 1
+    walls = mori.wall_classes(w)
     assert len(calls[0]) == len(w.generators) + 1
-    assert len(calls[0][0]) == len(mori.primitive_relations(w))
+    assert sorted(zip(*calls[0])) == [c + (1,) for c in walls]
+    # -K certifies a Fano fan with no LP
+    assert mori.is_projective(catalog.catalog_fan("paper-Y")) is True
+    assert len(calls) == 1
+
+
+def local_attempts(f):
+    """(ray, collection) pairs the local rule hands to contract_ray: for
+    each ray x, the first maximal cone holding x, and each nonempty subset S
+    of its other rays with v_x - sum(S) a generator y, as S plus y."""
+    index = {v: i for i, v in enumerate(f.vectors())}
+    out = set()
+    for x in range(len(f.generators)):
+        sigma = next(mc for mc in f.max_cones if x in mc)
+        rest = [i for i in sigma if i != x]
+        for size in range(1, len(rest) + 1):
+            for sub in combinations(rest, size):
+                point = list(f.generators[x].vector)
+                for i in sub:
+                    point = [a - b for a, b in zip(point, f.generators[i].vector)]
+                y = index.get(tuple(point))
+                if y is not None:
+                    out.add((x, tuple(sorted(sub + (y,)))))
+    return out
 
 
 def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
     real = birational.contract_ray
     calls = []
+    valid = []
 
-    def counting(f, ray, collection=None):
+    def counting(f, ray, collection):
         calls.append((f, ray, collection))
-        return real(f, ray, collection)
+        target = real(f, ray, collection)
+        valid.append((f, ray, collection))
+        return target
 
     monkeypatch.setattr(birational, "contract_ray", counting)
-    birational.blow_down_candidates.cache_clear()
+    birational.blow_downs.cache_clear()
     _, x, _, y = tower
     assert birational.factor_morphism(y, x, exhaustive=True)
     assert len(calls) == len(set(calls))
     visited = list(dict.fromkeys(f for f, _, _ in calls))
     assert visited[0] == y and len(visited) > 1
     for f in visited:
-        cands = birational.blow_down_candidates(f)
-        assert [(c, r, k) for c, r, k in calls if c == f] == [
-            (f, cand.relation.target[0], cand.relation.collection) for cand in cands
-        ]
+        assert {(r, k) for c, r, k in calls if c == f} == local_attempts(f)
+        assert [
+            (cand.relation.target[0], cand.relation.collection)
+            for cand in birational.blow_downs(f)
+        ] == sorted(
+            ((r, k) for c, r, k in valid if c == f),
+            key=lambda rk: (f.generators[rk[0]].name, rk[1]),
+        )
 
 
 def test_factor_search_lists_candidates_once_per_intermediate(monkeypatch):
     # the exhaustive search reaches most intermediates by several paths
-    real = birational.blow_down_candidates
+    real = birational.blow_downs
     calls = []
 
     def counting(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(birational, "blow_down_candidates", counting)
+    monkeypatch.setattr(birational, "blow_downs", counting)
     paths = birational.factor_morphism(
         blowup_chain(2, 4, 8), catalog.projective_space(4), exhaustive=True
     )
     assert len(paths) == 84
     assert len(calls) == len({fan.structural_key(f) for f in calls}) == 27
+
+
+def test_factor_search_builds_no_relation_table(monkeypatch, tower):
+    # W, the intermediate of Y -> X, is not Fano: its flag and the
+    # require_fano test read wall classes, not the table's witnesses
+    p4, x, _, y = tower
+    for module in (fan, mori, birational):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    no_relation_table(monkeypatch)
+    (path,) = birational.factor_morphism(y, x, exhaustive=True)
+    assert [s.fano for s in path.steps] == [False, True]
+    assert birational.factor_morphism(y, x, require_fano=True) == ()
+    assert birational.factor_morphism(blowup_chain(2, 4, 6), p4)
 
 
 def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):

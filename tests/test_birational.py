@@ -109,6 +109,20 @@ def test_candidate_validity_matches_contract(catalog_fans):
                     assert exc.value.witnesses == cand.obstruction
 
 
+@pytest.mark.slow  # reads the dimension-3 enumeration
+def test_local_blow_downs_match_valid_candidates(catalog_fans):
+    # same rays, collections and order, and equal targets, with no table
+    fans = (
+        list(catalog_fans.values())
+        + [f for d in (1, 2, 3) for f in catalog.enumerate_fano(d)]
+        + chain_prefixes()
+    )
+    for fan in fans:
+        valid = tuple(c for c in birational.blow_down_candidates(fan) if c.valid)
+        assert birational.blow_downs(fan) == valid
+    assert any(birational.blow_downs(fan) for fan in fans)
+
+
 # ---------------------------------------------------------------------------
 # valid blow-downs with the verdicts on their targets
 

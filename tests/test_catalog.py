@@ -184,8 +184,9 @@ def test_degree_prune_keeps_every_class(monkeypatch):
 
 def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
     """Kleiman's criterion, "every wall relation has sum(a_i) <= 1", read
-    through the rule helper, against the primitive-collection verdict, on
-    every fan of the seeded chains too, not only their last ones, W and the
+    through the enumerator's rule helper on vector cones, against the
+    degrees of the primitive relations and ``mori.is_fano``, on every fan of
+    the seeded chains too, not only their last ones, W and the
     non-projective threefold among them."""
     fans = (
         list(catalog_fans.values())
@@ -197,10 +198,11 @@ def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
     for fan in fans:
         cones = [tuple(sorted(fan.cone_vectors(c))) for c in fan.max_cones]
         by_rule = not any(
-            _fano3._breaks_fano(wall, _fano3._apex(a, wall), _fano3._apex(b, wall))
-            for wall, (a, b) in _fano3._wall_owners(cones).items()
+            _fano3._breaks_fano(cone, k, other[j])
+            for (cone, k), (other, j) in mori._wall_owners(cones).values()
         )
-        assert _fano3._fano_by_walls(cones) == by_rule == mori.is_fano(fan)[0]
+        by_degrees = all(r.degree > 0 for r in mori.primitive_relations(fan))
+        assert by_rule == by_degrees == mori.is_fano(fan)[0]
         verdicts.append(by_rule)
     assert (verdicts.count(True), verdicts.count(False)) == (15, 10)
     assert verdicts[5] is False and verdicts[-1] is False  # W, the threefold

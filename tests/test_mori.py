@@ -1,10 +1,19 @@
 from fractions import Fraction
 from itertools import combinations
 
-from toricfan import catalog, make_fan, mori, validate_fan
+import pytest
+
+from toricfan import (
+    InternalInconsistencyError,
+    catalog,
+    lattice,
+    make_fan,
+    mori,
+    validate_fan,
+)
 from toricfan.fan import resolve_cone
 
-from conftest import blowup_chain, twisted_threefold
+from conftest import blowup_chain, chain_prefixes, twisted_threefold
 from oracles import (
     brute_primitive_collections,
     fm_nonneg_combination_feasible,
@@ -310,6 +319,95 @@ def test_is_projective_agrees_with_fourier_motzkin(catalog_fans):
     for fan in fans:
         classes = [info.curve_class for info in mori.mori_cone(fan).relations]
         assert mori.is_projective(fan) == fm_positive_functional_exists(classes)
+
+
+def verdict_fans(catalog_fans, seeded_chains):
+    """Every fan the wall verdicts are checked on: P^1 (one wall, the zero
+    cone) is among the enumerations, the threefold is not projective."""
+    return (
+        list(catalog_fans.values())
+        + [f for d in (1, 2, 3) for f in catalog.enumerate_fano(d)]
+        + seeded_chains
+        + chain_prefixes()
+        + [twisted_threefold()]
+    )
+
+
+def is_relation(fan, cls):
+    return not any(
+        sum(c * v[j] for c, v in zip(cls, fan.vectors())) for j in range(fan.dim)
+    )
+
+
+@pytest.mark.slow  # reads the dimension-3 enumeration
+def test_wall_verdicts_match_table_and_oracle(catalog_fans, seeded_chains):
+    verdicts = []
+    for fan in verdict_fans(catalog_fans, seeded_chains):
+        walls = mori.wall_classes(fan)
+        assert list(walls) == sorted(set(walls))
+        assert all(is_relation(fan, c) for c in walls)
+        table = [mori.curve_class(fan, r) for r in mori.primitive_relations(fan)]
+        by_table = (
+            lattice.nonneg_rational_combination(
+                [c + (1,) for c in table], (0,) * len(fan.generators) + (1,)
+            )
+            is None
+        )
+        assert mori.is_projective(fan) == by_table
+        assert by_table == fm_positive_functional_exists(walls)
+        fano = all(r.degree > 0 for r in mori.primitive_relations(fan))
+        assert mori.is_fano_by_walls(fan) == mori.is_fano(fan)[0] == fano
+        verdicts.append((by_table, fano))
+    assert verdicts[-1] == (False, False)  # the threefold
+    assert 0 < sum(f for _, f in verdicts) < len(verdicts)
+
+
+def test_wall_and_primitive_classes_span_one_cone(catalog_fans):
+    # each side is a nonnegative combination of the other
+    fans = list(catalog_fans.values()) + chain_prefixes() + [twisted_threefold()]
+    for fan in fans:
+        walls = list(mori.wall_classes(fan))
+        table = [mori.curve_class(fan, r) for r in mori.primitive_relations(fan)]
+        for cls in table:
+            assert lattice.nonneg_rational_combination(walls, cls) is not None
+        for cls in walls:
+            assert lattice.nonneg_rational_combination(table, cls) is not None
+
+
+def test_wall_classes_y(tower):
+    # Y's 34 walls give 11 distinct classes; the extremal primitive classes
+    # are among them
+    _, _, _, y = tower
+    walls = mori.wall_classes(y)
+    assert len(walls) == 11
+    for info in mori.mori_cone(y).relations:
+        if info.extremal:
+            assert info.curve_class in walls
+
+
+# a=(1,0), b=(0,1), c=(-1,-1) with cones ab and bc: the rays a and c lie in
+# one maximal cone each
+INCOMPLETE = make_fan(
+    2, [("a", (1, 0)), ("b", (0, 1)), ("c", (-1, -1))], [(0, 1), (1, 2)]
+)
+# complete, but <a,b> = <(1,0),(1,2)> has determinant 2
+NON_UNIMODULAR = make_fan(
+    2, [("a", (1, 0)), ("b", (1, 2)), ("c", (-1, -1))], [(0, 1), (1, 2), (0, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "fan", [INCOMPLETE, NON_UNIMODULAR], ids=["incomplete", "non-unimodular"]
+)
+def test_verdicts_reject_bad_fans_with_typed_errors(fan):
+    for verdict in (
+        mori.wall_classes,
+        mori.is_fano_by_walls,
+        mori.is_projective,
+        mori.is_fano,
+    ):
+        with pytest.raises(InternalInconsistencyError):
+            verdict(fan)
 
 
 def test_is_fano_y(tower):
