@@ -15,7 +15,7 @@ coordinate of w on p to be -1 in the basis (wall, p), so
 w = sum(a_i * u_i) - p over the wall vectors u_i.
 
 Wall rule: once both cones of a wall are placed, its relation
-p + q = sum(a_i * u_i) (``mori._wall_coefficients``) is fixed, since no
+p + q = sum(a_i * u_i) (``fan._wall_coefficients``) is fixed, since no
 cone is ever removed, and -K is ample iff every such relation has degree
 2 - sum(a_i) > 0 (see ``mori.wall_classes``). So a branch is cut as soon
 as it closes a wall with sum(a_i) >= 2: the wall it expands, or any other
@@ -44,6 +44,8 @@ from .fan import (
     make_fan,
     validate_fan,
     _dual_rows,
+    _wall_coefficients,
+    _wall_owners,
 )
 
 MAX_VERTICES = 8
@@ -62,7 +64,7 @@ def _breaks_fano(cone, k, q) -> bool:
     ``cone[k]`` with apex q make a wall relation of anticanonical degree
     <= 0, that is, sum(a_i) >= 2. When q's coordinate on ``cone[k]`` is not
     -1 the pair is left to the face check, which rejects it."""
-    coeffs = mori._wall_coefficients(cone, k, q)
+    coeffs = _wall_coefficients(cone, k, q)
     return coeffs is not None and sum(coeffs) >= 2
 
 
@@ -101,7 +103,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
         if cones in visited:
             return
         visited.add(cones)
-        counts = mori._wall_owners(cones)
+        counts = _wall_owners(cones)
         if any(len(owners) > 2 for owners in counts.values()):
             raise InternalInconsistencyError("wall covered three times")
         open_walls = sorted(w for w, owners in counts.items() if len(owners) == 1)

@@ -115,7 +115,11 @@ def make_fan(
         gens.append(RayGenerator(name, v))
     cones = []
     for cone in max_cones:
-        idx = tuple(sorted(int(i) for i in cone))
+        raw = tuple(cone)
+        idx = tuple(map(int, raw))
+        if idx != raw:  # as in _integer_vector: never truncate
+            raise UnknownRayError(f"cone {raw!r}: ray index is not an integer")
+        idx = tuple(sorted(idx))
         for i in idx:
             if not 0 <= i < len(gens):
                 raise UnknownRayError(f"cone references ray index {i}")
@@ -144,6 +148,8 @@ def resolve_ray(fan: Fan, ray: int | str) -> int:
     if isinstance(ray, str):
         return fan.index_of(ray)
     i = int(ray)
+    if i != ray:
+        raise UnknownRayError(f"ray index {ray!r} is not an integer")
     if not 0 <= i < len(fan.generators):
         raise UnknownRayError(f"no ray with index {i}")
     return i
@@ -356,21 +362,26 @@ def validate_fan(fan: Fan) -> ValidationReport:
     faces_ok: no generator vector repeats, every generator is used and any
     two maximal cones intersect in the cone of their shared rays.
 
-    When the rest passes, the pairs are decided at once by ``_degree_one``:
-    (a) the two cones of every wall lie on opposite sides of it and (b) one
-    integer point x0, on no facet hyperplane, is interior to exactly one
-    maximal cone. By (a), crossing a wall off the (n-2)-skeleton swaps one
-    cone for one, so the number of cones holding a generic point is the
-    same everywhere (n >= 2; for n = 1, (a) alone forces the rays 1 and
-    -1), and (b) makes it 1. The same count in the quotient by a face F
-    shows that the cones containing F cover a neighbourhood of relint F.
-    So if x lies in cones s and s', with x in relint F for a face F of s,
-    the generic points of s' near x lie in a cone containing F, which can
-    only be s'; F is then the face of s' holding x, and every pair meets in
-    the cone of its shared rays. When (a) or (b) fails, every pair of cones
+    ``_walls`` decides all three in one pass over the walls: the cones are
+    unimodular, the generators distinct and used, each wall in two cones,
+    (a) on opposite sides of it, and (b) x0 = (1, t, ..., t^(n-1)), t = 1 +
+    the largest |entry| of a dual row, interior to exactly one cone; no dual
+    row vanishes at x0, as its top term outweighs the rest (Cauchy's bound).
+    By (a), crossing a wall off the (n-2)-skeleton swaps one cone for one,
+    so the number of cones holding a generic point is the same everywhere
+    (n >= 2; for n = 1, (a) alone forces the rays 1 and -1), and (b) makes
+    it 1; each component of the wall-adjacency graph adds at least 1 to it
+    at x0, so the graph is connected. The same count in the quotient by a
+    face F shows that the cones containing F cover a neighbourhood of
+    relint F. So if x lies in cones s and s', with x in relint F for a face
+    F of s, the generic points of s' near x lie in a cone containing F,
+    which can only be s'; F is then the face of s' holding x, and every
+    pair meets in the cone of its shared rays. Otherwise every pair of cones
     is tested with ``cones_meet_in_common_face`` (in integers when both are
     unimodular, by the exact LP otherwise) and each failure is named.
     """
+    if _walls(fan) is not None:
+        return ValidationReport(True, True, True, ())
     witnesses: list[str] = []
 
     smooth = True
@@ -433,8 +444,6 @@ def validate_fan(fan: Fan) -> ValidationReport:
         if i not in used:
             faces_ok = False
             witnesses.append(f"generator {g.name} lies in no maximal cone")
-    if smooth and complete and faces_ok and _degree_one(fan):
-        return ValidationReport(True, True, True, ())
     for ai, bi in combinations(range(len(fan.max_cones)), 2):
         a, b = fan.max_cones[ai], fan.max_cones[bi]
         if a == b:
@@ -453,25 +462,50 @@ def validate_fan(fan: Fan) -> ValidationReport:
     return ValidationReport(smooth, complete, faces_ok, tuple(witnesses))
 
 
-def _degree_one(fan: Fan) -> bool:
-    """Conditions (a) and (b) of ``validate_fan``, for a smooth fan with
-    every wall in two maximal cones. x0 = (1, t, ..., t^(n-1)) with t = 1 +
-    the largest |entry| of a dual row: on a nonzero row, the term of highest
-    degree outweighs the others (Cauchy's bound), so no row vanishes at x0."""
-    duals = [_dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones]
+def _wall_owners(cones) -> dict:
+    """wall -> [(cone, k), ...] over the cones holding it, k the position
+    of the cone's ray off the wall; cones are sorted tuples of ray indices
+    or of vectors."""
+    owners: dict = {}
+    for cone in cones:
+        k = len(cone)
+        for wall in combinations(cone, k - 1):  # drops the last ray first
+            k -= 1
+            owners.setdefault(wall, []).append((cone, k))
+    return owners
+
+
+def _wall_coefficients(cone, k: int, q) -> tuple[int, ...] | None:
+    """The a_i of the wall relation p + q = sum(a_i * u_i), p = cone[k] and
+    the u_i the other vectors of ``cone``, read off its cached dual rows;
+    None unless ``cone`` is unimodular and q has coordinate -1 on p, as the
+    apex of a unimodular cone across the wall has."""
+    dual = _dual_rows(cone)
+    if dual is None:
+        return None
+    coords = [lattice.dot(row, q) for row in dual]
+    return tuple(coords) if coords.pop(k) == -1 else None
+
+
+def _walls(fan: Fan) -> dict | None:
+    """The ``_wall_owners`` map of the maximal cones when the one-pass test
+    of ``validate_fan`` accepts the fan, else None."""
+    duals = {cone: _dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones}
     vectors = fan.vectors()
-    seen: dict[Cone, lattice.IntVector] = {}
-    for cone, dual in zip(fan.max_cones, duals):
-        for k, p in enumerate(cone):
-            wall = cone[:k] + cone[k + 1 :]
-            if wall not in seen:
-                seen[wall] = dual[k]
-            elif lattice.dot(seen[wall], vectors[p]) >= 0:
-                return False  # (a): both cones on one side of the wall
-    t = 1 + max(abs(x) for dual in duals for row in dual for x in row)
+    used = {i for cone in duals for i in cone}
+    if None in duals.values() or not 0 < len(used) == len(set(vectors)) == len(vectors):
+        return None
+    owners = _wall_owners(fan.max_cones)
+    for sides in owners.values():
+        if len(sides) != 2:
+            return None
+        (cone, k), (other, j) = sides
+        if lattice.dot(duals[cone][k], vectors[other[j]]) >= 0:
+            return None  # (a): both cones on one side of the wall
+    t = 1 + max(abs(x) for dual in duals.values() for row in dual for x in row)
     x0 = tuple(t**i for i in range(fan.dim))
-    inside = sum(all(lattice.dot(row, x0) > 0 for row in dual) for dual in duals)
-    return inside == 1  # (b)
+    inside = sum(all(lattice.dot(r, x0) > 0 for r in duals[c]) for c in fan.max_cones)
+    return owners if inside == 1 else None  # (b)
 
 
 # ---------------------------------------------------------------------------

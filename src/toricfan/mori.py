@@ -10,10 +10,10 @@ a finite, exact computation.
 
 ``primitive_relations`` is the one cached relation table per fan; the Mori
 cone, the Fano witnesses and blow-down reports read it. The Fano and
-projectivity verdicts read ``wall_classes``, the classes of the
-torus-invariant curves of the walls, instead: a divisor is ample iff it is
-positive on each (Reid, "Decomposition of toric morphisms", 1983; Cox,
-Little and Schenck, *Toric Varieties*, Thm 6.3.13).
+projectivity verdicts read ``wall_classes``, the curves of the walls of
+``fan._walls``, and raise on every fan ``validate_fan`` rejects: a divisor
+is ample iff it is positive on each (Reid, "Decomposition of toric
+morphisms", 1983; Cox, Little and Schenck, *Toric Varieties*, Thm 6.3.13).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable
 
 from . import lattice
 from .errors import InternalInconsistencyError
-from .fan import Cone, Fan, _cone_label, _dual_rows, locate_relint, resolve_cone
+from .fan import Cone, Fan, _wall_coefficients, _walls, locate_relint, resolve_cone
 
 
 @dataclass(frozen=True)
@@ -149,31 +149,6 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
     )
 
 
-def _wall_owners(cones) -> dict:
-    """wall -> [(cone, k), ...] over the cones holding it, k the position
-    of the cone's ray off the wall; cones are sorted tuples of ray indices
-    or of vectors."""
-    owners: dict = {}
-    for cone in cones:
-        k = len(cone)
-        for wall in combinations(cone, k - 1):  # drops the last ray first
-            k -= 1
-            owners.setdefault(wall, []).append((cone, k))
-    return owners
-
-
-def _wall_coefficients(cone, k: int, q) -> tuple[int, ...] | None:
-    """The a_i of the wall relation p + q = sum(a_i * u_i), p = cone[k] and
-    the u_i the other vectors of ``cone``, read off its cached dual rows;
-    None unless ``cone`` is unimodular and q has coordinate -1 on p, as the
-    apex of a unimodular cone across the wall has."""
-    dual = _dual_rows(cone)
-    if dual is None:
-        return None
-    coords = [lattice.dot(row, q) for row in dual]
-    return tuple(coords) if coords.pop(k) == -1 else None
-
-
 # the verdicts read a fan's classes right after they are computed and are
 # cached themselves, so a few fans' classes are enough to keep
 @lru_cache(maxsize=16)
@@ -183,21 +158,16 @@ def wall_classes(fan: Fan) -> tuple[tuple[int, ...], ...]:
     The wall between maximal cones sigma and sigma' with apexes p and q
     gives p + q = sum(a_i * u_i), the class +1 on p and q and -a_i on the
     u_i, of degree 2 - sum(a_i); the a_i come from the dual rows of sigma.
-    A wall that does not join two unimodular cones from opposite sides
-    raises ``InternalInconsistencyError``. Cached for the last 16 fans.
+    A fan that ``validate_fan`` rejects, where such wall-local verdicts are
+    unsound, raises ``InternalInconsistencyError``. Cached for 16 fans.
     """
+    walls = _walls(fan)
+    if walls is None:
+        raise InternalInconsistencyError(f"{fan!r} fails validate_fan")
     vectors = fan.vectors()
     classes = set()
-    for wall, sides in _wall_owners(fan.max_cones).items():
-        coeffs = None
-        if len(sides) == 2:
-            (cone, k), (other, j) = sides
-            coeffs = _wall_coefficients(fan.cone_vectors(cone), k, vectors[other[j]])
-        if coeffs is None:
-            raise InternalInconsistencyError(
-                f"wall {_cone_label(fan, wall)} does not join two unimodular"
-                " maximal cones from opposite sides"
-            )
+    for wall, ((cone, k), (other, j)) in walls.items():
+        coeffs = _wall_coefficients(fan.cone_vectors(cone), k, vectors[other[j]])
         entries = [0] * len(vectors)
         entries[cone[k]] = entries[other[j]] = 1
         for i, a in zip(wall, coeffs):

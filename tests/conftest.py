@@ -70,6 +70,17 @@ TWICE_WINDING = cycle_fan(
 # Smooth with every ray in two cones, but <r0,r1> folds back over the other
 # four cones: the support is only part of the plane.
 FOLDED_CYCLE = cycle_fan((1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1))
+# Two P^2 fans on disjoint rays, (1,0),(0,1),(-1,-1) and (-1,0),(0,-1),(1,1):
+# smooth, every wall in two cones on opposite sides, every point off the
+# rays in two maximal cones, and the wall-adjacency graph has two components.
+DOUBLE_P2 = make_fan(
+    2,
+    [
+        ("a", (1, 0)), ("b", (0, 1)), ("c", (-1, -1)),
+        ("d", (-1, 0)), ("e", (0, -1)), ("f", (1, 1)),
+    ],
+    [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+)
 # Two cones overlap in their interiors: <a,c> contains b.
 OVERLAPPING_TEXT = (
     "dim 2\nray a 1 0\nray b 1 1\nray c 0 1\nray d -1 -1\n"

@@ -195,11 +195,21 @@ def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
         calls.append((a_vecs, b_vecs))
         return real(a_vecs, b_vecs)
 
+    real_owners = fan._wall_owners
+    wall_passes = []
+
+    def counting_owners(cones):
+        wall_passes.append(cones)
+        return real_owners(cones)
+
     monkeypatch.setattr(fan, "cones_meet_in_common_face", counting)
+    monkeypatch.setattr(fan, "_wall_owners", counting_owners)
     fans = list(catalog_fans.values()) + chain_prefixes() + catalog.enumerate_fano(2)
     for f in fans:
         assert fan.validate_fan(f).ok
     assert calls == []
+    # one pass over the walls per valid fan
+    assert wall_passes == [f.max_cones for f in fans]
     assert not fan.validate_fan(TWICE_WINDING).ok
     assert len(calls) > 0
 

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from toricfan import _fano3, catalog, mori
+from toricfan import _fano3, catalog, fan as fan_module, mori
 from toricfan import canonical_gl_key, fan_isomorphism
 from toricfan import validate_fan
 from toricfan.errors import InvalidDimensionError, UnsupportedDimensionError
@@ -199,7 +199,7 @@ def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
         cones = [tuple(sorted(fan.cone_vectors(c))) for c in fan.max_cones]
         by_rule = not any(
             _fano3._breaks_fano(cone, k, other[j])
-            for (cone, k), (other, j) in mori._wall_owners(cones).values()
+            for (cone, k), (other, j) in fan_module._wall_owners(cones).values()
         )
         by_degrees = all(r.degree > 0 for r in mori.primitive_relations(fan))
         assert by_rule == by_degrees == mori.is_fano(fan)[0]

@@ -11,6 +11,7 @@ from toricfan import (
     DimensionMismatchError,
     DuplicateNameError,
     FanSyntaxError,
+    InternalInconsistencyError,
     NameCollisionError,
     NoBlowdownRelationError,
     StarConditionViolatedError,
@@ -23,6 +24,7 @@ from toricfan import (
     lattice,
     locate_relint,
     make_fan,
+    mori,
     parse_fan,
     refines,
     serialize_fan,
@@ -35,6 +37,7 @@ from toricfan import fan as fan_module
 from toricfan.fan import _auto_name
 
 from conftest import (
+    DOUBLE_P2,
     FOLDED_CYCLE,
     OVERLAPPING_TEXT,
     TWICE_WINDING,
@@ -254,9 +257,9 @@ def test_complete_cycles_that_are_not_fans():
         report = validate_fan(f)
         assert report.smooth and report.complete and not report.faces_ok
         assert report.witnesses
-        assert fan_module._degree_one(f) is False
+        assert fan_module._walls(f) is None
     for f in catalog.enumerate_fano(2):
-        assert fan_module._degree_one(f) is True
+        assert fan_module._walls(f) is not None
 
 
 GL_TWISTS = {
@@ -308,14 +311,32 @@ def _face_check_inputs(catalog_fans):
         + twisted
         + deleted
         + _single_ray_moves(chains, 20, 7)
-        + [parse_fan(OVERLAPPING_TEXT), FOLDED_CYCLE, ZIGZAG_CYCLE, TWICE_WINDING]
+        + [
+            parse_fan(OVERLAPPING_TEXT),
+            FOLDED_CYCLE,
+            ZIGZAG_CYCLE,
+            TWICE_WINDING,
+            DOUBLE_P2,
+        ]
     )
+
+
+def _raises_inconsistency(verdict, f):
+    try:
+        verdict(f)
+    except InternalInconsistencyError:
+        return True
+    return False
 
 
 def test_linear_face_check_matches_all_pairs_and_oracle(monkeypatch, catalog_fans):
     fans = _face_check_inputs(catalog_fans)
     linear = [validate_fan(f) for f in fans]
-    monkeypatch.setattr(fan_module, "_degree_one", lambda f: False)
+    # the wall verdicts are decided exactly on the fans validation accepts
+    for f, report in zip(fans, linear):
+        for verdict in (mori.wall_classes, mori.is_fano_by_walls, mori.is_projective):
+            assert _raises_inconsistency(verdict, f) != report.ok, serialize_fan(f)
+    monkeypatch.setattr(fan_module, "_walls", lambda f: None)
     pairs = [validate_fan(f) for f in fans]
     for f, fast, slow in zip(fans, linear, pairs):
         assert fast == slow, serialize_fan(f)
@@ -379,10 +400,22 @@ def test_non_integer_dimension_is_rejected(dim):
         make_fan(dim, [("a", (1, 0)), ("b", (0, 1))], [(0, 1)])
 
 
+@pytest.mark.parametrize("index", [1.9, 1.5, Fraction(1, 2)])
+def test_non_integer_ray_index_is_rejected(index):
+    # int() alone would truncate: (0, 1.9) became the cone (0, 1), and
+    # star_subdivide(P2, (0, 1.5)) subdivided <e0,e1>
+    with pytest.raises(UnknownRayError, match="not an integer"):
+        make_fan(2, [("a", (1, 0)), ("b", (0, 1))], [(0, index)])
+    p2 = catalog.projective_space(2)
+    with pytest.raises(UnknownRayError, match="not an integer"):
+        star_subdivide(p2, (0, index))
+    # an integral value of another type is still an index
+    assert fan_module.resolve_ray(p2, Fraction(2)) == 2
+    assert fan_module.resolve_ray(p2, 2.0) == 2
+
+
 def test_locate_relint_rejects_incomplete_fan():
     fan = parse_fan("dim 2\nray a 1 0\nray b 0 1\nmaxcone a b\n")
-    from toricfan import InternalInconsistencyError
-
     with pytest.raises(InternalInconsistencyError):
         locate_relint(fan, (-1, -1))
 

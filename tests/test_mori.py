@@ -13,7 +13,15 @@ from toricfan import (
 )
 from toricfan.fan import resolve_cone
 
-from conftest import blowup_chain, chain_prefixes, twisted_threefold
+from conftest import (
+    DOUBLE_P2,
+    FOLDED_CYCLE,
+    TWICE_WINDING,
+    ZIGZAG_CYCLE,
+    blowup_chain,
+    chain_prefixes,
+    twisted_threefold,
+)
 from oracles import (
     brute_primitive_collections,
     fm_nonneg_combination_feasible,
@@ -396,8 +404,34 @@ NON_UNIMODULAR = make_fan(
 )
 
 
+# P^2 with one more generator, (1,1), that lies in no maximal cone
+UNUSED_RAY = make_fan(
+    2,
+    [("a", (1, 0)), ("b", (0, 1)), ("c", (-1, -1)), ("d", (1, 1))],
+    [(0, 1), (1, 2), (0, 2)],
+)
+
+
 @pytest.mark.parametrize(
-    "fan", [INCOMPLETE, NON_UNIMODULAR], ids=["incomplete", "non-unimodular"]
+    "fan",
+    [
+        INCOMPLETE,
+        NON_UNIMODULAR,
+        TWICE_WINDING,
+        FOLDED_CYCLE,
+        ZIGZAG_CYCLE,
+        DOUBLE_P2,
+        UNUSED_RAY,
+    ],
+    ids=[
+        "incomplete",
+        "non-unimodular",
+        "twice-winding",
+        "folded",
+        "zigzag",
+        "double-p2",
+        "unused-ray",
+    ],
 )
 def test_verdicts_reject_bad_fans_with_typed_errors(fan):
     for verdict in (
