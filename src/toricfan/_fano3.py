@@ -23,10 +23,18 @@ facet of the new cone that meets an open wall. Every closed complex is
 then Fano; on each, the wall verdict of ``mori.is_fano`` is checked
 against the degrees of the primitive relations.
 
-Vertex and cone counts are capped (8 vertices, hence at most
-2*8 - 4 = 12 cones for a simplicial 2-sphere) and vertex coordinates lie
-in [-2, 2]; the caps are validated by reproducing the known
-classification counts 1, 5 and 18.
+No visited set is kept, as no complex is reached twice: two paths first
+differ where they put different cones on one open wall, both cones hold
+it, and no step gives a closed wall a third owner. Nor is a new cone ever
+already in the complex: it holds the open wall, whose only owner has apex
+p, and its own apex w has coordinate -1 on p, so it is not that owner.
+
+The caps are 8 vertices and coordinates in [-2, 2], validated by
+reproducing the known counts 1, 5 and 18. Cones need no cap: the cones of
+an open complex meet in common faces, so in dimension 3 they triangulate
+part of the sphere with V <= 8 vertices, by Euler's formula in at most
+2V - 5 <= 11 cones (2V - 4 only if the sphere is covered and no wall is
+open); in dimension 2 they form a path of at most V - 1 cones.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ from .fan import (
 )
 
 MAX_VERTICES = 8
-MAX_CONES = 2 * MAX_VERTICES - 4
 COORD_BOUND = 2
 
 
@@ -91,23 +98,20 @@ def _fan_from_cones(dim: int, cones) -> Fan:
 
 
 def enumerate_fano_fans(dim: int) -> list[Fan]:
-    """All smooth toric Fano fans of dimension ``dim`` within the caps, up
-    to GL(dim,Z), in canonical-key order."""
+    """All smooth toric Fano fans of dimension ``dim`` within the vertex
+    cap and the coordinate bound, up to GL(dim,Z), in canonical-key order."""
     start = tuple(
         sorted(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     )
     found: dict = {}
-    visited: set = set()
 
     def grow(cones: frozenset):
-        if cones in visited:
-            return
-        visited.add(cones)
         counts = _wall_owners(cones)
         if any(len(owners) > 2 for owners in counts.values()):
             raise InternalInconsistencyError("wall covered three times")
-        open_walls = sorted(w for w, owners in counts.items() if len(owners) == 1)
-        if not open_walls:
+        # the smallest open wall, None once the complex is closed
+        wall = min((w for w, o in counts.items() if len(o) == 1), default=None)
+        if wall is None:
             fan = _fan_from_cones(dim, cones)
             if not validate_fan(fan).ok:
                 raise InternalInconsistencyError(
@@ -121,17 +125,12 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             if fano:
                 found.setdefault(canonical_gl_key(fan), fan)
             return
-        if len(cones) >= MAX_CONES:
-            return
-        wall = open_walls[0]
         ((owner, k),) = counts[wall]
         vertices = {x for cone in cones for x in cone}
         for w in _candidates(owner, k):
             if w not in vertices and len(vertices) >= MAX_VERTICES:
                 continue
             new_cone = tuple(sorted(wall + (w,)))
-            if new_cone in cones:
-                continue
             # (facet, apex of new_cone off it) for every other facet;
             # combinations drops the last ray first
             facets = [

@@ -107,7 +107,8 @@ def make_fan(
         if name in seen:
             raise DuplicateNameError(f"duplicate ray name {name!r}")
         seen.add(name)
-        v = _integer_vector(vec, f"ray {name!r}")
+        bad = f"ray {name!r}: coordinates must be integers"
+        v = _integers(vec, FanSyntaxError, bad)
         if len(v) != dim:
             raise DimensionMismatchError(
                 f"ray {name!r}: expected {dim} coordinates, got {len(v)}"
@@ -116,10 +117,8 @@ def make_fan(
     cones = []
     for cone in max_cones:
         raw = tuple(cone)
-        idx = tuple(map(int, raw))
-        if idx != raw:  # as in _integer_vector: never truncate
-            raise UnknownRayError(f"cone {raw!r}: ray index is not an integer")
-        idx = tuple(sorted(idx))
+        bad = f"cone {raw!r}: ray index is not an integer"
+        idx = tuple(sorted(_integers(raw, UnknownRayError, bad)))
         for i in idx:
             if not 0 <= i < len(gens):
                 raise UnknownRayError(f"cone references ray index {i}")
@@ -133,23 +132,24 @@ def make_fan(
     return Fan(dim, tuple(gens), tuple(sorted(cones)))
 
 
-def _integer_vector(coords: Iterable, what: str) -> lattice.IntVector:
-    """The coordinates as ints; a value that is not an integer is an error,
-    never truncated."""
-    raw = tuple(coords)
-    vec = tuple(int(c) for c in raw)
-    if vec != raw:
-        raise FanSyntaxError(f"{what}: coordinates must be integers")
-    return vec
+def _integers(values: Iterable, error: type, message: str) -> tuple[int, ...]:
+    """The values as ints, never truncated: anything else (1.5, NaN, an
+    infinity, None) raises ``error(message)``."""
+    raw = tuple(values)
+    try:
+        ints = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != raw:
+        raise error(message)
+    return ints
 
 
 def resolve_ray(fan: Fan, ray: int | str) -> int:
     """Ray index from a name or an index, with range checking."""
     if isinstance(ray, str):
         return fan.index_of(ray)
-    i = int(ray)
-    if i != ray:
-        raise UnknownRayError(f"ray index {ray!r} is not an integer")
+    (i,) = _integers((ray,), UnknownRayError, f"ray index {ray!r} is not an integer")
     if not 0 <= i < len(fan.generators):
         raise UnknownRayError(f"no ray with index {i}")
     return i
@@ -364,21 +364,20 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
     ``_walls`` decides all three in one pass over the walls: the cones are
     unimodular, the generators distinct and used, each wall in two cones,
-    (a) on opposite sides of it, and (b) x0 = (1, t, ..., t^(n-1)), t = 1 +
-    the largest |entry| of a dual row, interior to exactly one cone; no dual
-    row vanishes at x0, as its top term outweighs the rest (Cauchy's bound).
-    By (a), crossing a wall off the (n-2)-skeleton swaps one cone for one,
-    so the number of cones holding a generic point is the same everywhere
-    (n >= 2; for n = 1, (a) alone forces the rays 1 and -1), and (b) makes
-    it 1; each component of the wall-adjacency graph adds at least 1 to it
-    at x0, so the graph is connected. The same count in the quotient by a
-    face F shows that the cones containing F cover a neighbourhood of
-    relint F. So if x lies in cones s and s', with x in relint F for a face
-    F of s, the generic points of s' near x lie in a cone containing F,
-    which can only be s'; F is then the face of s' holding x, and every
-    pair meets in the cone of its shared rays. Otherwise every pair of cones
-    is tested with ``cones_meet_in_common_face`` (in integers when both are
-    unimodular, by the exact LP otherwise) and each failure is named.
+    (a) on opposite sides of it, and (b) x0, the sum of the first cone's
+    generators, in no other cone. By (a), crossing a wall off the
+    (n-2)-skeleton swaps one cone for one, so every generic point lies in
+    the same number d of cones (n >= 2; for n = 1, (a) alone forces the rays
+    1 and -1). As x0 is interior to the first cone, (b) makes d = 1, and as
+    each component of the wall-adjacency graph adds at least 1 to d, the
+    graph is connected. The same count in the quotient by a face F shows
+    that the cones containing F cover a neighbourhood of relint F. So if x
+    lies in cones s and s', with x in relint F for a face F of s, the
+    generic points of s' near x lie in a cone containing F, which can only
+    be s'; F is then the face of s' holding x, and every pair meets in the
+    cone of its shared rays. Otherwise every pair of cones is tested with
+    ``cones_meet_in_common_face`` (in integers when both are unimodular, by
+    the exact LP otherwise) and each failure is named.
     """
     if _walls(fan) is not None:
         return ValidationReport(True, True, True, ())
@@ -502,10 +501,11 @@ def _walls(fan: Fan) -> dict | None:
         (cone, k), (other, j) = sides
         if lattice.dot(duals[cone][k], vectors[other[j]]) >= 0:
             return None  # (a): both cones on one side of the wall
-    t = 1 + max(abs(x) for dual in duals.values() for row in dual for x in row)
-    x0 = tuple(t**i for i in range(fan.dim))
-    inside = sum(all(lattice.dot(r, x0) > 0 for r in duals[c]) for c in fan.max_cones)
-    return owners if inside == 1 else None  # (b)
+    first, *others = fan.max_cones
+    x0 = tuple(map(sum, zip(*fan.cone_vectors(first))))
+    if any(all(lattice.dot(r, x0) >= 0 for r in duals[c]) for c in others):
+        return None  # (b): x0, interior to the first cone, lies in another
+    return owners
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,7 @@ def locate_relint(
     integer coefficients over its generators; the zero vector yields the
     zero cone with no coefficients. Requires a valid complete fan.
     """
-    pt = _integer_vector(point, "point")
+    pt = _integers(point, FanSyntaxError, "point: coordinates must be integers")
     if len(pt) != fan.dim:
         raise DimensionMismatchError(
             f"point has {len(pt)} coordinates in a dim-{fan.dim} fan"

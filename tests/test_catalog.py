@@ -145,20 +145,36 @@ def test_enumerate_dim2_deterministic():
 
 def closed_complexes(monkeypatch, dims):
     """Every complex the search closes, per dimension, with the classes it
-    returns."""
+    returns. Every complex the search enters is checked against the two
+    facts that let it keep no visited set and no cone cap: none is entered
+    twice, and an open one has at most V - 1 cones in dimension 2 and
+    2V - 5 in dimension 3, V its number of vertices."""
     closed = []
-    real = _fano3._fan_from_cones
+    entered = []
+    real_fan, real_owners = _fano3._fan_from_cones, _fano3._wall_owners
 
     def record(dim, cones):
-        fan = real(dim, cones)
+        fan = real_fan(dim, cones)
         closed[-1].append(fan)
         return fan
 
+    def enter(cones):  # grow calls it once per complex it enters
+        entered.append(cones)
+        return real_owners(cones)
+
     monkeypatch.setattr(_fano3, "_fan_from_cones", record)
+    monkeypatch.setattr(_fano3, "_wall_owners", enter)
     keys = []
     for d in dims:
         closed.append([])
+        entered.clear()
         keys.append([canonical_gl_key(f) for f in _fano3.enumerate_fano_fans(d)])
+        assert len(set(entered)) == len(entered) > len(closed[-1])
+        for cones in entered:
+            if all(len(o) == 2 for o in real_owners(cones).values()):
+                continue  # closed
+            v = len({x for cone in cones for x in cone})
+            assert len(cones) <= {1: 1, 2: v - 1, 3: 2 * v - 5}[d]
     return keys, closed
 
 

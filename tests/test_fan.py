@@ -385,6 +385,12 @@ def test_non_integral_coordinates_are_rejected(tower):
         make_fan(2, [("a", (1.5, 0)), ("b", (0, 1))], [(0, 1)])
     with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
         locate_relint(catalog.projective_space(2), (Fraction(1, 2), 0))
+    # int() alone raises ValueError, OverflowError or TypeError on these
+    for bad in (float("nan"), float("inf"), -float("inf"), None):
+        with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
+            make_fan(2, [("a", (bad, 0)), ("b", (0, 1))], [(0, 1)])
+        with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
+            locate_relint(catalog.projective_space(2), (1, bad))
     p4 = tower[0]
     assert locate_relint(p4, (Fraction(2), 1.0, 0, 0)) == locate_relint(
         p4, (2, 1, 0, 0)
@@ -400,15 +406,20 @@ def test_non_integer_dimension_is_rejected(dim):
         make_fan(dim, [("a", (1, 0)), ("b", (0, 1))], [(0, 1)])
 
 
-@pytest.mark.parametrize("index", [1.9, 1.5, Fraction(1, 2)])
+@pytest.mark.parametrize(
+    "index", [1.9, 1.5, Fraction(1, 2), float("nan"), float("inf"), None]
+)
 def test_non_integer_ray_index_is_rejected(index):
     # int() alone would truncate: (0, 1.9) became the cone (0, 1), and
-    # star_subdivide(P2, (0, 1.5)) subdivided <e0,e1>
+    # star_subdivide(P2, (0, 1.5)) subdivided <e0,e1>; on NaN, inf and None
+    # it raises ValueError, OverflowError and TypeError
     with pytest.raises(UnknownRayError, match="not an integer"):
         make_fan(2, [("a", (1, 0)), ("b", (0, 1))], [(0, index)])
     p2 = catalog.projective_space(2)
     with pytest.raises(UnknownRayError, match="not an integer"):
         star_subdivide(p2, (0, index))
+    with pytest.raises(UnknownRayError, match="not an integer"):
+        fan_module.resolve_ray(p2, index)
     # an integral value of another type is still an index
     assert fan_module.resolve_ray(p2, Fraction(2)) == 2
     assert fan_module.resolve_ray(p2, 2.0) == 2
