@@ -29,12 +29,13 @@ it, and no step gives a closed wall a third owner. Nor is a new cone ever
 already in the complex: it holds the open wall, whose only owner has apex
 p, and its own apex w has coordinate -1 on p, so it is not that owner.
 
-The caps are 8 vertices and coordinates in [-2, 2], validated by
-reproducing the known counts 1, 5 and 18. Cones need no cap: the cones of
-an open complex meet in common faces, so in dimension 3 they triangulate
-part of the sphere with V <= 8 vertices, by Euler's formula in at most
-2V - 5 <= 11 cones (2V - 4 only if the sphere is covered and no wall is
-open); in dimension 2 they form a path of at most V - 1 cones.
+The rays of a smooth Fano fan are the vertices of a simplicial reflexive
+polytope, at most 3n - (n mod 2) in dimension n (Casagrande, *Ann. Inst.
+Fourier* 56, 2006), so no complex grows past 2, 6 or 8 rays. The one tuned
+cap, ``COORD_BOUND``, keeps coordinates in [-2, 2]; the known counts 1, 5
+and 18 validate it. Cones need no cap: an open complex's cones meet in
+common faces, so they number at most V - 1 in dimension 2 (a path) and
+2V - 5 <= 11 in dimension 3 (part of a triangulated sphere, by Euler).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .fan import (
     _wall_owners,
 )
 
-MAX_VERTICES = 8
 COORD_BOUND = 2
 
 
@@ -98,8 +98,9 @@ def _fan_from_cones(dim: int, cones) -> Fan:
 
 
 def enumerate_fano_fans(dim: int) -> list[Fan]:
-    """All smooth toric Fano fans of dimension ``dim`` within the vertex
-    cap and the coordinate bound, up to GL(dim,Z), in canonical-key order."""
+    """All smooth toric Fano fans of dimension ``dim`` within the
+    coordinate bound, up to GL(dim,Z), in canonical-key order."""
+    max_vertices = 3 * dim - dim % 2  # Casagrande's bound
     start = tuple(
         sorted(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     )
@@ -128,7 +129,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
         ((owner, k),) = counts[wall]
         vertices = {x for cone in cones for x in cone}
         for w in _candidates(owner, k):
-            if w not in vertices and len(vertices) >= MAX_VERTICES:
+            if w not in vertices and len(vertices) >= max_vertices:
                 continue
             new_cone = tuple(sorted(wall + (w,)))
             # (facet, apex of new_cone off it) for every other facet;

@@ -1,14 +1,14 @@
 """Blow-down discovery and factorization of refinement morphisms.
 
-A blow-down is a relation x1+...+xh = x (single target ray with
-coefficient 1) along which ``fan.contract_ray`` succeeds. This module alone
-decides which relations are tried: ``blow_downs`` finds the valid ones
-around each ray, ``blow_down_candidates`` tests the primitive relations of
-that shape for the reports, and ``blow_down`` picks the collection for a
-bare ray. Factorization searches for chains of valid blow-downs carrying a
-fine fan onto a coarse one it refines, depth-first with one memo of the
-step suffixes below each intermediate, optionally insisting that every
-strict intermediate be Fano.
+A blow-down is a relation x1+...+xh = x along which ``fan.contract_ray``
+succeeds. This module alone decides which are tried, by one shape rule: the
+collection's vectors sum to the generator x. ``blow_downs`` finds the valid
+ones around each ray, ``blow_down_candidates`` lists the primitive
+collections of that shape for the reports, and ``blow_down`` picks the
+collection for a bare ray. Factorization searches for chains of valid
+blow-downs carrying a fine fan onto a coarse one it refines, depth-first
+with one memo of the step suffixes below each intermediate, optionally
+insisting that every strict intermediate be Fano.
 """
 
 from __future__ import annotations
@@ -61,17 +61,15 @@ class FactorizationPath:
     steps: tuple[FactorStep, ...]
 
 
-def _contracted(fan: Fan, rels) -> tuple[BlowdownCandidate, ...]:
-    """Each relation x1+...+xh = x tested by ``contract_ray``, the one
-    validity rule, which validates the contracted fan in full (in time
-    linear in its number of cones when the contraction is valid). Ordered
-    by contracted ray name, then by collection."""
+def _contracted(fan: Fan, pairs) -> tuple[BlowdownCandidate, ...]:
+    """Each pair (x, collection), the collection's vectors summing to the
+    generator x, tested by ``contract_ray``, the one validity rule, and
+    ordered by the name of x, then by collection."""
     out = []
-    for rel in sorted(
-        rels, key=lambda r: (fan.generators[r.target[0]].name, r.collection)
-    ):
+    for x, coll in sorted(pairs, key=lambda p: (fan.generators[p[0]].name, p[1])):
+        rel = mori.PrimitiveRelation(coll, (x,), (1,), len(coll) - 1)
         try:
-            target = contract_ray(fan, rel.target[0], rel.collection)
+            target = contract_ray(fan, x, coll)
         except StarConditionViolatedError as exc:
             out.append(BlowdownCandidate(rel, False, exc.witnesses, None))
         else:
@@ -86,12 +84,11 @@ def blow_downs(fan: Fan) -> tuple[BlowdownCandidate, ...]:
     maximal cone holding x (Batyrev, *Tohoku Math. J.* 43, 1991); so for
     each ray x and one maximal cone sigma holding it, each nonempty subset
     S of sigma without x with v_x - sum(S) a generator y gives S plus y to
-    try. Cached per fan (``lru_cache``, 4096 fans).
-    """
+    try. Cached per fan (``lru_cache``, 4096 fans)."""
     index = {v: i for i, v in enumerate(fan.vectors())}
     # the first maximal cone holding each ray
     around = {x: mc for mc in reversed(fan.max_cones) for x in mc}
-    rels = []
+    pairs = []
     for x, sigma in around.items():
         rest = [i for i in sigma if i != x]
         for size in range(1, len(rest) + 1):
@@ -99,21 +96,23 @@ def blow_downs(fan: Fan) -> tuple[BlowdownCandidate, ...]:
                 diff = zip(fan.generators[x].vector, *fan.cone_vectors(sub))
                 y = index.get(tuple(v - sum(us) for v, *us in diff))
                 if y is not None:
-                    coll = tuple(sorted(sub + (y,)))
-                    rels.append(mori.PrimitiveRelation(coll, (x,), (1,), len(coll) - 1))
-    return tuple(c for c in _contracted(fan, rels) if c.valid)
+                    pairs.append((x, tuple(sorted(sub + (y,)))))
+    return tuple(c for c in _contracted(fan, pairs) if c.valid)
 
 
 @lru_cache(maxsize=4096)
 def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
-    """Every relation of blow-down shape in the cached
-    ``mori.primitive_relations`` table, with the obstructions of those that
-    fail: what the reports list. Cached per fan (``lru_cache``, 4096
-    fans)."""
-    return _contracted(
-        fan,
-        (r for r in mori.primitive_relations(fan) if r.coefficients == (1,)),
-    )
+    """Each primitive collection whose vectors sum to a generator, with the
+    obstructions of those that fail: what the reports list. Raises on a fan
+    ``validate_fan`` rejects, via ``mori.wall_classes``; cached (4096 fans)."""
+    mori.wall_classes(fan)  # the check only; the classes are not read
+    index = {v: i for i, v in enumerate(fan.vectors())}
+    pairs = []
+    for coll in mori.primitive_collections(fan):
+        x = index.get(tuple(map(sum, zip(*fan.cone_vectors(coll)))))
+        if x is not None:
+            pairs.append((x, coll))
+    return _contracted(fan, pairs)
 
 
 def blow_down(

@@ -134,13 +134,13 @@ def make_fan(
 
 def _integers(values: Iterable, error: type, message: str) -> tuple[int, ...]:
     """The values as ints, never truncated: anything else (1.5, NaN, an
-    infinity, None) raises ``error(message)``."""
+    infinity, None, a bool) raises ``error(message)``."""
     raw = tuple(values)
     try:
         ints = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):
         ints = None
-    if ints != raw:
+    if ints != raw or bool in map(type, raw):
         raise error(message)
     return ints
 

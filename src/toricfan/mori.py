@@ -2,18 +2,18 @@
 
 A primitive collection is a minimal non-face of the fan: a generator set
 spanning no cone all of whose one-element deletions span cones. Its
-associated relation locates the sum of the collection's vectors in the
-unique cone holding it in its relative interior; the resulting integer
-relation among generators is a curve class. The classes of the primitive
-relations generate the cone of effective curves, which makes extremality
-a finite, exact computation.
+relation locates the sum of the collection's vectors in the unique cone
+holding it in its relative interior; the resulting integer relation among
+generators is a curve class. The primitive classes generate the cone of
+effective curves, which makes extremality a finite, exact computation.
 
-``primitive_relations`` is the one cached relation table per fan; the Mori
-cone, the Fano witnesses and blow-down reports read it. The Fano and
-projectivity verdicts read ``wall_classes``, the curves of the walls of
-``fan._walls``, and raise on every fan ``validate_fan`` rejects: a divisor
-is ample iff it is positive on each (Reid, "Decomposition of toric
-morphisms", 1983; Cox, Little and Schenck, *Toric Varieties*, Thm 6.3.13).
+``primitive_relations`` is the one cached relation table per fan, read by
+the Mori cone, the Fano witnesses, the reports' degree column and the Fano
+enumerator's cross-check. The verdicts read ``wall_classes``, the curves
+of the walls of ``fan._walls``, and raise on every fan ``validate_fan``
+rejects: a divisor is ample iff it is positive on each (Reid,
+"Decomposition of toric morphisms", 1983; Cox, Little and Schenck, *Toric
+Varieties*, Thm 6.3.13).
 """
 
 from __future__ import annotations

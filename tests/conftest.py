@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from toricfan import catalog, make_fan, star_subdivide
+from toricfan import birational, catalog, make_fan, mori, star_subdivide
+from toricfan import fan as fan_module
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,14 @@ def blowup_chain(seed, dim, steps):
         )
         fan = star_subdivide(fan, rng.choice(faces))
     return fan
+
+
+def clear_package_caches():
+    """Every cache a factorization reads; the Fano enumeration's are kept."""
+    for module in (fan_module, mori, birational):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 @pytest.fixture(scope="session")

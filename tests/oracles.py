@@ -2,8 +2,8 @@
 
 Each oracle re-decides a question answered by the library through a
 different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
-exhaustive subset or grid search, a simplex pivoting over Fraction) so that
-the two sides check each other.
+exhaustive subset or grid search, a simplex pivoting over Fraction, the
+located primitive-relation table) so that the two sides check each other.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from toricfan.errors import DimensionMismatchError
+from toricfan import birational, mori
+from toricfan.errors import DimensionMismatchError, StarConditionViolatedError
+from toricfan.fan import contract_ray
 
 
 def permutation_determinant(rows) -> int:
@@ -308,3 +310,22 @@ def _cones_overlap(a_vecs, b_vecs) -> bool:
     off = [int(u not in b_vecs) for u in a_vecs]
     off += [int(v not in a_vecs) for v in b_vecs]
     return fraction_phase1_simplex(rows + [off], [0] * n + [1]) is not None
+
+
+def table_blow_down_candidates(fan):
+    """Blow-down candidates read off the located relation table: every
+    relation of ``mori.primitive_relations`` with the single coefficient 1,
+    x1+...+xh = x, contracted, ordered by the name of x, then by
+    collection."""
+    rels = [r for r in mori.primitive_relations(fan) if r.coefficients == (1,)]
+    out = []
+    for rel in sorted(
+        rels, key=lambda r: (fan.generators[r.target[0]].name, r.collection)
+    ):
+        try:
+            target = contract_ray(fan, rel.target[0], rel.collection)
+        except StarConditionViolatedError as exc:
+            out.append(birational.BlowdownCandidate(rel, False, exc.witnesses, None))
+        else:
+            out.append(birational.BlowdownCandidate(rel, True, None, target))
+    return tuple(out)

@@ -14,9 +14,15 @@ import importlib
 from itertools import combinations
 from pathlib import Path
 
-from toricfan import birational, catalog, fan, lattice, mori
+from toricfan import birational, catalog, cli, fan, lattice, mori
 
-from conftest import NON_SMOOTH_OVERLAP, TWICE_WINDING, blowup_chain, chain_prefixes
+from conftest import (
+    NON_SMOOTH_OVERLAP,
+    TWICE_WINDING,
+    blowup_chain,
+    chain_prefixes,
+    clear_package_caches,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -68,13 +74,17 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     assert len(calls) > before
 
 
-def no_relation_table(monkeypatch):
-    """Make every entry into the primitive-relation table raise."""
+def no_relation_table(
+    monkeypatch,
+    names=("primitive_collections", "primitive_relation", "primitive_relations"),
+):
+    """Make every entry into the primitive-relation table raise: by default
+    the collections too, with ``names`` only the located relations."""
 
     def refuse(*args):
         raise AssertionError("built the primitive-relation table")
 
-    for name in ("primitive_collections", "primitive_relation", "primitive_relations"):
+    for name in names:
         monkeypatch.setattr(mori, name, refuse)
 
 
@@ -176,15 +186,29 @@ def test_factor_search_builds_no_relation_table(monkeypatch, tower):
     # W, the intermediate of Y -> X, is not Fano: its flag and the
     # require_fano test read wall classes, not the table's witnesses
     p4, x, _, y = tower
-    for module in (fan, mori, birational):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    clear_package_caches()
     no_relation_table(monkeypatch)
     (path,) = birational.factor_morphism(y, x, exhaustive=True)
     assert [s.fano for s in path.steps] == [False, True]
     assert birational.factor_morphism(y, x, require_fano=True) == ()
     assert birational.factor_morphism(blowup_chain(2, 4, 6), p4)
+
+
+def test_blow_down_reports_locate_no_relation(monkeypatch, tower, tmp_path, capsys):
+    # the candidates read the primitive collections, never the located
+    # relations: not for the list, a bare blow-down or the CLI report
+    _, _, w, y = tower
+    path = tmp_path / "y.fan"
+    path.write_text(fan.serialize_fan(y), encoding="utf-8")
+    clear_package_caches()
+    no_relation_table(monkeypatch, ("primitive_relation", "primitive_relations"))
+    assert len(birational.blow_down_candidates(y)) == 4
+    # cleared so that each entry builds the list itself
+    birational.blow_down_candidates.cache_clear()
+    assert fan.fan_isomorphism(birational.blow_down(y, "e7"), w) is not None
+    birational.blow_down_candidates.cache_clear()
+    assert cli.main(["blowdowns", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("blow-down candidates (4):\n")
 
 
 def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
@@ -202,9 +226,10 @@ def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
         wall_passes.append(cones)
         return real_owners(cones)
 
+    # built first: a cold enumeration validates its closed complexes too
+    fans = list(catalog_fans.values()) + chain_prefixes() + catalog.enumerate_fano(2)
     monkeypatch.setattr(fan, "cones_meet_in_common_face", counting)
     monkeypatch.setattr(fan, "_wall_owners", counting_owners)
-    fans = list(catalog_fans.values()) + chain_prefixes() + catalog.enumerate_fano(2)
     for f in fans:
         assert fan.validate_fan(f).ok
     assert calls == []

@@ -3,7 +3,13 @@ import threading
 
 import pytest
 
-from conftest import blowup_chain, chain_prefixes
+from conftest import (
+    blowup_chain,
+    chain_prefixes,
+    clear_package_caches,
+    twisted_threefold,
+)
+from oracles import table_blow_down_candidates
 from toricfan import (
     NoBlowdownRelationError,
     NotARefinementError,
@@ -15,7 +21,7 @@ from toricfan import (
     structurally_equal,
     validate_fan,
 )
-from toricfan import birational, catalog, fan, mori
+from toricfan import birational, catalog, mori
 
 
 def candidate_summary(fan):
@@ -88,7 +94,8 @@ def test_candidate_reproduces_source_by_subdivision(tower):
 
 def test_candidate_validity_matches_contract(catalog_fans):
     # contract_ray reads no relation table: on every pair of a ray and a
-    # primitive collection, its sum and star checks agree with the table
+    # primitive collection, its sum and star checks agree with the
+    # candidates
     fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + chain_prefixes()
     for fan in fans:
         cands = {
@@ -109,12 +116,33 @@ def test_candidate_validity_matches_contract(catalog_fans):
                     assert exc.value.witnesses == cand.obstruction
 
 
-@pytest.mark.slow  # reads the dimension-3 enumeration
-def test_local_blow_downs_match_valid_candidates(catalog_fans):
-    # same rays, collections and order, and equal targets, with no table
+def test_candidates_match_the_relation_table(catalog_fans):
+    # the collections whose vectors sum to a generator are the relations of
+    # the located table with the single coefficient 1: same rays,
+    # collections, order, obstruction witnesses and targets
     fans = (
         list(catalog_fans.values())
-        + [f for d in (1, 2, 3) for f in catalog.enumerate_fano(d)]
+        + [f for d in (1, 2) for f in catalog.enumerate_fano(d)]
+        + chain_prefixes()
+        + [twisted_threefold()]
+    )
+    for fan in fans:
+        assert birational.blow_down_candidates(fan) == table_blow_down_candidates(fan)
+    cands = [c for fan in fans for c in birational.blow_down_candidates(fan)]
+    assert any(c.valid for c in cands) and not all(c.valid for c in cands)
+
+
+@pytest.mark.slow  # reads the dimension-3 enumeration
+def test_local_blow_downs_match_valid_candidates(catalog_fans):
+    # same rays, collections and order, and equal targets, with no table;
+    # in dimension 3 the candidates match the table as well
+    dim3 = catalog.enumerate_fano(3)
+    for fan in dim3:
+        assert birational.blow_down_candidates(fan) == table_blow_down_candidates(fan)
+    fans = (
+        list(catalog_fans.values())
+        + [f for d in (1, 2) for f in catalog.enumerate_fano(d)]
+        + dim3
         + chain_prefixes()
     )
     for fan in fans:
@@ -267,14 +295,6 @@ def test_extremality_iff_projective_target(tower):
             assert extremal_by_coll[cand.relation.collection] == mori.is_projective(
                 cand.target
             )
-
-
-def clear_package_caches():
-    """Every cache a factorization reads; the Fano enumeration's are kept."""
-    for module in (fan, mori, birational):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
 
 
 def test_factor_same_on_cold_and_warm_caches(tower):

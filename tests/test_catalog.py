@@ -171,11 +171,25 @@ def closed_complexes(monkeypatch, dims):
         keys.append([canonical_gl_key(f) for f in _fano3.enumerate_fano_fans(d)])
         assert len(set(entered)) == len(entered) > len(closed[-1])
         for cones in entered:
+            v = len({x for cone in cones for x in cone})
+            assert v <= max_rays(d)
             if all(len(o) == 2 for o in real_owners(cones).values()):
                 continue  # closed
-            v = len({x for cone in cones for x in cone})
             assert len(cones) <= {1: 1, 2: v - 1, 3: 2 * v - 5}[d]
     return keys, closed
+
+
+def max_rays(dim):
+    """Casagrande's bound on the vertices of a simplicial reflexive
+    polytope, so on the rays of a smooth Fano fan: 3n - (n mod 2)."""
+    return 3 * dim - dim % 2
+
+
+def test_fano_classes_respect_the_vertex_bound():
+    # the bound is sharp in dimension 2: the hexagon, six rays
+    for d in (1, 2):
+        rays = [len(f.generators) for f in catalog.enumerate_fano(d)]
+        assert max(rays) == max_rays(d)
 
 
 def test_degree_prune_keeps_every_class(monkeypatch):
@@ -262,5 +276,7 @@ def test_enumerate_dim3_closes_only_fano(monkeypatch):
     search closes 2,721 complexes, with both sites 233, all of them Fano."""
     keys, closed = closed_complexes(monkeypatch, (3,))
     assert len(closed[0]) == 233
+    # and every class has at most 8 rays, 8 attained
+    assert max(len(f.generators) for f in closed[0]) == max_rays(3) == 8
     assert all(mori.is_fano(f)[0] for f in closed[0])
     assert keys[0] == [canonical_gl_key(f) for f in catalog.enumerate_fano(3)]

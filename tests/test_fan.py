@@ -385,8 +385,9 @@ def test_non_integral_coordinates_are_rejected(tower):
         make_fan(2, [("a", (1.5, 0)), ("b", (0, 1))], [(0, 1)])
     with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
         locate_relint(catalog.projective_space(2), (Fraction(1, 2), 0))
-    # int() alone raises ValueError, OverflowError or TypeError on these
-    for bad in (float("nan"), float("inf"), -float("inf"), None):
+    # int() alone raises ValueError, OverflowError or TypeError on these,
+    # and takes a bool for 0 or 1
+    for bad in (float("nan"), float("inf"), -float("inf"), None, True, False):
         with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
             make_fan(2, [("a", (bad, 0)), ("b", (0, 1))], [(0, 1)])
         with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
@@ -407,12 +408,13 @@ def test_non_integer_dimension_is_rejected(dim):
 
 
 @pytest.mark.parametrize(
-    "index", [1.9, 1.5, Fraction(1, 2), float("nan"), float("inf"), None]
+    "index",
+    [1.9, 1.5, Fraction(1, 2), float("nan"), float("inf"), None, True, False],
 )
 def test_non_integer_ray_index_is_rejected(index):
     # int() alone would truncate: (0, 1.9) became the cone (0, 1), and
     # star_subdivide(P2, (0, 1.5)) subdivided <e0,e1>; on NaN, inf and None
-    # it raises ValueError, OverflowError and TypeError
+    # it raises ValueError, OverflowError and TypeError; True passed as 1
     with pytest.raises(UnknownRayError, match="not an integer"):
         make_fan(2, [("a", (1, 0)), ("b", (0, 1))], [(0, index)])
     p2 = catalog.projective_space(2)

@@ -5,6 +5,7 @@ import pytest
 
 from toricfan import (
     InternalInconsistencyError,
+    birational,
     catalog,
     lattice,
     make_fan,
@@ -439,6 +440,8 @@ def test_verdicts_reject_bad_fans_with_typed_errors(fan):
         mori.is_fano_by_walls,
         mori.is_projective,
         mori.is_fano,
+        birational.blow_down_candidates,
+        lambda f: birational.blow_down(f, 0),  # a bare ray
     ):
         with pytest.raises(InternalInconsistencyError):
             verdict(fan)

@@ -1,0 +1,45 @@
+"""The README's library example runs, and every result it claims holds.
+
+A claim is a line ``expr  # <Python literal>``, or an expression line whose
+next line is a comment holding the literal; an annotation after `` -- ``
+is not part of the literal. Other comments are prose, and their lines run
+as statements.
+"""
+
+import ast
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def example_lines():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    return block.split("```", 1)[0].splitlines()
+
+
+def claimed(comment):
+    """The literal a comment claims, or None when it is prose."""
+    try:
+        return (ast.literal_eval(comment.split(" -- ", 1)[0].strip()),)
+    except (ValueError, SyntaxError):
+        return None
+
+
+def test_library_example_claims_hold():
+    lines = example_lines()
+    namespace = {}
+    checked = 0
+    for i, line in enumerate(lines):
+        if not line.strip() or line.startswith("#"):
+            continue
+        code, _, comment = line.partition("  #")
+        claim = claimed(comment) if comment else None
+        if not comment and i + 1 < len(lines) and lines[i + 1].startswith("#"):
+            claim = claimed(lines[i + 1][1:])
+        if claim is None:
+            exec(code, namespace)
+        else:
+            assert eval(code, namespace) == claim[0], line
+            checked += 1
+    assert checked == 5
