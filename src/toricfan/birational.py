@@ -2,10 +2,10 @@
 
 A blow-down is a relation x1+...+xh = x along which ``fan.contract_ray``
 succeeds. This module alone decides which are tried, by one shape rule: the
-collection's vectors sum to the generator x. ``blow_downs`` finds the valid
-ones around each ray, ``blow_down_candidates`` lists the primitive
-collections of that shape for the reports, and ``blow_down`` picks the
-collection for a bare ray. Factorization searches for chains of valid
+collection's vectors sum to the generator x. ``blow_down_candidates`` is
+the one generator: it contracts each primitive collection of that shape,
+for the reports, for ``blow_down``, which picks the collection for a bare
+ray, and for factorization. Factorization searches for chains of valid
 blow-downs carrying a fine fan onto a coarse one it refines, depth-first
 with one memo of the step suffixes below each intermediate, optionally
 insisting that every strict intermediate be Fano.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from . import mori
@@ -61,10 +60,20 @@ class FactorizationPath:
     steps: tuple[FactorStep, ...]
 
 
-def _contracted(fan: Fan, pairs) -> tuple[BlowdownCandidate, ...]:
-    """Each pair (x, collection), the collection's vectors summing to the
-    generator x, tested by ``contract_ray``, the one validity rule, and
-    ordered by the name of x, then by collection."""
+@lru_cache(maxsize=4096)
+def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
+    """Each primitive collection whose vectors sum to a generator x, read as
+    x1+...+xh = x and tested by ``contract_ray``, the one validity rule,
+    with the obstructions of those that fail; ordered by the name of x, then
+    by collection. Raises on a fan ``validate_fan`` rejects, via
+    ``mori.wall_classes``; cached (4096 fans)."""
+    mori.wall_classes(fan)  # the check only; the classes are not read
+    index = {v: i for i, v in enumerate(fan.vectors())}
+    pairs = []
+    for coll in mori.primitive_collections(fan):
+        x = index.get(tuple(map(sum, zip(*fan.cone_vectors(coll)))))
+        if x is not None:
+            pairs.append((x, coll))
     out = []
     for x, coll in sorted(pairs, key=lambda p: (fan.generators[p[0]].name, p[1])):
         rel = mori.PrimitiveRelation(coll, (x,), (1,), len(coll) - 1)
@@ -75,44 +84,6 @@ def _contracted(fan: Fan, pairs) -> tuple[BlowdownCandidate, ...]:
         else:
             out.append(BlowdownCandidate(rel, True, None, target))
     return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def blow_downs(fan: Fan) -> tuple[BlowdownCandidate, ...]:
-    """The valid entries of ``blow_down_candidates``, found without the
-    relation table. A valid x1+...+xh = x leaves h-1 of the x_i in every
-    maximal cone holding x (Batyrev, *Tohoku Math. J.* 43, 1991); so for
-    each ray x and one maximal cone sigma holding it, each nonempty subset
-    S of sigma without x with v_x - sum(S) a generator y gives S plus y to
-    try. Cached per fan (``lru_cache``, 4096 fans)."""
-    index = {v: i for i, v in enumerate(fan.vectors())}
-    # the first maximal cone holding each ray
-    around = {x: mc for mc in reversed(fan.max_cones) for x in mc}
-    pairs = []
-    for x, sigma in around.items():
-        rest = [i for i in sigma if i != x]
-        for size in range(1, len(rest) + 1):
-            for sub in combinations(rest, size):
-                diff = zip(fan.generators[x].vector, *fan.cone_vectors(sub))
-                y = index.get(tuple(v - sum(us) for v, *us in diff))
-                if y is not None:
-                    pairs.append((x, tuple(sorted(sub + (y,)))))
-    return tuple(c for c in _contracted(fan, pairs) if c.valid)
-
-
-@lru_cache(maxsize=4096)
-def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
-    """Each primitive collection whose vectors sum to a generator, with the
-    obstructions of those that fail: what the reports list. Raises on a fan
-    ``validate_fan`` rejects, via ``mori.wall_classes``; cached (4096 fans)."""
-    mori.wall_classes(fan)  # the check only; the classes are not read
-    index = {v: i for i, v in enumerate(fan.vectors())}
-    pairs = []
-    for coll in mori.primitive_collections(fan):
-        x = index.get(tuple(map(sum, zip(*fan.cone_vectors(coll)))))
-        if x is not None:
-            pairs.append((x, coll))
-    return _contracted(fan, pairs)
 
 
 def blow_down(
@@ -153,14 +124,16 @@ def factor_morphism(
     ``coarse`` structurally. The coarse-cone bitmasks of ``fine``'s rays are
     computed once (see ``fan.refines``); every target's rays are among
     them, so each refinement test is one AND per maximal cone. Blow-downs
-    come from the cached ``blow_downs``; the step flags come from
-    ``mori.is_fano_by_walls`` and the cached ``mori.is_projective``, both
-    read off ``mori.wall_classes``, so the search builds no primitive
-    relation table. With ``require_fano``, intermediates strictly
-    between the endpoints must be Fano. With ``exhaustive``, all complete
-    paths are returned, otherwise only the first; the empty tuple means the
-    search finished and no factorization exists. Candidate order (by
-    contracted ray name, then collection) makes results deterministic.
+    are the valid entries of the cached ``blow_down_candidates``, so a fan
+    that ``validate_fan`` rejects raises ``InternalInconsistencyError``;
+    the step flags come from ``mori.is_fano_by_walls`` and the cached
+    ``mori.is_projective``, both read off ``mori.wall_classes``, so the
+    search locates no primitive relation. With ``require_fano``,
+    intermediates strictly between the endpoints must be Fano. With
+    ``exhaustive``, all complete paths are returned, otherwise only the
+    first; the empty tuple means the search finished and no factorization
+    exists. Candidate order (by contracted ray name, then collection) makes
+    results deterministic.
 
     One memo maps each structural key to the step suffixes from there to
     ``coarse`` (at most one unless ``exhaustive``), so each intermediate
@@ -182,9 +155,9 @@ def factor_morphism(
         if key in memo:
             return memo[key]
         found: list[tuple[FactorStep, ...]] = []
-        for cand in blow_downs(current):
+        for cand in blow_down_candidates(current):
             target = cand.target
-            if not _masks_cover(target, masks):
+            if not cand.valid or not _masks_cover(target, masks):
                 continue
             if (
                 require_fano

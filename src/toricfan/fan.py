@@ -486,9 +486,12 @@ def _wall_coefficients(cone, k: int, q) -> tuple[int, ...] | None:
     return tuple(coords) if coords.pop(k) == -1 else None
 
 
+@lru_cache(maxsize=16)
 def _walls(fan: Fan) -> dict | None:
     """The ``_wall_owners`` map of the maximal cones when the one-pass test
-    of ``validate_fan`` accepts the fan, else None."""
+    of ``validate_fan`` accepts the fan, else None; callers only read it.
+    Cached for 16 fans, as ``mori.wall_classes`` is, so that the wall
+    classes of a fan ``contract_ray`` has just validated reuse its pass."""
     duals = {cone: _dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones}
     vectors = fan.vectors()
     used = {i for cone in duals for i in cone}

@@ -11,7 +11,6 @@ end count calls the same way.
 
 import ast
 import importlib
-from itertools import combinations
 from pathlib import Path
 
 from toricfan import birational, catalog, cli, fan, lattice, mori
@@ -23,6 +22,7 @@ from conftest import (
     chain_prefixes,
     clear_package_caches,
 )
+from oracles import table_blow_down_candidates
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -116,26 +116,6 @@ def test_is_projective_is_one_gordan_lp(monkeypatch):
     assert len(calls) == 1
 
 
-def local_attempts(f):
-    """(ray, collection) pairs the local rule hands to contract_ray: for
-    each ray x, the first maximal cone holding x, and each nonempty subset S
-    of its other rays with v_x - sum(S) a generator y, as S plus y."""
-    index = {v: i for i, v in enumerate(f.vectors())}
-    out = set()
-    for x in range(len(f.generators)):
-        sigma = next(mc for mc in f.max_cones if x in mc)
-        rest = [i for i in sigma if i != x]
-        for size in range(1, len(rest) + 1):
-            for sub in combinations(rest, size):
-                point = list(f.generators[x].vector)
-                for i in sub:
-                    point = [a - b for a, b in zip(point, f.generators[i].vector)]
-                y = index.get(tuple(point))
-                if y is not None:
-                    out.add((x, tuple(sorted(sub + (y,)))))
-    return out
-
-
 def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
     real = birational.contract_ray
     calls = []
@@ -148,33 +128,35 @@ def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
         return target
 
     monkeypatch.setattr(birational, "contract_ray", counting)
-    birational.blow_downs.cache_clear()
+    birational.blow_down_candidates.cache_clear()
     _, x, _, y = tower
     assert birational.factor_morphism(y, x, exhaustive=True)
     assert len(calls) == len(set(calls))
     visited = list(dict.fromkeys(f for f, _, _ in calls))
     assert visited[0] == y and len(visited) > 1
+    # each visited fan contracts exactly the table's candidates, in order
     for f in visited:
-        assert {(r, k) for c, r, k in calls if c == f} == local_attempts(f)
-        assert [
+        table = table_blow_down_candidates(f)
+        assert [(r, k) for c, r, k in calls if c == f] == [
+            (cand.relation.target[0], cand.relation.collection) for cand in table
+        ]
+        assert [(r, k) for c, r, k in valid if c == f] == [
             (cand.relation.target[0], cand.relation.collection)
-            for cand in birational.blow_downs(f)
-        ] == sorted(
-            ((r, k) for c, r, k in valid if c == f),
-            key=lambda rk: (f.generators[rk[0]].name, rk[1]),
-        )
+            for cand in table
+            if cand.valid
+        ]
 
 
 def test_factor_search_lists_candidates_once_per_intermediate(monkeypatch):
     # the exhaustive search reaches most intermediates by several paths
-    real = birational.blow_downs
+    real = birational.blow_down_candidates
     calls = []
 
     def counting(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(birational, "blow_downs", counting)
+    monkeypatch.setattr(birational, "blow_down_candidates", counting)
     paths = birational.factor_morphism(
         blowup_chain(2, 4, 8), catalog.projective_space(4), exhaustive=True
     )
@@ -184,10 +166,12 @@ def test_factor_search_lists_candidates_once_per_intermediate(monkeypatch):
 
 def test_factor_search_builds_no_relation_table(monkeypatch, tower):
     # W, the intermediate of Y -> X, is not Fano: its flag and the
-    # require_fano test read wall classes, not the table's witnesses
+    # require_fano test read wall classes, not the table's witnesses; the
+    # candidates read the primitive collections, never the located
+    # relations
     p4, x, _, y = tower
     clear_package_caches()
-    no_relation_table(monkeypatch)
+    no_relation_table(monkeypatch, ("primitive_relation", "primitive_relations"))
     (path,) = birational.factor_morphism(y, x, exhaustive=True)
     assert [s.fano for s in path.steps] == [False, True]
     assert birational.factor_morphism(y, x, require_fano=True) == ()
@@ -230,13 +214,44 @@ def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
     fans = list(catalog_fans.values()) + chain_prefixes() + catalog.enumerate_fano(2)
     monkeypatch.setattr(fan, "cones_meet_in_common_face", counting)
     monkeypatch.setattr(fan, "_wall_owners", counting_owners)
+    fan._walls.cache_clear()
     for f in fans:
         assert fan.validate_fan(f).ok
     assert calls == []
-    # one pass over the walls per valid fan
-    assert wall_passes == [f.max_cones for f in fans]
+    # one pass over the walls per distinct valid fan: a repeat hits the
+    # cache of _walls
+    distinct = list(dict.fromkeys(fans))
+    assert len(fans) == 24 and len(distinct) == 22
+    assert wall_passes == [f.max_cones for f in distinct]
     assert not fan.validate_fan(TWICE_WINDING).ok
     assert len(calls) > 0
+
+
+def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
+    # contract_ray validates each target, and the target's candidates and
+    # step flags read its wall classes: one cached wall pass serves both
+    real_owners = fan._wall_owners
+    wall_passes = []
+
+    def counting_owners(cones):
+        wall_passes.append(cones)
+        return real_owners(cones)
+
+    real_contract = birational.contract_ray
+    targets = []
+
+    def contracting(f, ray, collection):
+        targets.append(real_contract(f, ray, collection))
+        return targets[-1]
+
+    _, x, _, y = tower
+    clear_package_caches()
+    monkeypatch.setattr(fan, "_wall_owners", counting_owners)
+    monkeypatch.setattr(birational, "contract_ray", contracting)
+    assert birational.factor_morphism(y, x, exhaustive=True)
+    fans = list(dict.fromkeys([y] + targets))
+    assert len(fans) == len(wall_passes) == 4
+    assert sorted(wall_passes) == sorted(f.max_cones for f in fans)
 
 
 def test_enumerations_issue_no_lp(monkeypatch):

@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from conftest import (
+    OVERLAPPING_TEXT,
     blowup_chain,
     chain_prefixes,
     clear_package_caches,
@@ -11,11 +12,13 @@ from conftest import (
 )
 from oracles import table_blow_down_candidates
 from toricfan import (
+    InternalInconsistencyError,
     NoBlowdownRelationError,
     NotARefinementError,
     StarConditionViolatedError,
     contract_ray,
     fan_isomorphism,
+    parse_fan,
     refines,
     star_subdivide,
     structurally_equal,
@@ -133,22 +136,9 @@ def test_candidates_match_the_relation_table(catalog_fans):
 
 
 @pytest.mark.slow  # reads the dimension-3 enumeration
-def test_local_blow_downs_match_valid_candidates(catalog_fans):
-    # same rays, collections and order, and equal targets, with no table;
-    # in dimension 3 the candidates match the table as well
-    dim3 = catalog.enumerate_fano(3)
-    for fan in dim3:
+def test_dim3_candidates_match_the_relation_table():
+    for fan in catalog.enumerate_fano(3):
         assert birational.blow_down_candidates(fan) == table_blow_down_candidates(fan)
-    fans = (
-        list(catalog_fans.values())
-        + [f for d in (1, 2) for f in catalog.enumerate_fano(d)]
-        + dim3
-        + chain_prefixes()
-    )
-    for fan in fans:
-        valid = tuple(c for c in birational.blow_down_candidates(fan) if c.valid)
-        assert birational.blow_downs(fan) == valid
-    assert any(birational.blow_downs(fan) for fan in fans)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +241,17 @@ def test_factor_rejects_non_refinement(tower):
     p4, x, _, _ = tower
     with pytest.raises(NotARefinementError):
         birational.factor_morphism(p4, x)
+
+
+def test_factor_rejects_invalid_fan():
+    # <a,b> and <b,c> overlap <a,c>; the fan's rays refine P^2, and
+    # contracting b via {a,c} would read as a one-step factorization
+    overlapping = parse_fan(OVERLAPPING_TEXT)
+    assert not validate_fan(overlapping).ok
+    p2 = catalog.projective_space(2)
+    for exhaustive in (False, True):
+        with pytest.raises(InternalInconsistencyError):
+            birational.factor_morphism(overlapping, p2, exhaustive=exhaustive)
 
 
 def test_factor_first_path_is_prefix_of_exhaustive(tower):
