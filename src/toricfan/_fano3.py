@@ -14,20 +14,37 @@ the opposite side: unimodularity and the side condition force the
 coordinate of w on p to be -1 in the basis (wall, p), so
 w = sum(a_i * u_i) - p over the wall vectors u_i.
 
-Wall rule: once both cones of a wall are placed, its relation
-p + q = sum(a_i * u_i) (``fan._wall_coefficients``) is fixed, since no
-cone is ever removed, and -K is ample iff every such relation has degree
-2 - sum(a_i) > 0 (see ``mori.wall_classes``). So a branch is cut as soon
-as it closes a wall with sum(a_i) >= 2: the wall it expands, or any other
-facet of the new cone that meets an open wall. Every closed complex is
-then Fano; on each, the wall verdict of ``mori.is_fano`` is checked
-against the degrees of the primitive relations.
+Convexity rule: for a cone s let u_s be the sum of its dual rows, 1 on
+every ray of s. The search keeps u_s(v) <= 0 for every cone s and every
+vertex v off s, checking a new cone against every vertex and a new apex
+against every cone. A smooth complete fan is Fano iff it is the face fan
+of the convex hull of its rays, each maximal cone spanning a facet
+(Batyrev, *J. Math. Sci.* 94 (1999); Casagrande 2006), that is, iff
+u_s(v) < 1, or u_s(v) <= 0 as u_s is integral, for all such s and v. So
+the rule cuts no complex that extends to a Fano fan, and every closed
+complex that keeps it is Fano.
+
+It also implies the face condition. Each simplex conv(s) is the face of
+P = conv(vertices) where u_s = 1, as P lies in u_s <= 1, and 0 lies
+strictly beneath it, u_s(0) = 0 < 1. For x != 0 in cone(s) and cone(t),
+the ray from 0 through x leaves P at one last point, x / u_s(x) in conv(s)
+and x / u_t(x) in conv(t). The vertices of s where u_t = 1 are those of
+t, as every other vertex has u_t <= 0, so that point lies in conv(s & t)
+and x in cone(s & t). Hence no wall gets a third owner: two of three
+cones on one wall would lie on one side of it and overlap.
+
+The wall rule is the adjacent-cone case: u_owner(w) = sum(a_i) - 1, so
+u_owner(w) <= 0 iff the wall relation p + w = sum(a_i * u_i) has
+anticanonical degree 2 - sum(a_i) > 0 (``mori.wall_classes``);
+``_candidates`` filters on it. Each closed complex is checked to be Fano
+by both the wall verdict of ``mori.is_fano`` and the degrees of the
+primitive relations.
 
 No visited set is kept, as no complex is reached twice: two paths first
 differ where they put different cones on one open wall, both cones hold
-it, and no step gives a closed wall a third owner. Nor is a new cone ever
-already in the complex: it holds the open wall, whose only owner has apex
-p, and its own apex w has coordinate -1 on p, so it is not that owner.
+it, and no closed wall gets a third owner. Nor is a new cone ever already
+in the complex: it holds the open wall, whose only owner has apex p, and
+its own apex w has coordinate -1 on p, so it is not that owner.
 
 The rays of a smooth Fano fan are the vertices of a simplicial reflexive
 polytope, at most 3n - (n mod 2) in dimension n (Casagrande, *Ann. Inst.
@@ -41,7 +58,7 @@ common faces, so they number at most V - 1 in dimension 2 (a path) and
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 from . import lattice, mori
@@ -49,11 +66,9 @@ from .errors import InternalInconsistencyError
 from .fan import (
     Fan,
     canonical_gl_key,
-    cones_meet_in_common_face,
     make_fan,
     validate_fan,
     _dual_rows,
-    _wall_coefficients,
     _wall_owners,
 )
 
@@ -66,24 +81,32 @@ def _primitive_pool(dim: int):
     return tuple(v for v in product(rng, repeat=dim) if gcd(*v) == 1)
 
 
-def _breaks_fano(cone, k, q) -> bool:
-    """The wall rule: ``cone`` and the cone across its facet opposite
-    ``cone[k]`` with apex q make a wall relation of anticanonical degree
-    <= 0, that is, sum(a_i) >= 2. When q's coordinate on ``cone[k]`` is not
-    -1 the pair is left to the face check, which rejects it."""
-    coeffs = _wall_coefficients(cone, k, q)
-    return coeffs is not None and sum(coeffs) >= 2
+def _functional(cone):
+    """u_cone, the sum of the unimodular ``cone``'s dual rows."""
+    return tuple(map(sum, zip(*_dual_rows(cone))))
 
 
-@lru_cache(maxsize=16384)  # dimension 3 meets 8,804 (cone, k) pairs
+def _convex(cones, vertices: set, new_cone) -> bool:
+    """The convexity rule: whether ``cones`` (with vertex set ``vertices``)
+    plus ``new_cone`` keep u_s(v) <= 0 for every cone s and vertex v off s,
+    given that ``cones`` keep it."""
+    u = _functional(new_cone)
+    if any(lattice.dot(u, v) > 0 for v in vertices.difference(new_cone)):
+        return False
+    fresh = [w for w in new_cone if w not in vertices]  # the apex, if new
+    return not any(lattice.dot(_functional(c), w) > 0 for w in fresh for c in cones)
+
+
+@lru_cache(maxsize=2048)  # dimension 3 meets 964 (cone, k) pairs
 def _candidates(cone, k):
     """Pool vectors w with coordinate -1 on ``cone[k]`` in the basis
-    ``cone`` that the wall rule keeps, in pool order."""
-    on_p = _dual_rows(cone)[k]
+    ``cone`` and u_cone(w) <= 0, the convexity rule against the owner of
+    the wall (the wall rule), in pool order."""
+    on_p, u = _dual_rows(cone)[k], _functional(cone)
     return tuple(
         w
         for w in _primitive_pool(len(cone))
-        if lattice.dot(on_p, w) == -1 and not _breaks_fano(cone, k, w)
+        if lattice.dot(on_p, w) == -1 and lattice.dot(u, w) <= 0
     )
 
 
@@ -118,13 +141,11 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
                 raise InternalInconsistencyError(
                     "closed cone complex failed validation"
                 )
-            fano = mori.is_fano(fan)[0]
-            if fano != all(r.degree > 0 for r in mori.primitive_relations(fan)):
-                raise InternalInconsistencyError(
-                    "wall and primitive-collection Fano verdicts disagree"
-                )
-            if fano:
-                found.setdefault(canonical_gl_key(fan), fan)
+            if not mori.is_fano(fan)[0] or not all(
+                r.degree > 0 for r in mori.primitive_relations(fan)
+            ):
+                raise InternalInconsistencyError("closed cone complex is not Fano")
+            found.setdefault(canonical_gl_key(fan), fan)
             return
         ((owner, k),) = counts[wall]
         vertices = {x for cone in cones for x in cone}
@@ -132,22 +153,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             if w not in vertices and len(vertices) >= max_vertices:
                 continue
             new_cone = tuple(sorted(wall + (w,)))
-            # (facet, apex of new_cone off it) for every other facet;
-            # combinations drops the last ray first
-            facets = [
-                (f, x)
-                for f, x in zip(combinations(new_cone, dim - 1), reversed(new_cone))
-                if f != wall
-            ]
-            if any(len(counts.get(f, ())) >= 2 for f, _ in facets):
-                continue
-            if any(
-                _breaks_fano(*counts[f][0], x) for f, x in facets if f in counts
-            ):
-                continue  # closes another wall with degree <= 0
-            if all(
-                cones_meet_in_common_face(new_cone, cone) for cone in cones
-            ):
+            if _convex(cones, vertices, new_cone):
                 grow(cones | {new_cone})
 
     grow(frozenset([start]))

@@ -284,8 +284,8 @@ def cones_meet_in_common_face(
     """Whether two cones (given by generator vectors) intersect exactly in
     the cone spanned by their shared generators.
 
-    The Fano enumerator tests each new cone with it, and ``validate_fan``
-    uses it only when its linear check fails, to name the offending pairs.
+    ``validate_fan`` calls it only when its linear check fails, to name
+    the offending pairs; the Fano enumerator needs no face check.
     For two unimodular cones A and B with shared generators S, both are
     simplicial and S spans a face of each. A ∩ B is larger than cone(S) iff
     the images of A and B in the quotient by span(S) meet outside 0: a
@@ -302,15 +302,6 @@ def cones_meet_in_common_face(
     feasibility solver searches instead for a common point with weight
     outside the shared generators.
     """
-    if b_vecs < a_vecs:  # the answer is symmetric: normalize the cache key
-        a_vecs, b_vecs = b_vecs, a_vecs
-    return _cones_meet_cached(a_vecs, b_vecs)
-
-
-@lru_cache(maxsize=262144)
-def _cones_meet_cached(
-    a_vecs: tuple[lattice.IntVector, ...], b_vecs: tuple[lattice.IntVector, ...]
-) -> bool:
     dual = _dual_rows(a_vecs)
     if dual is not None and _dual_rows(b_vecs) is not None:
         rows = [row for row, v in zip(dual, a_vecs) if v not in b_vecs]

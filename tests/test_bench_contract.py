@@ -63,7 +63,6 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
 
     monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
     mori.mori_cone.cache_clear()
-    fan._cones_meet_cached.cache_clear()
     w = catalog.catalog_fan("paper-W")
     mori.mori_cone(w)  # through nonneg_rational_combination
     assert len(calls) > 0
@@ -255,8 +254,8 @@ def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
 
 
 def test_enumerations_issue_no_lp(monkeypatch):
-    # every face check of the search pairs two unimodular cones, which the
-    # integer path decides
+    # the search makes no face check, and the closed complexes it validates
+    # pass the linear one-pass check
     real = lattice.solve_eq_nonneg
     calls = []
 
@@ -265,7 +264,6 @@ def test_enumerations_issue_no_lp(monkeypatch):
         return real(rows, rhs)
 
     monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
-    fan._cones_meet_cached.cache_clear()
     mori.primitive_relations.cache_clear()
     mori.primitive_collections.cache_clear()
     mori.is_projective.cache_clear()

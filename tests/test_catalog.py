@@ -2,11 +2,12 @@ from collections import Counter
 
 import pytest
 
-from toricfan import _fano3, catalog, fan as fan_module, mori
+from toricfan import _fano3, catalog, mori
 from toricfan import canonical_gl_key, fan_isomorphism
 from toricfan import validate_fan
 from toricfan.errors import InvalidDimensionError, UnsupportedDimensionError
 
+import oracles
 from conftest import chain_prefixes, twisted_threefold
 
 
@@ -144,8 +145,9 @@ def test_enumerate_dim2_deterministic():
 
 
 def closed_complexes(monkeypatch, dims):
-    """Every complex the search closes, per dimension, with the classes it
-    returns. Every complex the search enters is checked against the two
+    """Every complex the search closes and every complex it enters, per
+    dimension, with the classes it returns, in the order the search meets
+    them. Every complex the search enters is checked against the two
     facts that let it keep no visited set and no cone cap: none is entered
     twice, and an open one has at most V - 1 cones in dimension 2 and
     2V - 5 in dimension 3, V its number of vertices."""
@@ -159,24 +161,27 @@ def closed_complexes(monkeypatch, dims):
         return fan
 
     def enter(cones):  # grow calls it once per complex it enters
-        entered.append(cones)
+        entered[-1].append(cones)
         return real_owners(cones)
 
-    monkeypatch.setattr(_fano3, "_fan_from_cones", record)
-    monkeypatch.setattr(_fano3, "_wall_owners", enter)
     keys = []
-    for d in dims:
-        closed.append([])
-        entered.clear()
-        keys.append([canonical_gl_key(f) for f in _fano3.enumerate_fano_fans(d)])
-        assert len(set(entered)) == len(entered) > len(closed[-1])
-        for cones in entered:
+    with monkeypatch.context() as m:  # undone on return, so calls may repeat
+        m.setattr(_fano3, "_fan_from_cones", record)
+        m.setattr(_fano3, "_wall_owners", enter)
+        for d in dims:
+            closed.append([])
+            entered.append([])
+            fans = _fano3.enumerate_fano_fans(d)
+            keys.append([canonical_gl_key(f) for f in fans])
+    for d, entered_d, closed_d in zip(dims, entered, closed):
+        assert len(set(entered_d)) == len(entered_d) > len(closed_d)
+        for cones in entered_d:
             v = len({x for cone in cones for x in cone})
             assert v <= max_rays(d)
             if all(len(o) == 2 for o in real_owners(cones).values()):
                 continue  # closed
             assert len(cones) <= {1: 1, 2: v - 1, 3: 2 * v - 5}[d]
-    return keys, closed
+    return keys, closed, entered
 
 
 def max_rays(dim):
@@ -192,32 +197,53 @@ def test_fano_classes_respect_the_vertex_bound():
         assert max(rays) == max_rays(d)
 
 
-def test_degree_prune_keeps_every_class(monkeypatch):
-    """The wall rule cuts only branches that cannot close Fano: with it off
-    at both of its sites, the expanded wall and the other walls a new cone
-    closes, dimensions 1 and 2 give the same classes."""
-    _fano3._candidates.cache_clear()  # it holds the rule's cuts
+def against_retired_rule(monkeypatch, dims):
+    """The search under the convexity rule and under the retired rule
+    (``oracles.retired_fano_rule`` in place of ``_fano3._convex``): both
+    close the same complexes in the same order and return the same
+    classes, all Fano, and the complexes the convexity rule enters are a
+    subsequence of those the retired rule enters. Returns the numbers
+    entered under each rule and the numbers closed, per dimension."""
+    keys, closed, entered = closed_complexes(monkeypatch, dims)
+    monkeypatch.setattr(_fano3, "_convex", oracles.retired_fano_rule)
     try:
-        pruned, closed = closed_complexes(monkeypatch, (1, 2))
-        assert [len(c) for c in closed] == [1, 12]
-        assert all(mori.is_fano(f)[0] for c in closed for f in c)
-
-        monkeypatch.setattr(_fano3, "_breaks_fano", lambda wall, p, q: False)
-        _fano3._candidates.cache_clear()
-        unpruned, closed = closed_complexes(monkeypatch, (1, 2))
-        assert not all(mori.is_fano(f)[0] for f in closed[1])
-        assert unpruned == pruned
+        old_keys, old_closed, old_entered = closed_complexes(monkeypatch, dims)
     finally:
-        monkeypatch.undo()
-        _fano3._candidates.cache_clear()
+        oracles._faces_meet.cache_clear()
+    assert keys == old_keys and closed == old_closed
+    assert all(mori.is_fano(f)[0] for c in closed for f in c)
+    for new, old in zip(entered, old_entered):
+        rest = iter(old)
+        assert all(cones in rest for cones in new)
+    return (
+        [len(e) for e in entered],
+        [len(e) for e in old_entered],
+        [len(c) for c in closed],
+    )
+
+
+def test_degree_prune_keeps_every_class(monkeypatch):
+    """The convexity rule cuts only branches that cannot close Fano: against
+    the retired rule, the wall rule at every wall a new cone closes plus the
+    pairwise face check, dimensions 1 and 2 close the same 1 and 12
+    complexes, while dimension 2 enters 32 complexes where the retired
+    rule enters 40."""
+    assert against_retired_rule(monkeypatch, (1, 2)) == ([2, 32], [2, 40], [1, 12])
+
+
+@pytest.mark.slow
+def test_convexity_rule_matches_retired_rule_dim3(monkeypatch):
+    assert against_retired_rule(monkeypatch, (3,)) == ([3455], [49223], [233])
 
 
 def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
-    """Kleiman's criterion, "every wall relation has sum(a_i) <= 1", read
-    through the enumerator's rule helper on vector cones, against the
-    degrees of the primitive relations and ``mori.is_fano``, on every fan of
-    the seeded chains too, not only their last ones, W and the
-    non-projective threefold among them."""
+    """The face-fan criterion, "u_s(v) <= 0 for every maximal cone s and
+    every ray v off s", read through the enumerator's convexity rule on
+    vector cones, against the degrees of the primitive relations and
+    ``mori.is_fano``, on every fan of the seeded chains too, not only their
+    last ones, W and the non-projective threefold among them. The rule
+    adds the cones one at a time, as the search does: each (s, v) is
+    weighed when the later of s and the first cone holding v comes in."""
     fans = (
         list(catalog_fans.values())
         + catalog.enumerate_fano(2)
@@ -227,9 +253,9 @@ def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
     verdicts = []
     for fan in fans:
         cones = [tuple(sorted(fan.cone_vectors(c))) for c in fan.max_cones]
-        by_rule = not any(
-            _fano3._breaks_fano(cone, k, other[j])
-            for (cone, k), (other, j) in fan_module._wall_owners(cones).values()
+        by_rule = all(
+            _fano3._convex(cones[:i], {v for c in cones[:i] for v in c}, cone)
+            for i, cone in enumerate(cones)
         )
         by_degrees = all(r.degree > 0 for r in mori.primitive_relations(fan))
         assert by_rule == by_degrees == mori.is_fano(fan)[0]
@@ -271,12 +297,32 @@ def test_enumerate_dim3_count():
 
 @pytest.mark.slow
 def test_enumerate_dim3_closes_only_fano(monkeypatch):
-    """In dimension 3 the wall rule at the other walls a new cone closes
-    does most of the cutting: with the rule on the expanded wall alone the
-    search closes 2,721 complexes, with both sites 233, all of them Fano."""
-    keys, closed = closed_complexes(monkeypatch, (3,))
-    assert len(closed[0]) == 233
+    """The convexity rule leaves dimension 3 to enter 3,455 complexes and
+    close 233, all of them Fano; the retired wall rule and face check
+    entered 49,223 (``test_convexity_rule_matches_retired_rule_dim3``)."""
+    keys, closed, entered = closed_complexes(monkeypatch, (3,))
+    assert (len(entered[0]), len(closed[0])) == (3455, 233)
     # and every class has at most 8 rays, 8 attained
     assert max(len(f.generators) for f in closed[0]) == max_rays(3) == 8
     assert all(mori.is_fano(f)[0] for f in closed[0])
     assert keys[0] == [canonical_gl_key(f) for f in catalog.enumerate_fano(3)]
+
+
+@pytest.mark.slow
+def test_wider_coordinate_bound_closes_the_same_complexes(monkeypatch):
+    """A differential check of ``COORD_BOUND``, not a proof: with
+    coordinates in [-3, 3] in place of [-2, 2], dimensions 2 and 3 close
+    the same 12 and 233 complexes and return the same classes."""
+    keys, closed, _ = closed_complexes(monkeypatch, (2, 3))
+    monkeypatch.setattr(_fano3, "COORD_BOUND", 3)
+    _fano3._primitive_pool.cache_clear()
+    _fano3._candidates.cache_clear()
+    try:
+        wide_keys, wide_closed, entered = closed_complexes(monkeypatch, (2, 3))
+    finally:
+        _fano3._primitive_pool.cache_clear()
+        _fano3._candidates.cache_clear()
+    assert wide_keys == keys
+    assert [len(c) for c in wide_closed] == [len(c) for c in closed] == [12, 233]
+    assert [set(c) for c in wide_closed] == [set(c) for c in closed]
+    assert [len(e) for e in entered] == [36, 6505]

@@ -759,12 +759,47 @@ def _unimodular_cone(rng, n, fixed=()):
             return tuple(sorted(vecs))
 
 
-def test_face_pair_fast_path_matches_exact_solver(monkeypatch):
-    # the integer path against the Fraction-simplex overlap oracle, in both
-    # argument orders: seeded unimodular pairs sharing 0..n-1 rays, their
-    # GL-twisted copies and every pair the 1- and 2-D enumerations test
+def searched_cone_pairs(monkeypatch, dims):
+    """Every pair of cones in every complex the Fano search enters, and
+    every (new cone, cone) pair its convexity rule weighs."""
     from toricfan import _fano3
 
+    entered, weighed = set(), set()
+    real_owners, real_rule = _fano3._wall_owners, _fano3._convex
+
+    def enter(cones):  # grow calls it once per complex it enters
+        entered.update(combinations(sorted(cones), 2))
+        return real_owners(cones)
+
+    def rule(cones, vertices, new_cone):
+        weighed.update((new_cone, cone) for cone in cones)
+        return real_rule(cones, vertices, new_cone)
+
+    monkeypatch.setattr(_fano3, "_wall_owners", enter)
+    monkeypatch.setattr(_fano3, "_convex", rule)
+    for dim in dims:
+        _fano3.enumerate_fano_fans(dim)
+    return entered, weighed
+
+
+def face_check_agrees(pairs):
+    """Each pair against the Fraction-simplex overlap oracle, in both
+    argument orders; returns the verdicts seen."""
+    exact = fan_module.cones_meet_in_common_face
+    verdicts = set()
+    for a, b in pairs:
+        meet = not _cones_overlap(a, b)
+        assert exact(a, b) == exact(b, a) == meet, (a, b)
+        verdicts.add(meet)
+    return verdicts
+
+
+def test_face_pair_fast_path_matches_exact_solver(monkeypatch):
+    """The integer path against the Fraction-simplex overlap oracle: seeded
+    unimodular pairs sharing 0..n-1 rays, their GL-twisted copies, the pairs
+    the convexity rule of the 1- and 2-D enumerations weighs, and every
+    pair of cones in every complex they enter. The last all meet in a
+    common face, as the rule implies (``_fano3``)."""
     rng = random.Random(20240917)
     pairs = []
     for n in (2, 3, 4):
@@ -779,24 +814,20 @@ def test_face_pair_fast_path_matches_exact_solver(monkeypatch):
         )
         for pair in pairs
     ]
-    queried = []
-    real = _fano3.cones_meet_in_common_face
+    entered, weighed = searched_cone_pairs(monkeypatch, (1, 2))
+    assert (len(entered), len(weighed)) == (57, 122)
+    assert face_check_agrees(pairs) == {False, True}
+    assert face_check_agrees(sorted(weighed)) == {False, True}
+    assert face_check_agrees(sorted(entered)) == {True}
 
-    def record(a, b):
-        queried.append((a, b))
-        return real(a, b)
 
-    monkeypatch.setattr(_fano3, "cones_meet_in_common_face", record)
-    for dim in (1, 2):
-        _fano3.enumerate_fano_fans(dim)
-    assert queried
-    exact = fan_module._cones_meet_cached.__wrapped__
-    verdicts = set()
-    for a, b in pairs + queried:
-        meet = not _cones_overlap(a, b)
-        assert exact(a, b) == exact(b, a) == meet, (a, b)
-        verdicts.add(meet)
-    assert verdicts == {False, True}
+@pytest.mark.slow
+def test_face_pairs_of_dim3_search_meet_in_common_faces(monkeypatch):
+    """Every pair of cones in every complex the 3-D search enters meets in a
+    common face, by the fast path and by the overlap oracle alike."""
+    entered, _ = searched_cone_pairs(monkeypatch, (3,))
+    assert len(entered) == 8658
+    assert face_check_agrees(sorted(entered)) == {True}
 
 
 def _transports(m, a, b):

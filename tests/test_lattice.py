@@ -203,7 +203,6 @@ def test_replayed_package_lps_match_fraction_simplex(
 
     monkeypatch.setattr(lattice, "solve_eq_nonneg", record)
     mori.mori_cone.cache_clear()
-    fan._cones_meet_cached.cache_clear()
     fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + seeded_chains
     for f in fans:
         fan.validate_fan(f)
