@@ -3,10 +3,11 @@
 The transcript holds ``analyze`` (plain and compact) and ``blowdowns`` for
 every catalog key, plus ``isomorphic`` from paper-W to W-bar (the contraction
 of e7 in paper-Y steered by {e1,e6}) with its map, ``enumerate`` in
-dimensions 1 and 2, and ``factor`` along the paper tower (with ``--all``,
+dimensions 1 and 2, ``factor`` along the paper tower (with ``--all``,
 and with ``--require-fano``, which finds no path and exits 3) and from one
-seeded blow-up chain back to P^4. After an intended change
-of output, regenerate it with
+seeded blow-up chain back to P^4, and ``analyze`` (plain and compact) of the
+six named invalid fans of ``conftest``, whose witnesses come from the
+pairwise face check. After an intended change of output, regenerate it with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 """
@@ -18,10 +19,27 @@ import io
 import tempfile
 from pathlib import Path
 
-from conftest import blowup_chain
+from conftest import (
+    DOUBLE_P2,
+    FOLDED_CYCLE,
+    NON_SMOOTH_OVERLAP,
+    OVERLAPPING_TEXT,
+    TWICE_WINDING,
+    ZIGZAG_CYCLE,
+    blowup_chain,
+)
 from toricfan import catalog, cli, contract_ray, serialize_fan
 
 GOLDEN = Path(__file__).parent / "data" / "cli_transcript.txt"
+
+INVALID = {
+    "twice-winding": serialize_fan(TWICE_WINDING),
+    "folded-cycle": serialize_fan(FOLDED_CYCLE),
+    "double-p2": serialize_fan(DOUBLE_P2),
+    "zigzag-cycle": serialize_fan(ZIGZAG_CYCLE),
+    "non-smooth-overlap": serialize_fan(NON_SMOOTH_OVERLAP),
+    "overlapping": OVERLAPPING_TEXT,
+}
 
 
 def _commands() -> list[list[str]]:
@@ -39,6 +57,9 @@ def _commands() -> list[list[str]]:
     out.append(["factor", "paper-W.fan", "paper-X.fan"])
     out.append(["factor", "paper-X.fan", "p4.fan"])
     out.append(["factor", "chain.fan", "p4.fan"])
+    for key in INVALID:
+        out.append(["analyze", f"{key}.fan"])
+        out.append(["analyze", "--format", "compact", f"{key}.fan"])
     return out
 
 
@@ -47,8 +68,9 @@ def transcript(workdir: Path) -> str:
     fans = {key: catalog.catalog_fan(key) for key in catalog.catalog_keys()}
     fans["wbar"] = contract_ray(fans["paper-Y"], "e7", ("e1", "e6"))
     fans["chain"] = blowup_chain(2, 4, 6)
-    for key, fan in fans.items():
-        (workdir / f"{key}.fan").write_text(serialize_fan(fan), encoding="utf-8")
+    texts = {key: serialize_fan(fan) for key, fan in fans.items()} | INVALID
+    for key, text in texts.items():
+        (workdir / f"{key}.fan").write_text(text, encoding="utf-8")
     chunks = []
     for argv in _commands():
         out, err = io.StringIO(), io.StringIO()
