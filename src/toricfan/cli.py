@@ -329,11 +329,6 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.dim == 3 and not args.long:
-        raise _CliFailure(
-            EXIT_BAD_ARGUMENT,
-            "dimension-3 enumeration is long-running; pass --long to confirm",
-        )
     try:
         fans = catalog.enumerate_fano(args.dim)
     except UnsupportedDimensionError as exc:
@@ -440,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", help="smooth toric Fano fans up to lattice isomorphism"
     )
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument(
-        "--long", action="store_true", help="confirm long-running searches"
-    )
     p.add_argument("--out-dir", default=None, help="also write one file per fan")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -285,47 +285,10 @@ def cones_meet_in_common_face(
     the cone spanned by their shared generators.
 
     ``validate_fan`` calls it only when its linear check fails, to name
-    the offending pairs; the Fano enumerator needs no face check.
-    For two unimodular cones A and B with shared generators S, both are
-    simplicial and S spans a face of each. A ∩ B is larger than cone(S) iff
-    the images of A and B in the quotient by span(S) meet outside 0: a
-    point of A ∩ B off cone(S) has A-coordinates off S not all zero, so its
-    image is not 0; a nonzero common image lifts to such a point once
-    enough of S is added on both sides. The rows of A's dual basis off S
-    are coordinates on the quotient in which A is the nonnegative orthant;
-    B's image is the cone of B's generators off S written in them. That
-    cone is clipped to the orthant one coordinate at a time, as in a
-    double-description step (Fukuda-Prodon 1996): a generator g with
-    g_i >= 0 stays, and each pair with p_i > 0 > q_i adds p_i*q - q_i*p.
-    The cones meet in their common face iff no generator survives. All of
-    this is in integers. When a cone is not unimodular, the exact
-    feasibility solver searches instead for a common point with weight
-    outside the shared generators.
+    the offending pairs; the Fano enumerator needs no face check. Unless
+    one cone is a face of the other, the exact feasibility solver searches
+    for a common point with weight outside the shared generators.
     """
-    dual = _dual_rows(a_vecs)
-    if dual is not None and _dual_rows(b_vecs) is not None:
-        rows = [row for row, v in zip(dual, a_vecs) if v not in b_vecs]
-        # B's generators off S are independent in the quotient, so each
-        # generator made below is a nonzero nonnegative combination of them:
-        # the clipped cone is 0 exactly when the list is empty
-        gens = [
-            tuple(lattice.dot(row, w) for row in rows)
-            for w in b_vecs
-            if w not in a_vecs
-        ]
-        for i in range(len(rows)):
-            pos = [g for g in gens if g[i] > 0]
-            neg = [g for g in gens if g[i] < 0]
-            gens = [g for g in gens if g[i] == 0] + pos
-            gens += [
-                tuple(p[i] * y - q[i] * x for x, y in zip(p, q))
-                for p in pos
-                for q in neg
-            ]
-            if not gens:
-                return True
-        return not gens
-
     shared = set(a_vecs) & set(b_vecs)
     if shared >= set(a_vecs) or shared >= set(b_vecs):
         return True  # one cone is a face of the other
@@ -367,8 +330,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
     generic points of s' near x lie in a cone containing F, which can only
     be s'; F is then the face of s' holding x, and every pair meets in the
     cone of its shared rays. Otherwise every pair of cones is tested with
-    ``cones_meet_in_common_face`` (in integers when both are unimodular, by
-    the exact LP otherwise) and each failure is named.
+    ``cones_meet_in_common_face``, by the exact LP, and each failure is
+    named.
     """
     if _walls(fan) is not None:
         return ValidationReport(True, True, True, ())

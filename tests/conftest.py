@@ -99,9 +99,8 @@ OVERLAPPING_TEXT = (
 # the interior of <r2,r3> is covered three times and the rest of the plane
 # once.
 ZIGZAG_CYCLE = cycle_fan((1, 0), (0, -1), (-1, 0), (-1, -1), (0, 1))
-# No cone is unimodular (determinants 2, 4, -2, 2), so every pair of cones
-# goes to the overlap LP: 6 LPs, one of them feasible, since <a,b>
-# contains <a,d>.
+# No cone is unimodular (determinants 2, 4, -2, 2). Its 6 pairs of cones
+# make 6 overlap LPs, one of them feasible, since <a,b> contains <a,d>.
 NON_SMOOTH_OVERLAP = make_fan(
     2,
     [("a", (1, 0)), ("b", (-1, 2)), ("c", (-1, -2)), ("d", (1, 2))],

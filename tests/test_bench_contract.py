@@ -67,8 +67,8 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     mori.mori_cone(w)  # through nonneg_rational_combination
     assert len(calls) > 0
     before = len(calls)
-    # a valid fan needs no pairwise test and a unimodular pair no LP; this
-    # one reaches the overlap LP in cones_meet_in_common_face
+    # a valid fan needs no pairwise test; an invalid one, such as this,
+    # reaches the overlap LP in cones_meet_in_common_face
     fan.validate_fan(NON_SMOOTH_OVERLAP)
     assert len(calls) > before
 

@@ -278,10 +278,16 @@ def test_enumerate_out_dir_on_existing_file_exits_5(cli_run, tmp_path):
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
-def test_enumerate_dim3_needs_long_flag(cli_run):
-    code, _, err = cli_run("enumerate", "--dim", "3")
-    assert code == 5
-    assert "--long" in err
+def test_enumerate_dim3_runs_like_dims_1_and_2(cli_run, capsys):
+    code, out, _ = cli_run("enumerate", "--dim", "3")
+    assert code == 0
+    assert sum(1 for l in out.splitlines() if l == "dim 3") == 18
+    assert "1 of 18" in out and "18 of 18" in out
+    # the retired confirmation flag is an unknown option, a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", "--dim", "3", "--long"])
+    assert exc.value.code == 5
+    assert "unrecognized arguments: --long" in capsys.readouterr().err
 
 
 def test_enumerate_unsupported_dim_exits_5(cli_run):

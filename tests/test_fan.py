@@ -794,11 +794,11 @@ def face_check_agrees(pairs):
     return verdicts
 
 
-def test_face_pair_fast_path_matches_exact_solver(monkeypatch):
-    """The integer path against the Fraction-simplex overlap oracle: seeded
-    unimodular pairs sharing 0..n-1 rays, their GL-twisted copies, the pairs
-    the convexity rule of the 1- and 2-D enumerations weighs, and every
-    pair of cones in every complex they enter. The last all meet in a
+def test_face_pair_check_matches_fraction_oracle(monkeypatch):
+    """The face check's integer LP against the Fraction-simplex overlap
+    oracle: seeded unimodular pairs sharing 0..n-1 rays, their GL-twisted
+    copies, the pairs the convexity rule of the 1- and 2-D enumerations
+    weighs, and every pair of cones in every complex they enter. The last all meet in a
     common face, as the rule implies (``_fano3``)."""
     rng = random.Random(20240917)
     pairs = []
@@ -824,7 +824,7 @@ def test_face_pair_fast_path_matches_exact_solver(monkeypatch):
 @pytest.mark.slow
 def test_face_pairs_of_dim3_search_meet_in_common_faces(monkeypatch):
     """Every pair of cones in every complex the 3-D search enters meets in a
-    common face, by the fast path and by the overlap oracle alike."""
+    common face, by the face check and by the overlap oracle alike."""
     entered, _ = searched_cone_pairs(monkeypatch, (3,))
     assert len(entered) == 8658
     assert face_check_agrees(sorted(entered)) == {True}

@@ -207,8 +207,8 @@ def test_replayed_package_lps_match_fraction_simplex(
     for f in fans:
         fan.validate_fan(f)
         mori.mori_cone(f)
-    # valid fans pass the linear face check and unimodular pairs need no
-    # LP; this one reaches the overlap LPs
+    # valid fans pass the linear face check and need no pairwise LP; this
+    # invalid one reaches the overlap LPs
     fan.validate_fan(NON_SMOOTH_OVERLAP)
     assert sum(out is None for _, _, out in issued) > 0
     assert sum(out is not None for _, _, out in issued) > 0
