@@ -17,6 +17,7 @@ from .errors import (
     FanParseError,
     FanSyntaxError,
     InternalInconsistencyError,
+    InvalidArgumentError,
     InvalidDimensionError,
     NameCollisionError,
     NoBlowdownRelationError,
@@ -83,6 +84,7 @@ __all__ = [
     "FanParseError",
     "FanSyntaxError",
     "InternalInconsistencyError",
+    "InvalidArgumentError",
     "InvalidDimensionError",
     "NameCollisionError",
     "NoBlowdownRelationError",

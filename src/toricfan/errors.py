@@ -9,6 +9,13 @@ class DimensionMismatchError(ToricFanError):
     """Vector or matrix sizes are inconsistent with the ambient dimension."""
 
 
+class InvalidArgumentError(ToricFanError):
+    """An argument outside the function's domain: a matrix or LP entry that
+    is not an exact integer (or, for the LP, an int or a Fraction), or a
+    ray set that is not a primitive collection. Not a ValueError, which
+    the unimodularity tests read as "not unimodular"."""
+
+
 class FanParseError(ToricFanError):
     """Base class for fan-file parsing failures."""
 

@@ -101,14 +101,19 @@ def make_fan(
         raise DimensionMismatchError("fan dimension must be a positive integer")
     gens = []
     seen = set()
-    for name, vec in generators:
-        if not _NAME_RE.match(name):
+    for gen in generators:
+        try:
+            name, vec = gen
+        except (TypeError, ValueError):
+            bad = f"generator {gen!r} is not a (name, vector) pair"
+            raise FanSyntaxError(bad) from None
+        if not isinstance(name, str) or not _NAME_RE.match(name):
             raise FanSyntaxError(f"invalid ray name {name!r}")
         if name in seen:
             raise DuplicateNameError(f"duplicate ray name {name!r}")
         seen.add(name)
         bad = f"ray {name!r}: coordinates must be integers"
-        v = _integers(vec, FanSyntaxError, bad)
+        v = lattice._integers(vec, FanSyntaxError, bad)
         if len(v) != dim:
             raise DimensionMismatchError(
                 f"ray {name!r}: expected {dim} coordinates, got {len(v)}"
@@ -116,9 +121,8 @@ def make_fan(
         gens.append(RayGenerator(name, v))
     cones = []
     for cone in max_cones:
-        raw = tuple(cone)
-        bad = f"cone {raw!r}: ray index is not an integer"
-        idx = tuple(sorted(_integers(raw, UnknownRayError, bad)))
+        bad = f"cone {cone!r}: ray index is not an integer"
+        idx = tuple(sorted(lattice._integers(cone, UnknownRayError, bad)))
         for i in idx:
             if not 0 <= i < len(gens):
                 raise UnknownRayError(f"cone references ray index {i}")
@@ -132,24 +136,12 @@ def make_fan(
     return Fan(dim, tuple(gens), tuple(sorted(cones)))
 
 
-def _integers(values: Iterable, error: type, message: str) -> tuple[int, ...]:
-    """The values as ints, never truncated: anything else (1.5, NaN, an
-    infinity, None, a bool) raises ``error(message)``."""
-    raw = tuple(values)
-    try:
-        ints = tuple(map(int, raw))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != raw or bool in map(type, raw):
-        raise error(message)
-    return ints
-
-
 def resolve_ray(fan: Fan, ray: int | str) -> int:
     """Ray index from a name or an index, with range checking."""
     if isinstance(ray, str):
         return fan.index_of(ray)
-    (i,) = _integers((ray,), UnknownRayError, f"ray index {ray!r} is not an integer")
+    bad = f"ray index {ray!r} is not an integer"
+    (i,) = lattice._integers((ray,), UnknownRayError, bad)
     if not 0 <= i < len(fan.generators):
         raise UnknownRayError(f"no ray with index {i}")
     return i
@@ -157,7 +149,10 @@ def resolve_ray(fan: Fan, ray: int | str) -> int:
 
 def resolve_cone(fan: Fan, rays: Iterable[int | str]) -> Cone:
     """Sorted index tuple from a mix of ray names and indices."""
-    rays = tuple(rays)  # the message reads them again
+    try:
+        rays = tuple(rays)  # the message reads them again
+    except TypeError:
+        raise UnknownRayError(f"{rays!r} is not a collection of rays") from None
     idx = tuple(sorted(resolve_ray(fan, r) for r in rays))
     if len(set(idx)) != len(idx):
         raise UnknownRayError(f"repeated ray in {rays!r}")
@@ -478,7 +473,8 @@ def locate_relint(
     integer coefficients over its generators; the zero vector yields the
     zero cone with no coefficients. Requires a valid complete fan.
     """
-    pt = _integers(point, FanSyntaxError, "point: coordinates must be integers")
+    bad = "point: coordinates must be integers"
+    pt = lattice._integers(point, FanSyntaxError, bad)
     if len(pt) != fan.dim:
         raise DimensionMismatchError(
             f"point has {len(pt)} coordinates in a dim-{fan.dim} fan"

@@ -6,8 +6,10 @@ simplex behind `solve_eq_nonneg` and `nonneg_rational_combination`, which
 decides feasibility, extremality and (by Gordan's alternative) strict
 convexity, pivots on an integer tableau by the same exact division.
 `fractions.Fraction` appears only at the boundary: rational input is scaled
-to integers, and the vertex found is returned as Fractions. Every yes/no
-answer is a decision, never an approximation.
+to integers, and the vertex found is returned as Fractions. An entry of
+another type (a float, None) raises ``InvalidArgumentError``, and so does
+a non-integer entry of a matrix: nothing is truncated. Every yes/no answer
+is a decision, never an approximation.
 """
 
 from __future__ import annotations
@@ -15,18 +17,33 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidArgumentError
 
 IntVector = tuple[int, ...]
+
+
+def _integers(values: Iterable, error: type, message: str) -> tuple[int, ...]:
+    """The values as ints, never truncated: anything else (1.5, NaN, an
+    infinity, None, a bool, or values that are not iterable) raises
+    ``error(message)``."""
+    try:
+        raw = tuple(values)
+        ints = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        raise error(message) from None
+    if ints != raw or bool in map(type, raw):
+        raise error(message)
+    return ints
 
 
 def _square(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("need a square matrix")
-    return [[int(x) for x in r] for r in rows]
+    bad = "matrix entries must be integers"
+    return [list(_integers(r, InvalidArgumentError, bad)) for r in rows]
 
 
 def _eliminate(m: list[list[int]], n: int) -> int:
@@ -87,7 +104,8 @@ def solve_eq_nonneg(
 
     Phase-1 simplex on an integer tableau (fraction-free pivoting, Bareiss,
     Math. Comp. 22 (1968); for the simplex, Azulay & Pique, ACM TOMS 27
-    (2001)). Entries are ints or Fractions. The system is multiplied by the
+    (2001)). Entries are ints or Fractions; any entry without a denominator
+    raises ``InvalidArgumentError``. The system is multiplied by the
     lcm of all its denominators: one factor for every row keeps the reduced
     costs proportional to those of the rational tableau, so the pivots are
     the same. Each row with a negative rhs is then negated. The tableau
@@ -124,7 +142,10 @@ def solve_eq_nonneg(
         return [] if all(b == 0 for b in rhs) else None
 
     system = [[*row, b] for row, b in zip(rows, rhs)]
-    scale = lcm(*(x.denominator for row in system for x in row))
+    try:
+        scale = lcm(*(x.denominator for row in system for x in row))
+    except AttributeError:
+        raise InvalidArgumentError("LP entries must be ints or Fractions") from None
     tab = []
     for row in system:
         ints = [x.numerator * (scale // x.denominator) for x in row]

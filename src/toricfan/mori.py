@@ -18,6 +18,7 @@ Varieties*, Thm 6.3.13).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import lattice
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, InvalidArgumentError
 from .fan import Cone, Fan, _wall_coefficients, _walls, locate_relint, resolve_cone
 
 
@@ -80,8 +81,15 @@ def primitive_collections(fan: Fan) -> tuple[Cone, ...]:
 
 
 def primitive_relation(fan: Fan, collection: Iterable[int | str]) -> PrimitiveRelation:
-    """The relation attached to a primitive collection of the fan."""
+    """The relation attached to a primitive collection of the fan; any other
+    ray set raises ``InvalidArgumentError``."""
     coll = resolve_cone(fan, collection)
+    colls = primitive_collections(fan)  # sorted, so bisection finds coll
+    i = bisect_left(colls, coll)
+    if colls[i : i + 1] != (coll,):
+        raise InvalidArgumentError(
+            f"{{{','.join(fan.cone_names(coll))}}} is not a primitive collection"
+        )
     vecs = fan.cone_vectors(coll)
     total = tuple(sum(col) for col in zip(*vecs))
     try:

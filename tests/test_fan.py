@@ -392,6 +392,21 @@ def test_non_integral_coordinates_are_rejected(tower):
             make_fan(2, [("a", (bad, 0)), ("b", (0, 1))], [(0, 1)])
         with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
             locate_relint(catalog.projective_space(2), (1, bad))
+    # not iterable, or not a pair: TypeError or ValueError without the check
+    with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
+        make_fan(1, [("a", 1)], [])
+    with pytest.raises(FanSyntaxError, match="coordinates must be integers"):
+        locate_relint(catalog.projective_space(2), 5)
+    for gen in ("a", ("a",), ("a", (1,), 0), 5, None):
+        with pytest.raises(FanSyntaxError, match="not a \\(name, vector\\) pair"):
+            make_fan(1, [gen], [])
+    # a ray name that is not a str: TypeError from the name pattern
+    for name in (None, 5, b"a"):
+        with pytest.raises(FanSyntaxError, match="invalid ray name"):
+            make_fan(1, [(name, (1,))], [])
+    for name in (5, b"a"):  # None asks for the next free name
+        with pytest.raises(FanSyntaxError, match="invalid ray name"):
+            star_subdivide(catalog.projective_space(2), ("e1", "e2"), new_name=name)
     p4 = tower[0]
     assert locate_relint(p4, (Fraction(2), 1.0, 0, 0)) == locate_relint(
         p4, (2, 1, 0, 0)
@@ -422,6 +437,12 @@ def test_non_integer_ray_index_is_rejected(index):
         star_subdivide(p2, (0, index))
     with pytest.raises(UnknownRayError, match="not an integer"):
         fan_module.resolve_ray(p2, index)
+    # a cone that is a bare value, not a collection: TypeError without the
+    # check
+    with pytest.raises(UnknownRayError, match="not an integer"):
+        make_fan(2, [("a", (1, 0)), ("b", (0, 1))], [index])
+    with pytest.raises(UnknownRayError, match="not a collection of rays"):
+        star_subdivide(p2, index)
     # an integral value of another type is still an index
     assert fan_module.resolve_ray(p2, Fraction(2)) == 2
     assert fan_module.resolve_ray(p2, 2.0) == 2

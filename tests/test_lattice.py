@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricfan import catalog, fan, lattice, mori
-from toricfan.errors import DimensionMismatchError
+from toricfan.errors import DimensionMismatchError, InvalidArgumentError
 
 from conftest import NON_SMOOTH_OVERLAP
 from oracles import (
@@ -49,6 +49,42 @@ def test_unimodular_simplex_cone():
     basis = [E0, E1, E2, E3]
     assert abs(permutation_determinant(basis)) == 1
     assert lattice.unimodular_inverse(basis) == (E2, E3, E4, E0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.5]],
+        [[Fraction(1, 2), 0], [0, 2]],
+        [[1.9, 0], [0, 1]],
+        [[None, 0], [0, 1]],
+        [[True, 0], [0, 1]],
+    ],
+)
+def test_elimination_rejects_non_integer_entries(rows):
+    # int() alone truncated: det [[1.5]] read 1, det diag(1/2, 2) read 0,
+    # and diag(1.9, 1) was inverted as the identity
+    with pytest.raises(InvalidArgumentError, match="must be integers"):
+        lattice.determinant(rows)
+    with pytest.raises(InvalidArgumentError, match="must be integers"):
+        lattice.unimodular_inverse(rows)
+    # not a ValueError, which _dual_rows reads as "not unimodular" (called
+    # past its cache, where True and 1 are the same key)
+    with pytest.raises(InvalidArgumentError):
+        fan._dual_rows.__wrapped__(tuple(map(tuple, rows)))
+
+
+def test_lp_rejects_entries_without_a_denominator():
+    # the scaling pass read x.denominator, which raised AttributeError
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.solve_eq_nonneg([[1.0]], [1])
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.solve_eq_nonneg([[1]], [None])
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.nonneg_rational_combination([(1,)], (0.5,))
+    # integral values of other types are still integers
+    assert lattice.determinant([[Fraction(2), 0], [0, 1.0]]) == 2
+    assert lattice.solve_eq_nonneg([[Fraction(1, 2)]], [1]) == [2]
 
 
 def test_unimodular_wrong_count():

@@ -5,6 +5,7 @@ import pytest
 
 from toricfan import (
     InternalInconsistencyError,
+    InvalidArgumentError,
     birational,
     catalog,
     lattice,
@@ -490,3 +491,22 @@ def test_relation_accepts_indices_and_names(tower):
     by_names = rel(x, ("e1", "e2", "e3"))
     by_idx = mori.primitive_relation(x, resolve_cone(x, (1, 2, 3)))
     assert by_names == by_idx
+
+
+def test_relation_only_for_primitive_collections(tower):
+    # {e1,e2} is a cone of P^2, not a primitive collection; its sum lies in
+    # its own relative interior, which read as e1 + e2 = e1 + e2, degree 0
+    p2 = catalog.projective_space(2)
+    with pytest.raises(InvalidArgumentError, match="not a primitive collection"):
+        mori.primitive_relation(p2, ("e1", "e2"))
+    # every ray set of the tower: a relation exactly on the minimal non-faces
+    for fan in tower:
+        brute = set(brute_primitive_collections(fan))
+        n = len(fan.generators)
+        for h in range(1, n + 1):
+            for subset in combinations(range(n), h):
+                if subset in brute:
+                    assert mori.primitive_relation(fan, subset).collection == subset
+                else:
+                    with pytest.raises(InvalidArgumentError):
+                        mori.primitive_relation(fan, subset)
