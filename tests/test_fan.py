@@ -819,8 +819,8 @@ def test_face_pair_check_matches_fraction_oracle(monkeypatch):
     """The face check's integer LP against the Fraction-simplex overlap
     oracle: seeded unimodular pairs sharing 0..n-1 rays, their GL-twisted
     copies, the pairs the convexity rule of the 1- and 2-D enumerations
-    weighs, and every pair of cones in every complex they enter. The last all meet in a
-    common face, as the rule implies (``_fano3``)."""
+    weighs, and every pair of cones in every complex they enter. The last
+    all meet in a common face, as the rule implies (``_fano3``)."""
     rng = random.Random(20240917)
     pairs = []
     for n in (2, 3, 4):
