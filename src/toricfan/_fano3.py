@@ -46,13 +46,14 @@ it, and no closed wall gets a third owner. Nor is a new cone ever already
 in the complex: it holds the open wall, whose only owner has apex p, and
 its own apex w has coordinate -1 on p, so it is not that owner.
 
-The rays of a smooth Fano fan are the vertices of a simplicial reflexive
-polytope, at most 3n - (n mod 2) in dimension n (Casagrande, *Ann. Inst.
-Fourier* 56, 2006), so no complex grows past 2, 6 or 8 rays. The one tuned
-cap, ``COORD_BOUND``, keeps coordinates in [-2, 2]; the known counts 1, 5
-and 18 validate it. Cones need no cap: an open complex's cones meet in
-common faces, so they number at most V - 1 in dimension 2 (a path) and
-2V - 5 <= 11 in dimension 3 (part of a triangulated sphere, by Euler).
+One bound by argument gives the pool and the one prune (Øbro's special
+facet, arXiv:0704.0049). A complete fan has a maximal cone F holding nu,
+the sum of its rays; map F to the standard cone, so u_F = (1,...,1) and
+u_F(nu) >= 0. A ray v off F has sum(v) <= 0 (Fano), so sum(v) >= -n and
+u_F(nu) only falls as vertices come in: a vertex taking it below 0 is cut.
+The cone across the wall F - e_i, of apex q with q_i = -1, has functional
+u_F + (c - 1)e_i*, c = sum(q) <= 0, at most 1 on every ray, so
+v_i >= (sum(v) - 1)/(1 - c) >= sum(v) - 1, and v_i <= n^2 follows.
 """
 
 from __future__ import annotations
@@ -72,13 +73,13 @@ from .fan import (
     _wall_owners,
 )
 
-COORD_BOUND = 2
-
 
 @lru_cache(maxsize=None)
 def _primitive_pool(dim: int):
-    rng = range(-COORD_BOUND, COORD_BOUND + 1)
-    return tuple(v for v in product(rng, repeat=dim) if gcd(*v) == 1)
+    """The primitive rays the special-facet bound allows, in lex order."""
+    box = product(range(-dim - 1, dim * dim + 1), repeat=dim)  # v_i in [-n - 1, n^2]
+    bounded = (v for v in box if -dim <= sum(v) <= 1 and min(v) >= sum(v) - 1)
+    return tuple(v for v in bounded if gcd(*v) == 1)
 
 
 def _functional(cone):
@@ -97,7 +98,7 @@ def _convex(cones, vertices: set, new_cone) -> bool:
     return not any(lattice.dot(_functional(c), w) > 0 for w in fresh for c in cones)
 
 
-@lru_cache(maxsize=2048)  # dimension 3 meets 964 (cone, k) pairs
+@lru_cache(maxsize=2048)  # dimensions 1 to 3 meet 613 (cone, k) pairs
 def _candidates(cone, k):
     """Pool vectors w with coordinate -1 on ``cone[k]`` in the basis
     ``cone`` and u_cone(w) <= 0, the convexity rule against the owner of
@@ -121,12 +122,9 @@ def _fan_from_cones(dim: int, cones) -> Fan:
 
 
 def enumerate_fano_fans(dim: int) -> list[Fan]:
-    """All smooth toric Fano fans of dimension ``dim`` within the
-    coordinate bound, up to GL(dim,Z), in canonical-key order."""
-    max_vertices = 3 * dim - dim % 2  # Casagrande's bound
-    start = tuple(
-        sorted(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    )
+    """All smooth toric Fano fans of dimension ``dim``, up to GL(dim,Z),
+    in canonical-key order."""
+    start = tuple(v for v in _primitive_pool(dim) if sum(v) == 1)  # the e_i alone
     found: dict = {}
 
     def grow(cones: frozenset):
@@ -149,8 +147,9 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             return
         ((owner, k),) = counts[wall]
         vertices = {x for cone in cones for x in cone}
+        nu = sum(map(sum, vertices))  # u_F(nu) so far, F the standard cone
         for w in _candidates(owner, k):
-            if w not in vertices and len(vertices) >= max_vertices:
+            if w not in vertices and nu + sum(w) < 0:
                 continue
             new_cone = tuple(sorted(wall + (w,)))
             if _convex(cones, vertices, new_cone):

@@ -123,17 +123,17 @@ def factor_morphism(
     refine ``coarse``; a path is complete when the current fan equals
     ``coarse`` structurally. The coarse-cone bitmasks of ``fine``'s rays are
     computed once (see ``fan.refines``); every target's rays are among
-    them, so each refinement test is one AND per maximal cone. Blow-downs
-    are the valid entries of the cached ``blow_down_candidates``, so a fan
-    that ``validate_fan`` rejects raises ``InternalInconsistencyError``;
-    the step flags come from ``mori.is_fano_by_walls`` and the cached
-    ``mori.is_projective``, both read off ``mori.wall_classes``, so the
-    search locates no primitive relation. With ``require_fano``,
-    intermediates strictly between the endpoints must be Fano. With
-    ``exhaustive``, all complete paths are returned, otherwise only the
-    first; the empty tuple means the search finished and no factorization
-    exists. Candidate order (by contracted ray name, then collection) makes
-    results deterministic.
+    them, so each refinement test is one AND per maximal cone. Both
+    endpoints, and every intermediate via ``blow_down_candidates``, go
+    through the cached wall pass of ``mori.wall_classes``, so a fan that
+    ``validate_fan`` rejects raises ``InternalInconsistencyError``; the step
+    flags come from ``mori.is_fano_by_walls`` and the cached
+    ``mori.is_projective``, both read off that pass, so the search locates
+    no primitive relation. With ``require_fano``, intermediates strictly
+    between the endpoints must be Fano. With ``exhaustive``, all complete
+    paths are returned, otherwise only the first; the empty tuple means the
+    search finished and no factorization exists. Candidate order (by
+    contracted ray name, then collection) makes results deterministic.
 
     One memo maps each structural key to the step suffixes from there to
     ``coarse`` (at most one unless ``exhaustive``), so each intermediate
@@ -141,6 +141,8 @@ def factor_morphism(
     mean equal rays and names, and a memoized suffix is the one a new walk
     would build.
     """
+    for endpoint in (fine, coarse):
+        mori.wall_classes(endpoint)  # the check only; the classes are not read
     masks = _ray_masks(fine, coarse)
     if not _masks_cover(fine, masks):
         raise NotARefinementError(

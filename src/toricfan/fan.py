@@ -149,10 +149,9 @@ def resolve_ray(fan: Fan, ray: int | str) -> int:
 
 def resolve_cone(fan: Fan, rays: Iterable[int | str]) -> Cone:
     """Sorted index tuple from a mix of ray names and indices."""
-    try:
-        rays = tuple(rays)  # the message reads them again
-    except TypeError:
-        raise UnknownRayError(f"{rays!r} is not a collection of rays") from None
+    if isinstance(rays, str) or not isinstance(rays, Iterable):  # a str is one name
+        raise UnknownRayError(f"{rays!r} is not a collection of rays")
+    rays = tuple(rays)  # the message reads them again
     idx = tuple(sorted(resolve_ray(fan, r) for r in rays))
     if len(set(idx)) != len(idx):
         raise UnknownRayError(f"repeated ray in {rays!r}")

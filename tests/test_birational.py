@@ -4,7 +4,12 @@ import threading
 import pytest
 
 from conftest import (
+    DOUBLE_P2,
+    FOLDED_CYCLE,
+    NON_SMOOTH_OVERLAP,
     OVERLAPPING_TEXT,
+    TWICE_WINDING,
+    ZIGZAG_CYCLE,
     blowup_chain,
     chain_prefixes,
     clear_package_caches,
@@ -18,6 +23,7 @@ from toricfan import (
     StarConditionViolatedError,
     contract_ray,
     fan_isomorphism,
+    make_fan,
     parse_fan,
     refines,
     star_subdivide,
@@ -249,9 +255,20 @@ def test_factor_rejects_invalid_fan():
     overlapping = parse_fan(OVERLAPPING_TEXT)
     assert not validate_fan(overlapping).ok
     p2 = catalog.projective_space(2)
-    for exhaustive in (False, True):
-        with pytest.raises(InternalInconsistencyError):
-            birational.factor_morphism(overlapping, p2, exhaustive=exhaustive)
+    # the smooth fan on the same rays a, b, c, d refines the overlapping
+    # one, whose search found no blow-down and returned ()
+    rays = list(zip(overlapping.names(), overlapping.vectors()))
+    smooth = make_fan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert validate_fan(smooth).ok
+    # and each invalid fan onto itself read as the empty factorization
+    cases = [(overlapping, p2), (smooth, overlapping), (overlapping, overlapping)]
+    for f in (DOUBLE_P2, FOLDED_CYCLE, NON_SMOOTH_OVERLAP, TWICE_WINDING, ZIGZAG_CYCLE):
+        assert not validate_fan(f).ok
+        cases.append((f, f))
+    for fine, coarse in cases:
+        for exhaustive in (False, True):
+            with pytest.raises(InternalInconsistencyError):
+                birational.factor_morphism(fine, coarse, exhaustive=exhaustive)
 
 
 def test_factor_first_path_is_prefix_of_exhaustive(tower):

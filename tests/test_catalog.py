@@ -2,10 +2,11 @@ from collections import Counter
 
 import pytest
 
-from toricfan import _fano3, catalog, mori
+from toricfan import _fano3, catalog, lattice, mori
 from toricfan import canonical_gl_key, fan_isomorphism
 from toricfan import validate_fan
 from toricfan.errors import InvalidDimensionError, UnsupportedDimensionError
+from toricfan.fan import _dual_rows
 
 import oracles
 from conftest import chain_prefixes, twisted_threefold
@@ -132,12 +133,6 @@ def test_enumerate_dim2_pairwise_nonisomorphic():
             assert fan_isomorphism(fans[i], fans[j]) is None
 
 
-def test_enumerate_dim2_coordinates_within_bound():
-    for fan in catalog.enumerate_fano(2):
-        for g in fan.generators:
-            assert all(abs(c) <= 4 for c in g.vector)
-
-
 def test_enumerate_dim2_deterministic():
     first = catalog.enumerate_fano(2)
     second = catalog.enumerate_fano(2)
@@ -177,7 +172,6 @@ def closed_complexes(monkeypatch, dims):
         assert len(set(entered_d)) == len(entered_d) > len(closed_d)
         for cones in entered_d:
             v = len({x for cone in cones for x in cone})
-            assert v <= max_rays(d)
             if all(len(o) == 2 for o in real_owners(cones).values()):
                 continue  # closed
             assert len(cones) <= {1: 1, 2: v - 1, 3: 2 * v - 5}[d]
@@ -225,15 +219,15 @@ def against_retired_rule(monkeypatch, dims):
 def test_degree_prune_keeps_every_class(monkeypatch):
     """The convexity rule cuts only branches that cannot close Fano: against
     the retired rule, the wall rule at every wall a new cone closes plus the
-    pairwise face check, dimensions 1 and 2 close the same 1 and 12
-    complexes, while dimension 2 enters 32 complexes where the retired
-    rule enters 40."""
-    assert against_retired_rule(monkeypatch, (1, 2)) == ([2, 32], [2, 40], [1, 12])
+    pairwise face check, dimensions 1 and 2 close the same 1 and 9
+    complexes, while dimension 2 enters 24 complexes where the retired
+    rule enters 26."""
+    assert against_retired_rule(monkeypatch, (1, 2)) == ([2, 24], [2, 26], [1, 9])
 
 
 @pytest.mark.slow
 def test_convexity_rule_matches_retired_rule_dim3(monkeypatch):
-    assert against_retired_rule(monkeypatch, (3,)) == ([3455], [49223], [233])
+    assert against_retired_rule(monkeypatch, (3,)) == ([2129], [8012], [158])
 
 
 def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
@@ -297,32 +291,44 @@ def test_enumerate_dim3_count():
 
 @pytest.mark.slow
 def test_enumerate_dim3_closes_only_fano(monkeypatch):
-    """The convexity rule leaves dimension 3 to enter 3,455 complexes and
-    close 233, all of them Fano; the retired wall rule and face check
-    entered 49,223 (``test_convexity_rule_matches_retired_rule_dim3``)."""
+    """The convexity rule leaves dimension 3 to enter 2,129 complexes and
+    close 158, all of them Fano; the retired wall rule and face check
+    entered 8,012 (``test_convexity_rule_matches_retired_rule_dim3``)."""
     keys, closed, entered = closed_complexes(monkeypatch, (3,))
-    assert (len(entered[0]), len(closed[0])) == (3455, 233)
+    assert (len(entered[0]), len(closed[0])) == (2129, 158)
     # and every class has at most 8 rays, 8 attained
     assert max(len(f.generators) for f in closed[0]) == max_rays(3) == 8
     assert all(mori.is_fano(f)[0] for f in closed[0])
     assert keys[0] == [canonical_gl_key(f) for f in catalog.enumerate_fano(3)]
 
 
+def test_primitive_pool_sizes():
+    assert [len(_fano3._primitive_pool(n)) for n in (1, 2, 3, 4)] == [2, 11, 112, 1849]
+    # the search starts from the pool's vectors of sum 1, the unit vectors
+    for n in (1, 2, 3, 4):
+        units = [v for v in _fano3._primitive_pool(n) if sum(v) == 1]
+        assert units == sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 @pytest.mark.slow
-def test_wider_coordinate_bound_closes_the_same_complexes(monkeypatch):
-    """A differential check of ``COORD_BOUND``, not a proof: with
-    coordinates in [-3, 3] in place of [-2, 2], dimensions 2 and 3 close
-    the same 12 and 233 complexes and return the same classes."""
-    keys, closed, _ = closed_complexes(monkeypatch, (2, 3))
-    monkeypatch.setattr(_fano3, "COORD_BOUND", 3)
-    _fano3._primitive_pool.cache_clear()
-    _fano3._candidates.cache_clear()
-    try:
-        wide_keys, wide_closed, entered = closed_complexes(monkeypatch, (2, 3))
-    finally:
-        _fano3._primitive_pool.cache_clear()
-        _fano3._candidates.cache_clear()
-    assert wide_keys == keys
-    assert [len(c) for c in wide_closed] == [len(c) for c in closed] == [12, 233]
-    assert [set(c) for c in wide_closed] == [set(c) for c in closed]
-    assert [len(e) for e in entered] == [36, 6505]
+def test_fano_rays_lie_in_the_special_facet_pool(catalog_fans):
+    """The bound ``_fano3`` derives from the special facet, on every Fano
+    fan at hand: each maximal cone holding the sum of the rays, mapped to
+    the standard cone by its dual rows, takes every ray into the pool."""
+    fans = [f for d in (1, 2, 3) for f in catalog.enumerate_fano(d)] + [
+        catalog_fans[k] for k in ("p1", "p2", "p3", "p4", "paper-X", "paper-Y")
+    ]
+    cones = rays = 0
+    for fan in fans:
+        assert mori.is_fano(fan)[0]
+        pool = set(_fano3._primitive_pool(fan.dim))
+        nu = tuple(map(sum, zip(*fan.vectors())))
+        for cone in fan.max_cones:
+            dual = _dual_rows(fan.cone_vectors(cone))
+            if any(lattice.dot(row, nu) < 0 for row in dual):
+                continue
+            cones += 1
+            for v in fan.vectors():
+                assert tuple(lattice.dot(row, v) for row in dual) in pool
+                rays += 1
+    assert (cones, rays) == (123, 703)

@@ -530,6 +530,26 @@ def test_star_subdivide_errors(tower):
         star_subdivide(p4, (r for r in ["e1", "e1"]))
 
 
+def test_bare_ray_name_is_not_a_collection():
+    # tuple("ab") is ('a', 'b'): star_subdivide subdivided <a,b>, and "e1"
+    # failed with "no ray named 'e'"
+    abc = make_fan(
+        2, [("a", (1, 0)), ("b", (0, 1)), ("c", (-1, -1))], [(0, 1), (1, 2), (0, 2)]
+    )
+    p2 = catalog.projective_space(2)
+    f1 = star_subdivide(p2, ("e1", "e2"), "x")
+    calls = [
+        lambda: star_subdivide(abc, "ab"),
+        lambda: star_subdivide(p2, "e1"),
+        lambda: contract_ray(f1, "x", "e1"),
+        lambda: birational.blow_down(f1, "x", via="e1"),
+        lambda: mori.primitive_relation(f1, "x"),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownRayError, match="not a collection of rays"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # contraction
 
@@ -836,7 +856,7 @@ def test_face_pair_check_matches_fraction_oracle(monkeypatch):
         for pair in pairs
     ]
     entered, weighed = searched_cone_pairs(monkeypatch, (1, 2))
-    assert (len(entered), len(weighed)) == (57, 122)
+    assert (len(entered), len(weighed)) == (43, 61)
     assert face_check_agrees(pairs) == {False, True}
     assert face_check_agrees(sorted(weighed)) == {False, True}
     assert face_check_agrees(sorted(entered)) == {True}
@@ -847,7 +867,7 @@ def test_face_pairs_of_dim3_search_meet_in_common_faces(monkeypatch):
     """Every pair of cones in every complex the 3-D search enters meets in a
     common face, by the face check and by the overlap oracle alike."""
     entered, _ = searched_cone_pairs(monkeypatch, (3,))
-    assert len(entered) == 8658
+    assert len(entered) == 5263
     assert face_check_agrees(sorted(entered)) == {True}
 
 
