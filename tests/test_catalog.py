@@ -1,4 +1,6 @@
 from collections import Counter
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -131,6 +133,16 @@ def test_enumerate_dim2_pairwise_nonisomorphic():
     for i in range(len(fans)):
         for j in range(i + 1, len(fans)):
             assert fan_isomorphism(fans[i], fans[j]) is None
+
+
+def test_enumerate_dim2_coordinates_within_bound():
+    # the search draws every ray from the special-facet pool, so the
+    # representatives' coordinates lie in [-n - 1, n^2] = [-3, 4]
+    pool = set(_fano3._primitive_pool(2))
+    for fan in catalog.enumerate_fano(2):
+        for g in fan.generators:
+            assert g.vector in pool
+            assert all(abs(c) <= 4 for c in g.vector)
 
 
 def test_enumerate_dim2_deterministic():
@@ -332,3 +344,35 @@ def test_fano_rays_lie_in_the_special_facet_pool(catalog_fans):
                 assert tuple(lattice.dot(row, v) for row in dual) in pool
                 rays += 1
     assert (cones, rays) == (123, 703)
+
+
+def wider_pool(dim):
+    """The unit vectors, rays of the standard cone, and every primitive v
+    with coordinates in [-n - 2, n^2 + 1] and -n - 1 <= sum(v) <= 0, in lex
+    order: a strict superset of the special-facet pool, without its
+    per-coordinate bound v_i >= sum(v) - 1."""
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    box = product(range(-dim - 2, dim * dim + 2), repeat=dim)
+    rest = [v for v in box if -dim - 1 <= sum(v) <= 0 and gcd(*v) == 1]
+    return tuple(sorted(units + rest))
+
+
+@pytest.mark.slow
+def test_wider_coordinate_bound_closes_the_same_complexes(monkeypatch):
+    """A differential check of the special-facet pool: drawn from a wider
+    pool, dimensions 2 and 3 enter 27 and 17,599 complexes, not 24 and
+    2,129, but close the same 9 and 158 and return the same classes, as
+    every ray of a closed complex obeys the bound."""
+    keys, closed, _ = closed_complexes(monkeypatch, (2, 3))
+    for d in (2, 3):
+        assert set(_fano3._primitive_pool(d)) < set(wider_pool(d))
+    monkeypatch.setattr(_fano3, "_primitive_pool", wider_pool)
+    _fano3._candidates.cache_clear()
+    try:
+        wide_keys, wide_closed, entered = closed_complexes(monkeypatch, (2, 3))
+    finally:
+        _fano3._candidates.cache_clear()
+    assert wide_keys == keys
+    assert [len(c) for c in wide_closed] == [len(c) for c in closed] == [9, 158]
+    assert [set(c) for c in wide_closed] == [set(c) for c in closed]
+    assert [len(e) for e in entered] == [27, 17599]
