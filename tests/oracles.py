@@ -2,9 +2,10 @@
 
 Each oracle re-decides a question answered by the library through a
 different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
-exhaustive subset or grid search, a simplex pivoting over Fraction, the
-located primitive-relation table, the Fano enumerator's retired rule) so
-that the two sides check each other.
+exhaustive subset or grid search, a simplex pivoting over Fraction, a
+rational solve per pair of adjacent cones, the located primitive-relation
+table, the Fano enumerator's retired rule) so that the two sides check
+each other.
 """
 
 from __future__ import annotations
@@ -223,6 +224,29 @@ def rational_solve(columns, point):
     if any(aug[r][k] != 0 for r in range(row, n)):
         return None
     return [aug[i][k] for i in range(k)]
+
+
+def brute_wall_classes(fan):
+    """The curve class of every wall, sorted, by linear algebra alone: for
+    each pair of maximal cones sharing n-1 rays, p + q = sum(a_i * u_i) is
+    solved over the shared rays u_i, p and q the rays off the wall, and the
+    class is +1 on p and q and -a_i on the u_i."""
+    classes = set()
+    for a, b in combinations(fan.max_cones, 2):
+        shared = tuple(sorted(set(a) & set(b)))
+        if len(shared) != fan.dim - 1:
+            continue
+        (p,) = set(a) - set(b)
+        (q,) = set(b) - set(a)
+        point = [x + y for x, y in zip(*fan.cone_vectors((p, q)))]
+        coeffs = rational_solve(fan.cone_vectors(shared), point)
+        assert coeffs is not None, f"p + q leaves the wall {shared}"
+        entries = [0] * len(fan.generators)
+        entries[p] = entries[q] = 1
+        for i, c in zip(shared, coeffs):
+            entries[i] = -c
+        classes.add(tuple(entries))
+    return tuple(sorted(classes))
 
 
 def all_faces(fan):

@@ -26,6 +26,7 @@ from conftest import (
 )
 from oracles import (
     brute_primitive_collections,
+    brute_wall_classes,
     fm_nonneg_combination_feasible,
     fm_positive_functional_exists,
 )
@@ -382,6 +383,18 @@ def test_wall_and_primitive_classes_span_one_cone(catalog_fans):
             assert lattice.nonneg_rational_combination(walls, cls) is not None
         for cls in walls:
             assert lattice.nonneg_rational_combination(table, cls) is not None
+
+
+def test_wall_classes_match_brute_oracle(catalog_fans):
+    fans = (
+        list(catalog_fans.values())
+        + chain_prefixes()
+        + catalog.enumerate_fano(1)
+        + catalog.enumerate_fano(2)
+        + [twisted_threefold()]
+    )
+    for fan in fans:
+        assert mori.wall_classes(fan) == brute_wall_classes(fan), fan.names()
 
 
 def test_wall_classes_y(tower):
