@@ -422,41 +422,41 @@ def _wall_owners(cones) -> dict:
     return owners
 
 
-def _wall_coefficients(cone, k: int, q) -> tuple[int, ...] | None:
-    """The a_i of the wall relation p + q = sum(a_i * u_i), p = cone[k] and
-    the u_i the other vectors of ``cone``, read off its cached dual rows;
-    None unless ``cone`` is unimodular and q has coordinate -1 on p, as the
-    apex of a unimodular cone across the wall has."""
-    dual = _dual_rows(cone)
-    if dual is None:
-        return None
-    coords = [lattice.dot(row, q) for row in dual]
-    return tuple(coords) if coords.pop(k) == -1 else None
-
-
 @lru_cache(maxsize=16)
-def _walls(fan: Fan) -> dict | None:
-    """The ``_wall_owners`` map of the maximal cones when the one-pass test
-    of ``validate_fan`` accepts the fan, else None; callers only read it.
-    Cached for 16 fans, as ``mori.wall_classes`` is, so that the wall
-    classes of a fan ``contract_ray`` has just validated reuse its pass."""
+def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
+    """The curve class of every wall, without duplicates, sorted, when the
+    one-pass test of ``validate_fan`` accepts the fan, else None.
+
+    The wall between maximal cones sigma and sigma' with apexes p and q
+    gives p + q = sum(a_i * u_i), the class +1 on p and q and -a_i on the
+    u_i, of degree 2 - sum(a_i). The coordinates of q in the dual rows of
+    sigma are the a_i, and -1 on p exactly when the two unimodular cones
+    lie on opposite sides of the wall, test (a). Cached for 16 fans, so
+    that the wall classes of a fan ``contract_ray`` has just validated
+    reuse its pass."""
     duals = {cone: _dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones}
     vectors = fan.vectors()
     used = {i for cone in duals for i in cone}
     if None in duals.values() or not 0 < len(used) == len(set(vectors)) == len(vectors):
         return None
-    owners = _wall_owners(fan.max_cones)
-    for sides in owners.values():
+    classes = set()
+    for wall, sides in _wall_owners(fan.max_cones).items():
         if len(sides) != 2:
             return None
         (cone, k), (other, j) = sides
-        if lattice.dot(duals[cone][k], vectors[other[j]]) >= 0:
+        coeffs = [lattice.dot(row, vectors[other[j]]) for row in duals[cone]]
+        if coeffs.pop(k) >= 0:
             return None  # (a): both cones on one side of the wall
+        entries = [0] * len(vectors)
+        entries[cone[k]] = entries[other[j]] = 1
+        for i, a in zip(wall, coeffs):
+            entries[i] = -a
+        classes.add(tuple(entries))
     first, *others = fan.max_cones
     x0 = tuple(map(sum, zip(*fan.cone_vectors(first))))
     if any(all(lattice.dot(r, x0) >= 0 for r in duals[c]) for c in others):
         return None  # (b): x0, interior to the first cone, lies in another
-    return owners
+    return tuple(sorted(classes))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ effective curves, which makes extremality a finite, exact computation.
 
 ``primitive_relations`` is the one cached relation table per fan, read by
 the Mori cone, the Fano witnesses, the reports' degree column and the Fano
-enumerator's cross-check. The verdicts read ``wall_classes``, the curves
-of the walls of ``fan._walls``, and raise on every fan ``validate_fan``
-rejects: a divisor is ample iff it is positive on each (Reid,
-"Decomposition of toric morphisms", 1983; Cox, Little and Schenck, *Toric
-Varieties*, Thm 6.3.13).
+enumerator's cross-check. The verdicts read ``wall_classes``, one curve
+class per wall, built by ``fan._walls`` in the pass that validates the
+fan, and raise on every fan ``validate_fan`` rejects: a divisor is ample
+iff it is positive on each (Reid, "Decomposition of toric morphisms",
+1983; Cox, Little and Schenck, *Toric Varieties*, Thm 6.3.13).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable
 
 from . import lattice
 from .errors import InternalInconsistencyError, InvalidArgumentError
-from .fan import Cone, Fan, _wall_coefficients, _walls, locate_relint, resolve_cone
+from .fan import Cone, Fan, _walls, locate_relint, resolve_cone
 
 
 @dataclass(frozen=True)
@@ -157,31 +157,15 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
     )
 
 
-# the verdicts read a fan's classes right after they are computed and are
-# cached themselves, so a few fans' classes are enough to keep
-@lru_cache(maxsize=16)
 def wall_classes(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """The curve class of every wall, without duplicates, sorted.
-
-    The wall between maximal cones sigma and sigma' with apexes p and q
-    gives p + q = sum(a_i * u_i), the class +1 on p and q and -a_i on the
-    u_i, of degree 2 - sum(a_i); the a_i come from the dual rows of sigma.
-    A fan that ``validate_fan`` rejects, where such wall-local verdicts are
-    unsound, raises ``InternalInconsistencyError``. Cached for 16 fans.
-    """
-    walls = _walls(fan)
-    if walls is None:
+    """The curve class of every wall, without duplicates, sorted, from the
+    cached pass of ``fan._walls``. A fan that ``validate_fan`` rejects,
+    where such wall-local verdicts are unsound, raises
+    ``InternalInconsistencyError``."""
+    classes = _walls(fan)
+    if classes is None:
         raise InternalInconsistencyError(f"{fan!r} fails validate_fan")
-    vectors = fan.vectors()
-    classes = set()
-    for wall, ((cone, k), (other, j)) in walls.items():
-        coeffs = _wall_coefficients(fan.cone_vectors(cone), k, vectors[other[j]])
-        entries = [0] * len(vectors)
-        entries[cone[k]] = entries[other[j]] = 1
-        for i, a in zip(wall, coeffs):
-            entries[i] = -a
-        classes.add(tuple(entries))
-    return tuple(sorted(classes))
+    return classes
 
 
 @lru_cache(maxsize=4096)

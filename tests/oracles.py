@@ -17,7 +17,7 @@ from itertools import combinations, permutations, product
 from toricfan import birational, mori
 from toricfan.errors import DimensionMismatchError, StarConditionViolatedError
 from toricfan.fan import (
-    _wall_coefficients,
+    _dual_rows,
     _wall_owners,
     cones_meet_in_common_face,
     contract_ray,
@@ -374,8 +374,11 @@ def retired_fano_rule(cones, vertices, new_cone) -> bool:
         if len(sides) >= 2:
             return False
         for cone, k in sides:
-            coeffs = _wall_coefficients(cone, k, new_cone[j])
-            if coeffs is not None and sum(coeffs) >= 2:
+            dual = _dual_rows(cone)
+            if dual is None:
+                continue
+            coeffs = [sum(r * x for r, x in zip(row, new_cone[j])) for row in dual]
+            if coeffs.pop(k) == -1 and sum(coeffs) >= 2:
                 return False
     return all(_faces_meet(new_cone, cone) for cone in cones)
 

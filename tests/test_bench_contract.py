@@ -102,7 +102,7 @@ def test_is_projective_is_one_gordan_lp(monkeypatch):
     monkeypatch.setattr(mori, "mori_cone", no_mori_cone)
     no_relation_table(monkeypatch)
     mori.is_projective.cache_clear()
-    mori.wall_classes.cache_clear()
+    fan._walls.cache_clear()
     w = catalog.catalog_fan("paper-W")
     assert mori.is_projective(w) is True
     assert len(calls) == 1
