@@ -236,6 +236,14 @@ def test_factor_not_refinement_exits_4(cli_run, fan_files):
     assert "does not refine" in err
 
 
+def test_factor_across_dimensions_exits_5(cli_run, fan_files):
+    # the library's typed error reaches main's generic ToricFanError handler
+    code, out, err = cli_run("factor", fan_files["p4"], fan_files["p3"])
+    assert code == 5
+    assert out == ""
+    assert err == "error: cannot compare fans of dimension 4 and 3\n"
+
+
 # ---------------------------------------------------------------------------
 # example / enumerate / isomorphic
 

@@ -106,6 +106,58 @@ def test_parse_duplicate_name():
         parse_fan(text)
 
 
+PLANE_RAYS = [("a", (1, 0)), ("b", (0, 1)), ("c", (-1, -1))]
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (
+            lambda: make_fan(2, PLANE_RAYS + [("a", (1, 1))], []),
+            DuplicateNameError,
+            "duplicate ray name 'a'",
+        ),
+        (
+            lambda: make_fan(2, [("a", (1, 0, 0))], []),
+            DimensionMismatchError,
+            "expected 2 coordinates, got 3",
+        ),
+        (
+            lambda: make_fan(2, PLANE_RAYS, [(0, 3)]),
+            UnknownRayError,
+            "ray index 3",
+        ),
+        (
+            lambda: make_fan(2, PLANE_RAYS, [(1, 1)]),
+            FanSyntaxError,
+            "repeated ray",
+        ),
+        (
+            lambda: make_fan(2, PLANE_RAYS, [(0, 1, 2)]),
+            DimensionMismatchError,
+            "must have 2 rays, got 3",
+        ),
+        (
+            lambda: fan_module.resolve_ray(catalog.projective_space(2), 99),
+            UnknownRayError,
+            "no ray with index 99",
+        ),
+    ],
+    ids=[
+        "duplicate-name",
+        "coordinate-count",
+        "index-range",
+        "repeated-ray",
+        "cone-arity",
+        "resolve-ray",
+    ],
+)
+def test_make_fan_structural_errors(build, error, match):
+    # parse_fan checks these first, so only direct calls reach make_fan's own
+    with pytest.raises(error, match=match):
+        build()
+
+
 @pytest.mark.parametrize(
     "text",
     [

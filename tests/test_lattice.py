@@ -94,6 +94,21 @@ def test_unimodular_wrong_count():
         lattice.determinant([E1, E2, E3])
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: lattice.solve_eq_nonneg([[1, 0], [0, 1]], [1]), "rhs length"),
+        (lambda: lattice.solve_eq_nonneg([], []), "at least one equation"),
+        (lambda: lattice.solve_eq_nonneg([[1, 0], [1]], [1, 1]), "ragged"),
+        (lambda: lattice.dot((1, 2), (1, 2, 3)), "unequal lengths"),
+    ],
+    ids=["rhs-length", "no-rows", "ragged-rows", "dot-lengths"],
+)
+def test_shape_errors(call, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        call()
+
+
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: vectors(n, n)))
 def test_determinant_matches_leibniz(rows):
     assert lattice.determinant(rows) == permutation_determinant(rows)
