@@ -157,7 +157,9 @@ def closed_complexes(monkeypatch, dims):
     them. Every complex the search enters is checked against the two
     facts that let it keep no visited set and no cone cap: none is entered
     twice, and an open one has at most V - 1 cones in dimension 2 and
-    2V - 5 in dimension 3, V its number of vertices."""
+    2V - 5 in dimension 3, V its number of vertices. Every closed complex
+    is checked to be Fano by Batyrev's criterion, a positive degree on
+    every primitive relation, beside the wall verdict the search reads."""
     closed = []
     entered = []
     real_fan, real_owners = _fano3._fan_from_cones, _fano3._wall_owners
@@ -182,6 +184,8 @@ def closed_complexes(monkeypatch, dims):
             keys.append([canonical_gl_key(f) for f in fans])
     for d, entered_d, closed_d in zip(dims, entered, closed):
         assert len(set(entered_d)) == len(entered_d) > len(closed_d)
+        for fan in closed_d:
+            assert all(r.degree > 0 for r in mori.primitive_relations(fan))
         for cones in entered_d:
             v = len({x for cone in cones for x in cone})
             if all(len(o) == 2 for o in real_owners(cones).values()):

@@ -44,6 +44,7 @@ from conftest import (
     ZIGZAG_CYCLE,
     blowup_chain,
     chain_prefixes,
+    twisted_threefold,
 )
 from oracles import (
     _cones_overlap,
@@ -681,6 +682,49 @@ def test_roundtrip_over_all_catalog_cones(catalog_fans):
             assert structurally_equal(back, fan)
             # names and ray order survive too, so the fans are equal outright
             assert back == fan
+
+
+def contraction_corpus(catalog_fans):
+    """Valid fans of dimensions 1-4: the catalog, the Fano classes of
+    dimensions 1-3, the seeded chains, the non-projective threefold and
+    seeded blow-up chains of dimensions 2-4."""
+    seeded = [blowup_chain(s, d, 1 + s % 5) for s in range(40) for d in (2, 3, 4)]
+    return (
+        list(catalog_fans.values())
+        + [f for d in (1, 2, 3) for f in catalog.enumerate_fano(d)]
+        + chain_prefixes()
+        + [twisted_threefold()]
+        + seeded
+    )
+
+
+def test_every_star_contraction_is_a_valid_fan(catalog_fans):
+    """``contract_ray`` checks its input and not its result, by Sato's
+    argument in its docstring: any ray set, not only a primitive
+    collection, whose vectors sum to a generator x outside it and which
+    passes the star condition contracts a valid fan to a valid fan, and
+    the star subdivision of the result at the set gives the fan back."""
+    contracted = violated = 0
+    for f in contraction_corpus(catalog_fans):
+        assert validate_fan(f).ok
+        index = {v: i for i, v in enumerate(f.vectors())}
+        # the cones on x hold dim - 1 other rays, so no larger set can
+        # pass the star condition
+        for h in range(2, f.dim + 1):
+            for coll in combinations(range(len(f.generators)), h):
+                x = index.get(tuple(map(sum, zip(*f.cone_vectors(coll)))))
+                if x is None or x in coll:
+                    continue
+                try:
+                    target = contract_ray(f, x, coll)
+                except StarConditionViolatedError:
+                    violated += 1
+                    continue
+                contracted += 1
+                assert validate_fan(target).ok
+                back = star_subdivide(target, f.cone_names(coll), f.generators[x].name)
+                assert structurally_equal(back, f)
+    assert (contracted, violated) == (361, 498)
 
 
 # ---------------------------------------------------------------------------
