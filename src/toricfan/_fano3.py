@@ -139,9 +139,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
                 raise InternalInconsistencyError(
                     "closed cone complex failed validation"
                 )
-            if not mori.is_fano(fan)[0] or not all(
-                r.degree > 0 for r in mori.primitive_relations(fan)
-            ):
+            if not mori.is_fano(fan)[0]:
                 raise InternalInconsistencyError("closed cone complex is not Fano")
             found.setdefault(canonical_gl_key(fan), fan)
             return

@@ -64,7 +64,8 @@ class StarConditionViolatedError(ToricFanError):
 
 
 class ResultInvalidError(ToricFanError):
-    """A contraction produced a fan that fails revalidation."""
+    """A contraction was asked of a fan that ``validate_fan`` rejects; a
+    valid fan contracts to a valid fan, so the result is not checked."""
 
 
 class NotARefinementError(ToricFanError):

@@ -578,9 +578,21 @@ def contract_ray(
     collection x1..xh that is the relation x1+...+xh = ray. Which relations
     of a fan have that shape, and which one a bare ray contracts by, is
     decided in ``birational``. The contraction is valid when every maximal
-    cone containing the ray contains exactly h-1 of the x_i. The result is
-    fully revalidated as defense in depth; for a valid result that costs
-    time linear in the number of cones.
+    cone containing the ray contains exactly h-1 of the x_i. ``fan`` must be
+    valid: ``validate_fan`` checks it (a cached wall pass, made already
+    when the fan came from ``birational.blow_down_candidates`` or the CLI),
+    and an invalid fan raises ``ResultInvalidError``.
+
+    The result needs no check (Sato, *Tohoku Math. J.* 52 (2000)). Let P be
+    the collection and x the ray. A maximal cone on x is {x} + P - x_i + t,
+    t a set of rays off P. Its wall that drops x_j lies in exactly one other
+    maximal cone, which holds x and so h-1 rays of P: it must be
+    {x} + P - x_j + t. So each t comes with all h cones. As x = x1+...+xh,
+    they subdivide the cone P + t, which is unimodular as they are
+    (replacing x_i by x keeps the determinant). So the merged cones are
+    smooth and cover what the cones on x covered, and a merged cone meets
+    every other cone of the result in the cone of their shared rays, since
+    each of its h pieces does.
     """
     ridx = resolve_ray(fan, ray)
     cidx = resolve_cone(fan, collection)
@@ -606,26 +618,17 @@ def contract_ray(
             f" {h - 1} collection rays",
             witnesses=bad,
         )
-    new_cones = set()
-    for mc in fan.max_cones:
-        if ridx in mc:
-            merged = (set(mc) - {ridx}) | cset
-        else:
-            merged = set(mc)
-        new_cones.add(tuple(sorted(i - (i > ridx) for i in merged)))
-    gens = [
-        (g.name, g.vector)
-        for i, g in enumerate(fan.generators)
-        if i != ridx
-    ]
-    result = make_fan(fan.dim, gens, sorted(new_cones))
-    report = validate_fan(result)
+    report = validate_fan(fan)
     if not report.ok:
         raise ResultInvalidError(
-            "contraction produced an invalid fan: "
-            + "; ".join(report.witnesses)
+            "cannot contract a ray of an invalid fan: " + "; ".join(report.witnesses)
         )
-    return result
+    new_cones = set()
+    for mc in fan.max_cones:
+        merged = (set(mc) - {ridx}) | cset if ridx in mc else mc
+        new_cones.add(tuple(sorted(i - (i > ridx) for i in merged)))
+    gens = fan.generators[:ridx] + fan.generators[ridx + 1 :]
+    return Fan(fan.dim, gens, tuple(sorted(new_cones)))
 
 
 # ---------------------------------------------------------------------------

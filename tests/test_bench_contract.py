@@ -227,8 +227,10 @@ def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
 
 
 def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
-    # contract_ray validates each target, and the target's candidates and
-    # step flags read its wall classes: one cached wall pass serves both
+    # contract_ray checks the fan it contracts, which blow_down_candidates
+    # has checked, and not the fan it returns; a target that refines X is
+    # checked by its step flags and its own candidates, one cached wall
+    # pass for both, and W-bar, which does not refine X, by nothing
     real_owners = fan._wall_owners
     wall_passes = []
 
@@ -243,14 +245,25 @@ def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
         targets.append(real_contract(f, ray, collection))
         return targets[-1]
 
-    _, x, _, y = tower
+    _, x, w, y = tower
     clear_package_caches()
     monkeypatch.setattr(fan, "_wall_owners", counting_owners)
     monkeypatch.setattr(birational, "contract_ray", contracting)
     assert birational.factor_morphism(y, x, exhaustive=True)
     fans = list(dict.fromkeys([y] + targets))
-    assert len(fans) == len(wall_passes) == 4
-    assert sorted(wall_passes) == sorted(f.max_cones for f in fans)
+    refining = [f for f in fans if fan.refines(f, x)]
+    assert len(fans) == 4 and refining == [y, w, x]
+    assert sorted(wall_passes) == sorted(f.max_cones for f in refining)
+
+
+def test_fano_enumeration_builds_no_relation_table(monkeypatch):
+    # each closed complex is confirmed by validate_fan and the wall verdict
+    # of mori.is_fano; the degrees of its primitive relations are a test
+    # oracle (closed_complexes in test_catalog.py)
+    no_relation_table(monkeypatch)
+    enumerate_fano = catalog._enumerate_cached.__wrapped__
+    assert len(enumerate_fano(1)) == 1
+    assert len(enumerate_fano(2)) == 5
 
 
 def test_enumerations_issue_no_lp(monkeypatch):
