@@ -219,6 +219,27 @@ def test_factor_y_to_x_no_fano_chain(tower):
     assert birational.factor_morphism(y, x, require_fano=True) == ()
 
 
+@pytest.mark.parametrize("center, paths", [(("e0", "e1"), 3), (("e0", "e4"), 2)])
+def test_fano_search_backs_out_below_the_first_level(monkeypatch, tower, center, paths):
+    # Z, Y blown up at the center, is Fano and refines X; its Fano
+    # candidate Y has no Fano chain to X, so the search steps into Y, finds
+    # no suffix there and backs out
+    _, x, _, y = tower
+    z = star_subdivide(y, center)
+    assert mori.is_fano(z)[0] and refines(z, x)
+    real = birational.blow_down_candidates
+    listed = []
+
+    def listing(f):
+        listed.append(f)
+        return real(f)
+
+    monkeypatch.setattr(birational, "blow_down_candidates", listing)
+    assert birational.factor_morphism(z, x, require_fano=True) == ()
+    assert [structurally_equal(f, y) for f in listed] == [False, True]
+    assert len(birational.factor_morphism(z, x, exhaustive=True)) == paths
+
+
 def test_factor_x_to_p4(tower):
     p4, x, _, _ = tower
     paths = birational.factor_morphism(x, p4, exhaustive=True)

@@ -373,6 +373,16 @@ def test_help_exits_0(capsys, argv):
 # the installed entry point
 
 
+@pytest.mark.parametrize("key, code", [("p2", 0), ("nope", 5)])
+def test_console_script_entry_exits_with_the_code(monkeypatch, capsys, key, code):
+    monkeypatch.setattr(sys, "argv", ["toricfan", "example", key])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+    out, _ = capsys.readouterr()
+    assert out.startswith("dim 2\n") == (code == 0)
+
+
 def test_module_invocation_matches_inprocess(cli_run):
     proc = subprocess.run(
         [sys.executable, "-m", "toricfan", "example", "p2"],

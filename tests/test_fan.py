@@ -507,6 +507,12 @@ def test_locate_relint_rejects_incomplete_fan():
         locate_relint(fan, (-1, -1))
 
 
+def test_locate_relint_rejects_ambiguous_location():
+    # every point off the rays of the twice-winding cycle lies in two cones
+    with pytest.raises(InternalInconsistencyError, match="ambiguous location"):
+        locate_relint(TWICE_WINDING, (1, 1))
+
+
 def test_locate_relint_matches_brute_force_partition(catalog_fans):
     rng = random.Random(20240917)
     for fan in catalog_fans.values():
@@ -1008,6 +1014,15 @@ def test_isomorphism_is_equivalence_on_catalog(catalog_fans, tower):
             assert (m is not None) == ba == (key_a == key_b)
             if m is not None:
                 assert _transports(m, a, b)
+
+
+def test_isomorphism_of_fans_without_maximal_cones():
+    # with no cone to map, only the generator vectors are compared
+    a = make_fan(2, [("a", (1, 0)), ("b", (0, 1))], [])
+    b = make_fan(2, [("x", (0, 1)), ("y", (1, 0))], [])
+    c = make_fan(2, [("a", (1, 0)), ("b", (1, 1))], [])
+    assert fan_isomorphism(a, b) == ((1, 0), (0, 1))
+    assert fan_isomorphism(a, c) is None
 
 
 def test_isomorphism_skips_non_unimodular_first_cone():

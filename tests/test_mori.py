@@ -461,6 +461,14 @@ def test_verdicts_reject_bad_fans_with_typed_errors(fan):
             verdict(fan)
 
 
+def test_relation_of_an_incomplete_fan_raises():
+    # {a, c} is a primitive collection of the two cones <a,b> and <b,c>,
+    # but a + c = (0, -1) lies in neither
+    assert ("a", "c") in collection_names(INCOMPLETE)
+    with pytest.raises(InternalInconsistencyError, match="lies in no cone"):
+        mori.primitive_relation(INCOMPLETE, ("a", "c"))
+
+
 def test_is_fano_y(tower):
     _, _, _, y = tower
     fano, witnesses = mori.is_fano(y)
