@@ -36,9 +36,10 @@ cones on one wall would lie on one side of it and overlap.
 The wall rule is the adjacent-cone case: u_owner(w) = sum(a_i) - 1, so
 u_owner(w) <= 0 iff the wall relation p + w = sum(a_i * u_i) has
 anticanonical degree 2 - sum(a_i) > 0 (``mori.wall_classes``);
-``_candidates`` filters on it. Each closed complex is checked to be Fano
-by both the wall verdict of ``mori.is_fano`` and the degrees of the
-primitive relations.
+``_candidates`` filters on it. Each closed complex is confirmed by
+``validate_fan`` and the wall verdict of ``mori.is_fano``, so the search
+locates no primitive relation; the degrees of the relations (Batyrev,
+*Tohoku Math. J.* 43 (1991)) are a test oracle.
 
 No visited set is kept, as no complex is reached twice: two paths first
 differ where they put different cones on one open wall, both cones hold

@@ -432,8 +432,9 @@ def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
     u_i, of degree 2 - sum(a_i). The coordinates of q in the dual rows of
     sigma are the a_i, and -1 on p exactly when the two unimodular cones
     lie on opposite sides of the wall, test (a). Cached for 16 fans, so
-    that the wall classes of a fan ``contract_ray`` has just validated
-    reuse its pass."""
+    that ``contract_ray``'s check of its input reuses the pass of
+    ``birational.blow_down_candidates`` on the same fan, and a target the
+    search steps into gets one pass for its flags and its candidates."""
     duals = {cone: _dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones}
     vectors = fan.vectors()
     used = {i for cone in duals for i in cone}

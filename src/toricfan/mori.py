@@ -8,12 +8,12 @@ generators is a curve class. The primitive classes generate the cone of
 effective curves, which makes extremality a finite, exact computation.
 
 ``primitive_relations`` is the one cached relation table per fan, read by
-the Mori cone, the Fano witnesses, the reports' degree column and the Fano
-enumerator's cross-check. The verdicts read ``wall_classes``, one curve
-class per wall, built by ``fan._walls`` in the pass that validates the
-fan, and raise on every fan ``validate_fan`` rejects: a divisor is ample
-iff it is positive on each (Reid, "Decomposition of toric morphisms",
-1983; Cox, Little and Schenck, *Toric Varieties*, Thm 6.3.13).
+the Mori cone, the Fano witnesses and the reports' degree column. The
+verdicts read ``wall_classes``, one curve class per wall, built by
+``fan._walls`` in the pass that validates the fan, and raise on every fan
+``validate_fan`` rejects: a divisor is ample iff it is positive on each
+(Reid, "Decomposition of toric morphisms", 1983; Cox, Little and Schenck,
+*Toric Varieties*, Thm 6.3.13).
 """
 
 from __future__ import annotations
