@@ -22,7 +22,6 @@ from .errors import (
     NameCollisionError,
     NoBlowdownRelationError,
     NotARefinementError,
-    ResultInvalidError,
     StarConditionViolatedError,
     ToricFanError,
     UnknownRayError,
@@ -89,7 +88,6 @@ __all__ = [
     "NameCollisionError",
     "NoBlowdownRelationError",
     "NotARefinementError",
-    "ResultInvalidError",
     "StarConditionViolatedError",
     "ToricFanError",
     "UnknownRayError",

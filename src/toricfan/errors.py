@@ -63,17 +63,16 @@ class StarConditionViolatedError(ToricFanError):
         self.witnesses = tuple(witnesses)
 
 
-class ResultInvalidError(ToricFanError):
-    """A contraction was asked of a fan that ``validate_fan`` rejects; a
-    valid fan contracts to a valid fan, so the result is not checked."""
-
-
 class NotARefinementError(ToricFanError):
     """Factorization requested between fans that are not a refinement pair."""
 
 
 class InternalInconsistencyError(ToricFanError):
-    """The fan violates an axiom that earlier validation should have caught."""
+    """The fan is one that ``validate_fan`` rejects. Contraction, the
+    blow-down tools, the relation table, the Mori cone and the wall verdicts
+    raise it through ``fan.wall_classes`` before any other work;
+    ``locate_relint`` and ``primitive_relation``, which check no fan, raise
+    it with the point they could not place."""
 
 
 class InvalidDimensionError(ToricFanError):

@@ -26,7 +26,6 @@ from .errors import (
     InternalInconsistencyError,
     NameCollisionError,
     NoBlowdownRelationError,
-    ResultInvalidError,
     StarConditionViolatedError,
     UnknownRayError,
 )
@@ -460,6 +459,19 @@ def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
     return tuple(sorted(classes))
 
 
+def wall_classes(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """The curve class of every wall, without duplicates, sorted, from the
+    cached pass of ``_walls``. This is the one validity gate of the package:
+    contraction, the blow-down tools, the relation table, the Mori cone and
+    the wall verdicts call it before any other work, so a fan that
+    ``validate_fan`` rejects raises ``InternalInconsistencyError``, with no
+    LP run."""
+    classes = _walls(fan)
+    if classes is None:
+        raise InternalInconsistencyError(f"{fan!r} fails validate_fan")
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # geometry queries
 
@@ -580,9 +592,9 @@ def contract_ray(
     of a fan have that shape, and which one a bare ray contracts by, is
     decided in ``birational``. The contraction is valid when every maximal
     cone containing the ray contains exactly h-1 of the x_i. ``fan`` must be
-    valid: ``validate_fan`` checks it (a cached wall pass, made already
-    when the fan came from ``birational.blow_down_candidates`` or the CLI),
-    and an invalid fan raises ``ResultInvalidError``.
+    valid: ``wall_classes`` checks it before the arguments are read (a
+    cached wall pass, made already when the fan came from
+    ``birational.blow_down_candidates`` or the CLI).
 
     The result needs no check (Sato, *Tohoku Math. J.* 52 (2000)). Let P be
     the collection and x the ray. A maximal cone on x is {x} + P - x_i + t,
@@ -595,6 +607,7 @@ def contract_ray(
     every other cone of the result in the cone of their shared rays, since
     each of its h pieces does.
     """
+    wall_classes(fan)  # the check only; the classes are not read
     ridx = resolve_ray(fan, ray)
     cidx = resolve_cone(fan, collection)
     total = tuple(sum(col) for col in zip(*fan.cone_vectors(cidx)))
@@ -618,11 +631,6 @@ def contract_ray(
             f" cone {_cone_label(fan, bad[0])} does not contain exactly"
             f" {h - 1} collection rays",
             witnesses=bad,
-        )
-    report = validate_fan(fan)
-    if not report.ok:
-        raise ResultInvalidError(
-            "cannot contract a ray of an invalid fan: " + "; ".join(report.witnesses)
         )
     new_cones = set()
     for mc in fan.max_cones:

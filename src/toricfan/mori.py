@@ -9,11 +9,13 @@ effective curves, which makes extremality a finite, exact computation.
 
 ``primitive_relations`` is the one cached relation table per fan, read by
 the Mori cone, the Fano witnesses and the reports' degree column. The
-verdicts read ``wall_classes``, one curve class per wall, built by
-``fan._walls`` in the pass that validates the fan, and raise on every fan
-``validate_fan`` rejects: a divisor is ample iff it is positive on each
+verdicts read ``fan.wall_classes``, one curve class per wall, built in the
+pass that validates the fan: a divisor is ample iff it is positive on each
 (Reid, "Decomposition of toric morphisms", 1983; Cox, Little and Schenck,
-*Toric Varieties*, Thm 6.3.13).
+*Toric Varieties*, Thm 6.3.13). The table and the verdicts start from
+``wall_classes``, the package's one validity gate, so each raises
+``InternalInconsistencyError`` on a fan that ``validate_fan`` rejects
+before it locates a relation or runs an LP.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable
 
 from . import lattice
 from .errors import InternalInconsistencyError, InvalidArgumentError
-from .fan import Cone, Fan, _walls, locate_relint, resolve_cone
+from .fan import Cone, Fan, locate_relint, resolve_cone, wall_classes
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ def primitive_relation(fan: Fan, collection: Iterable[int | str]) -> PrimitiveRe
 @lru_cache(maxsize=4096)
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     """The relation of every primitive collection, in collection order."""
+    wall_classes(fan)  # the check only; the classes are not read
     return tuple(primitive_relation(fan, c) for c in primitive_collections(fan))
 
 
@@ -155,17 +158,6 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
         picard_number=len(fan.generators) - fan.dim,
         strictly_convex=is_projective(fan),
     )
-
-
-def wall_classes(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """The curve class of every wall, without duplicates, sorted, from the
-    cached pass of ``fan._walls``. A fan that ``validate_fan`` rejects,
-    where such wall-local verdicts are unsound, raises
-    ``InternalInconsistencyError``."""
-    classes = _walls(fan)
-    if classes is None:
-        raise InternalInconsistencyError(f"{fan!r} fails validate_fan")
-    return classes
 
 
 @lru_cache(maxsize=4096)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from toricfan import birational, catalog, make_fan, mori, star_subdivide
+from toricfan import birational, catalog, make_fan, mori, star_subdivide, validate_fan
 from toricfan import fan as fan_module
 
 
@@ -106,6 +106,23 @@ NON_SMOOTH_OVERLAP = make_fan(
     [("a", (1, 0)), ("b", (-1, 2)), ("c", (-1, -2)), ("d", (1, 2))],
     [(0, 1), (1, 2), (0, 2), (0, 3)],
 )
+
+
+def rejected_complexes(seed, count):
+    """``count`` random cone complexes that ``validate_fan`` rejects: dimension
+    2 or 3, dim+1 to dim+4 rays with coordinates in [-2, 2], and 1 to
+    2 x rays maximal cones on random ray sets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.choice((2, 3))
+        k = rng.randint(d + 1, d + 4)
+        gens = [(f"r{i}", [rng.randint(-2, 2) for _ in range(d)]) for i in range(k)]
+        cones = [rng.sample(range(k), d) for _ in range(rng.randint(1, 2 * k))]
+        f = make_fan(d, gens, cones)
+        if not validate_fan(f).ok:
+            out.append(f)
+    return out
 
 
 def twisted_threefold():

@@ -1,0 +1,46 @@
+"""Every public error class is live: raised somewhere in the package, or
+the base of one that is, and exported in ``toricfan.__all__``."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import toricfan
+from toricfan import errors
+
+PACKAGE = Path(toricfan.__file__).resolve().parent
+
+
+def raised_names():
+    """The names in every ``raise Name`` and ``raise Name(...)`` of the package."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def error_classes():
+    return [
+        cls
+        for cls in vars(errors).values()
+        if inspect.isclass(cls) and cls.__module__ == errors.__name__
+    ]
+
+
+def test_every_error_class_is_raised_or_a_base():
+    classes = error_classes()
+    names = raised_names()
+    raised = [cls for cls in classes if cls.__name__ in names]
+    assert raised
+    for cls in classes:
+        assert any(issubclass(r, cls) for r in raised), cls.__name__
+
+
+def test_every_error_class_is_exported():
+    for cls in error_classes():
+        assert cls.__name__ in toricfan.__all__, cls.__name__
+        assert getattr(toricfan, cls.__name__) is cls

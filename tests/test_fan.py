@@ -658,14 +658,12 @@ def test_contract_without_relation(tower):
 
 
 def test_contract_revalidation_catches_corrupt_input(tower):
-    # an unused generator slips past relation detection and the star
-    # condition, but the contracted fan cannot pass revalidation
-    from toricfan import ResultInvalidError
-
+    # an unused generator would slip past relation detection and the star
+    # condition, but the check of the input comes first
     _, _, _, y = tower
     gens = [(g.name, g.vector) for g in y.generators] + [("zz", (1, 2, 3, 5))]
     broken = make_fan(4, gens, y.max_cones)
-    with pytest.raises(ResultInvalidError):
+    with pytest.raises(InternalInconsistencyError, match="fails validate_fan"):
         contract_ray(broken, "e7", ("e4", "e5"))
 
 

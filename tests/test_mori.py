@@ -8,6 +8,7 @@ from toricfan import (
     InvalidArgumentError,
     birational,
     catalog,
+    contract_ray,
     lattice,
     make_fan,
     mori,
@@ -22,6 +23,7 @@ from conftest import (
     ZIGZAG_CYCLE,
     blowup_chain,
     chain_prefixes,
+    rejected_complexes,
     twisted_threefold,
 )
 from oracles import (
@@ -428,15 +430,16 @@ UNUSED_RAY = make_fan(
 
 
 @pytest.mark.parametrize(
-    "fan",
+    "fans",
     [
-        INCOMPLETE,
-        NON_UNIMODULAR,
-        TWICE_WINDING,
-        FOLDED_CYCLE,
-        ZIGZAG_CYCLE,
-        DOUBLE_P2,
-        UNUSED_RAY,
+        [INCOMPLETE],
+        [NON_UNIMODULAR],
+        [TWICE_WINDING],
+        [FOLDED_CYCLE],
+        [ZIGZAG_CYCLE],
+        [DOUBLE_P2],
+        [UNUSED_RAY],
+        rejected_complexes(21, 300),
     ],
     ids=[
         "incomplete",
@@ -446,19 +449,37 @@ UNUSED_RAY = make_fan(
         "zigzag",
         "double-p2",
         "unused-ray",
+        "random",
     ],
 )
-def test_verdicts_reject_bad_fans_with_typed_errors(fan):
-    for verdict in (
-        mori.wall_classes,
-        mori.is_fano_by_walls,
-        mori.is_projective,
-        mori.is_fano,
-        birational.blow_down_candidates,
-        lambda f: birational.blow_down(f, 0),  # a bare ray
-    ):
-        with pytest.raises(InternalInconsistencyError):
-            verdict(fan)
+def test_verdicts_reject_bad_fans_with_typed_errors(monkeypatch, fans):
+    # every reader of a fan's geometry stops at the one gate,
+    # fan.wall_classes, before it runs an LP or reads its arguments
+    real = lattice.solve_eq_nonneg
+    lp_calls = []
+
+    def counting(rows, rhs):
+        lp_calls.append(rows)
+        return real(rows, rhs)
+
+    monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
+    for fan in fans:
+        for verdict in (
+            mori.wall_classes,
+            mori.is_fano_by_walls,
+            mori.is_projective,
+            mori.is_fano,
+            mori.primitive_relations,
+            mori.mori_cone,
+            birational.blow_down_candidates,
+            lambda f: birational.blow_down(f, 0),  # a bare ray
+            lambda f: birational.blow_down(f, 0, via=(1, 2)),
+            lambda f: contract_ray(f, 0, (1, 2)),
+            lambda f: birational.factor_morphism(f, f),
+        ):
+            with pytest.raises(InternalInconsistencyError, match="fails validate_fan"):
+                verdict(fan)
+    assert len(lp_calls) == 0
 
 
 def test_relation_of_an_incomplete_fan_raises():
