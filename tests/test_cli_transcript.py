@@ -3,7 +3,7 @@
 The transcript holds ``analyze`` (plain and compact) and ``blowdowns`` for
 every catalog key, plus ``isomorphic`` from paper-W to W-bar (the contraction
 of e7 in paper-Y steered by {e1,e6}) with its map, ``enumerate`` in
-dimensions 1 and 2, ``factor`` along the paper tower (with ``--all``,
+dimensions 1, 2 and 3, ``factor`` along the paper tower (with ``--all``,
 and with ``--require-fano``, which finds no path and exits 3) and from one
 seeded blow-up chain back to P^4, and ``analyze`` (plain and compact) of the
 six named invalid fans of ``conftest``, whose witnesses come from the
@@ -51,6 +51,7 @@ def _commands() -> list[list[str]]:
     out.append(["isomorphic", "paper-W.fan", "wbar.fan"])
     out.append(["enumerate", "--dim", "1"])
     out.append(["enumerate", "--dim", "2"])
+    out.append(["enumerate", "--dim", "3"])
     out.append(["factor", "paper-Y.fan", "paper-X.fan", "--all"])
     out.append(["factor", "paper-Y.fan", "paper-X.fan", "--require-fano"])
     out.append(["factor", "paper-Y.fan", "p4.fan"])
