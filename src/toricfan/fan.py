@@ -688,9 +688,19 @@ def _masks_cover(fan: Fan, masks: dict[lattice.IntVector, int]) -> bool:
     return True
 
 
+def _vector_part(vectors: Iterable[lattice.IntVector]) -> tuple:
+    """The sorted generator vectors: what ``_key`` compares after the
+    dimension, and all that sorting costs."""
+    return tuple(sorted(vectors))
+
+
 def _key(dim: int, vectors: Sequence[lattice.IntVector], cones: Iterable[Cone]):
-    """(dim, sorted vectors, cones relabeled by the sorted positions)."""
-    order = sorted(range(len(vectors)), key=lambda i: vectors[i])
+    """(dim, vector part, cone part): ``_vector_part(vectors)``, then the
+    cones relabeled by the sorted positions. Keys compare lexicographically,
+    so between keys of one dimension the vector parts decide and the cone
+    part only breaks their ties; relabeling every cone is the costly part,
+    so callers build the whole key only for a tie."""
+    order = sorted(range(len(vectors)), key=vectors.__getitem__)
     pos = {old: new for new, old in enumerate(order)}
     return (
         dim,
@@ -700,10 +710,13 @@ def _key(dim: int, vectors: Sequence[lattice.IntVector], cones: Iterable[Cone]):
 
 
 def _normal_forms(fan: Fan):
-    """(key, columns, inverse) for each ordering of each maximal cone's rays
-    that is a Z-basis, cones in max_cones order: ``columns`` holds the
-    ordered basis, ``inverse`` sends it to the standard basis and ``key`` is
-    the structural key of the fan moved by ``inverse``."""
+    """(images, columns, inverse) for each ordering of each maximal cone's
+    rays that is a Z-basis, cones in max_cones order: ``columns`` holds the
+    ordered basis, ``inverse`` sends it to the standard basis and ``images``
+    lists the generators moved by ``inverse``, in generator order. The form's
+    structural key is ``_key(fan.dim, images, fan.max_cones)``; both callers
+    compare ``_vector_part(images)`` first and build that key only on a tie.
+    """
     for cone in fan.max_cones:
         basis = fan.cone_vectors(cone)
         dual = _dual_rows(basis)
@@ -713,9 +726,8 @@ def _normal_forms(fan: Fan):
         # reordering the basis reorders the rows of its inverse, and with
         # them the coordinates of every generator
         for order in permutations(range(fan.dim)):
-            images = [tuple(c[i] for i in order) for c in coords]
             yield (
-                _key(fan.dim, images, fan.max_cones),
+                [tuple(c[i] for i in order) for c in coords],
                 tuple(zip(*(basis[i] for i in order))),
                 tuple(dual[i] for i in order),
             )
@@ -725,10 +737,13 @@ def fan_isomorphism(a: Fan, b: Fan):
     """A GL(n,Z) matrix mapping a's generators and cones onto b's, or None.
 
     The first normal form of ``a`` (its first unimodular maximal cone, rays
-    in the given order) is looked up among the normal forms of ``b``; on a match
-    the map is b's basis columns times a's inverse, which carries a's
-    generators and maximal cones onto b's. The matrix acts on column
-    vectors. Fans with repeated generator vectors have no isomorphism.
+    in the given order) is looked up among the normal forms of ``b``: a form
+    whose vector part differs is passed over, and the cone part is compared
+    only when the vector parts agree. On a match the map is b's basis
+    columns times a's inverse, which carries a's generators and maximal
+    cones onto b's. The matrix acts on column vectors. Fans with repeated
+    generator vectors have no isomorphism, and an ``a`` without a unimodular
+    maximal cone, which has no normal form, gets None.
     """
     if (
         a.dim != b.dim
@@ -742,10 +757,13 @@ def fan_isomorphism(a: Fan, b: Fan):
         return tuple(tuple(int(i == j) for j in range(a.dim)) for i in range(a.dim))
     if len(set(b.vectors())) != len(b.generators):
         return None
-    # without a unimodular cone in a, the None key matches no form of b
-    key, _, inverse = next(_normal_forms(a), (None, None, None))
+    first = next(_normal_forms(a), None)
+    if first is None:
+        return None
+    images, _, inverse = first
+    key = _key(a.dim, images, a.max_cones)
     for other, columns, _ in _normal_forms(b):
-        if other == key:
+        if _vector_part(other) == key[1] and _key(b.dim, other, b.max_cones) == key:
             return tuple(
                 tuple(lattice.dot(row, col) for col in zip(*inverse))
                 for row in columns
@@ -770,5 +788,15 @@ def canonical_gl_key(fan: Fan):
     the standard basis; None without a unimodular maximal cone.
     fan_isomorphism matches normal forms of the same kind, so two fans
     without repeated generator vectors get equal keys iff it finds a map
-    between them."""
-    return min((key for key, _, _ in _normal_forms(fan)), default=None)
+    between them.
+
+    The least key has the least vector part, so the cone parts are built
+    only for the forms that tie on it: 4 of the 408 forms of paper-Y.
+    """
+    forms = [(_vector_part(images), images) for images, _, _ in _normal_forms(fan)]
+    least = min((vectors for vectors, _ in forms), default=None)
+    return min(
+        (_key(fan.dim, images, fan.max_cones) for vectors, images in forms
+         if vectors == least),
+        default=None,
+    )

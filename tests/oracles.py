@@ -4,7 +4,8 @@ Each oracle re-decides a question answered by the library through a
 different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
 exhaustive subset or grid search, a simplex pivoting over Fraction, a
 rational solve per pair of adjacent cones, the located primitive-relation
-table, the Fano enumerator's retired rule) so that the two sides check
+table, the Fano enumerator's retired rule, the full structural key of every
+normal form) so that the two sides check
 each other.
 """
 
@@ -18,6 +19,8 @@ from toricfan import birational, mori
 from toricfan.errors import DimensionMismatchError, StarConditionViolatedError
 from toricfan.fan import (
     _dual_rows,
+    _key,
+    _normal_forms,
     _wall_owners,
     cones_meet_in_common_face,
     contract_ray,
@@ -387,3 +390,14 @@ def retired_fano_rule(cones, vertices, new_cone) -> bool:
 # of the dimension-3 search repeat 102,683 queries of 32,725 pairs
 _complex_walls = lru_cache(maxsize=1)(_wall_owners)
 _faces_meet = lru_cache(maxsize=None)(cones_meet_in_common_face)
+
+
+def brute_canonical_gl_key(fan):
+    """The least full structural key over every normal form of ``fan``, each
+    with its cones relabeled, or None without a unimodular maximal cone;
+    ``canonical_gl_key`` relabels cones only for the forms that tie on the
+    least vector part."""
+    return min(
+        (_key(fan.dim, images, fan.max_cones) for images, _, _ in _normal_forms(fan)),
+        default=None,
+    )

@@ -11,6 +11,7 @@ end count calls the same way.
 
 import ast
 import importlib
+from itertools import permutations
 from pathlib import Path
 
 from toricfan import birational, catalog, cli, fan, lattice, mori
@@ -287,3 +288,28 @@ def test_enumerations_issue_no_lp(monkeypatch):
     assert len(enumerate_fano(1)) == 1
     assert len(enumerate_fano(2)) == 5
     assert calls == []
+
+
+def test_canonical_key_builds_full_keys_only_for_ties(monkeypatch, tower):
+    # the least key has the least vector part, so only the forms that tie on
+    # it have their cones relabeled: 4 of the 408 forms of paper-Y, each
+    # form the generators in the coordinates of an ordered maximal cone
+    y = tower[3]
+    parts = []
+    for cone in y.max_cones:
+        dual = fan._dual_rows(y.cone_vectors(cone))
+        coords = [[lattice.dot(row, v) for row in dual] for v in y.vectors()]
+        for order in permutations(range(y.dim)):
+            parts.append(sorted(tuple(c[i] for i in order) for c in coords))
+    ties = parts.count(min(parts))
+    real = fan._key
+    calls = []
+
+    def counting(dim, vectors, cones):
+        calls.append(vectors)
+        return real(dim, vectors, cones)
+
+    monkeypatch.setattr(fan, "_key", counting)
+    fan.canonical_gl_key(y)
+    assert len(calls) == ties
+    assert (ties, len(parts)) == (4, 408)

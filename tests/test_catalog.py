@@ -316,6 +316,17 @@ def test_enumerate_dim3_closes_only_fano(monkeypatch):
     assert max(len(f.generators) for f in closed[0]) == max_rays(3) == 8
     assert all(mori.is_fano(f)[0] for f in closed[0])
     assert keys[0] == [canonical_gl_key(f) for f in catalog.enumerate_fano(3)]
+    for f in closed[0]:
+        assert canonical_gl_key(f) == oracles.brute_canonical_gl_key(f)
+
+
+def test_threefolds_are_isomorphic_iff_their_keys_are_equal():
+    fans = catalog.enumerate_fano(3)
+    keys = [canonical_gl_key(f) for f in fans]
+    assert len(set(keys)) == 18
+    for a, key_a in zip(fans, keys):
+        for b, key_b in zip(fans, keys):
+            assert (fan_isomorphism(a, b) is not None) == (key_a == key_b)
 
 
 def test_primitive_pool_sizes():

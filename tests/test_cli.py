@@ -392,3 +392,19 @@ def test_module_invocation_matches_inprocess(cli_run):
     assert proc.returncode == 0
     _, out, _ = cli_run("example", "p2")
     assert proc.stdout == out
+
+
+def test_cli_start_up_leaves_the_enumerator_unimported():
+    # a cold start compiles every module the CLI imports; catalog imports
+    # the Fano enumerator and its caches only when an enumeration runs
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, toricfan.cli; print('toricfan._fano3' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -48,6 +48,7 @@ from conftest import (
 )
 from oracles import (
     _cones_overlap,
+    brute_canonical_gl_key,
     brute_refines,
     pairwise_faces_ok,
     permutation_determinant,
@@ -1003,6 +1004,7 @@ def test_isomorphism_is_equivalence_on_catalog(catalog_fans, tower):
         + [_twist(_reversed(f), shear) for f in tower[1:]]
     )
     keys = [canonical_gl_key(f) for f in fans]
+    assert keys == [brute_canonical_gl_key(f) for f in fans]
     for a in fans:
         assert fan_isomorphism(a, a) is not None
     for a, key_a in zip(fans, keys):
@@ -1014,6 +1016,13 @@ def test_isomorphism_is_equivalence_on_catalog(catalog_fans, tower):
                 assert _transports(m, a, b)
 
 
+def test_canonical_key_matches_the_brute_oracle(catalog_fans):
+    # the catalog, the Fano classes of dimensions 1-3 and chain_prefixes(),
+    # among the rest of the contraction corpus
+    for f in contraction_corpus(catalog_fans):
+        assert canonical_gl_key(f) == brute_canonical_gl_key(f)
+
+
 def test_isomorphism_of_fans_without_maximal_cones():
     # with no cone to map, only the generator vectors are compared
     a = make_fan(2, [("a", (1, 0)), ("b", (0, 1))], [])
@@ -1021,6 +1030,8 @@ def test_isomorphism_of_fans_without_maximal_cones():
     c = make_fan(2, [("a", (1, 0)), ("b", (1, 1))], [])
     assert fan_isomorphism(a, b) == ((1, 0), (0, 1))
     assert fan_isomorphism(a, c) is None
+    # and without a normal form there is no canonical key
+    assert canonical_gl_key(a) is None is brute_canonical_gl_key(a)
 
 
 def test_isomorphism_skips_non_unimodular_first_cone():
@@ -1031,6 +1042,7 @@ def test_isomorphism_skips_non_unimodular_first_cone():
     assert fan.max_cones[0] == (0, 1)
     assert fan_isomorphism(fan, fan) == ((1, 0), (0, 1))
     assert canonical_gl_key(fan) is not None
+    assert canonical_gl_key(fan) == brute_canonical_gl_key(fan)
 
 
 def test_isomorphism_rejects_repeated_vectors():
