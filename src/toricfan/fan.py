@@ -689,8 +689,8 @@ def _masks_cover(fan: Fan, masks: dict[lattice.IntVector, int]) -> bool:
 
 
 def _vector_part(vectors: Iterable[lattice.IntVector]) -> tuple:
-    """The sorted generator vectors: what ``_key`` compares after the
-    dimension, and all that sorting costs."""
+    """The sorted generator vectors, the entry of ``_key`` after the
+    dimension; cheap beside the cone part, as no cone is relabeled."""
     return tuple(sorted(vectors))
 
 
@@ -700,7 +700,7 @@ def _key(dim: int, vectors: Sequence[lattice.IntVector], cones: Iterable[Cone]):
     so between keys of one dimension the vector parts decide and the cone
     part only breaks their ties; relabeling every cone is the costly part,
     so callers build the whole key only for a tie."""
-    order = sorted(range(len(vectors)), key=vectors.__getitem__)
+    order = sorted(range(len(vectors)), key=lambda i: vectors[i])
     pos = {old: new for new, old in enumerate(order)}
     return (
         dim,
@@ -796,7 +796,10 @@ def canonical_gl_key(fan: Fan):
     forms = [(_vector_part(images), images) for images, _, _ in _normal_forms(fan)]
     least = min((vectors for vectors, _ in forms), default=None)
     return min(
-        (_key(fan.dim, images, fan.max_cones) for vectors, images in forms
-         if vectors == least),
+        (
+            _key(fan.dim, images, fan.max_cones)
+            for vectors, images in forms
+            if vectors == least
+        ),
         default=None,
     )
