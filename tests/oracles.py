@@ -5,8 +5,7 @@ different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
 exhaustive subset or grid search, a simplex pivoting over Fraction, a
 rational solve per pair of adjacent cones, the located primitive-relation
 table, the Fano enumerator's retired rule, the full structural key of every
-normal form) so that the two sides check
-each other.
+normal form) so that the two sides check each other.
 """
 
 from __future__ import annotations

@@ -1031,7 +1031,7 @@ def test_isomorphism_of_fans_without_maximal_cones():
     assert fan_isomorphism(a, b) == ((1, 0), (0, 1))
     assert fan_isomorphism(a, c) is None
     # and without a normal form there is no canonical key
-    assert canonical_gl_key(a) is None is brute_canonical_gl_key(a)
+    assert canonical_gl_key(a) is None and brute_canonical_gl_key(a) is None
 
 
 def test_isomorphism_skips_non_unimodular_first_cone():
