@@ -69,10 +69,9 @@ class NotARefinementError(ToricFanError):
 
 class InternalInconsistencyError(ToricFanError):
     """The fan is one that ``validate_fan`` rejects. Contraction, the
-    blow-down tools, the relation table, the Mori cone and the wall verdicts
-    raise it through ``fan.wall_classes`` before any other work;
-    ``locate_relint`` and ``primitive_relation``, which check no fan, raise
-    it with the point they could not place."""
+    blow-down tools, ``locate_relint``, the relations, the Mori cone and
+    the wall verdicts raise it through ``fan.wall_classes`` before any
+    other work."""
 
 
 class InvalidDimensionError(ToricFanError):

@@ -483,42 +483,31 @@ def locate_relint(
 
     Returns the cone as an index tuple together with the strictly positive
     integer coefficients over its generators; the zero vector yields the
-    zero cone with no coefficients. Requires a valid complete fan.
+    zero cone with no coefficients. ``wall_classes`` checks the fan before
+    the point is read.
+
+    The answer is the face of the first maximal cone whose dual rows are
+    all >= 0 on the point. By the argument of ``validate_fan`` a valid fan
+    is complete, so some maximal cone holds the point, and any two maximal
+    cones meet in the cone of their shared rays, so every cone holding it
+    names the same face.
     """
+    wall_classes(fan)  # the check only; the classes are not read
     bad = "point: coordinates must be integers"
     pt = lattice._integers(point, FanSyntaxError, bad)
     if len(pt) != fan.dim:
         raise DimensionMismatchError(
             f"point has {len(pt)} coordinates in a dim-{fan.dim} fan"
         )
-    if not any(pt):
-        return ZERO_CONE, ()
-    answers = set()
     for cone in fan.max_cones:
-        dual = _dual_rows(fan.cone_vectors(cone))
-        if dual is None:
-            raise InternalInconsistencyError(
-                f"maximal cone {_cone_label(fan, cone)} is not unimodular"
-            )
         coords = []
-        for row in dual:  # most cones miss the point at an early row
+        for row in _dual_rows(fan.cone_vectors(cone)):
             coords.append(lattice.dot(row, pt))
-            if coords[-1] < 0:
+            if coords[-1] < 0:  # most cones miss the point at an early row
                 break
         else:
             face = tuple(i for i, c in zip(cone, coords) if c > 0)
-            coeffs = tuple(c for c in coords if c > 0)
-            answers.add((face, coeffs))
-    if not answers:
-        raise InternalInconsistencyError(
-            f"point {pt} lies in no maximal cone; the fan is not complete"
-        )
-    if len(answers) > 1:
-        raise InternalInconsistencyError(
-            f"point {pt} has ambiguous location {sorted(answers)};"
-            " the fan violates the face axioms"
-        )
-    return next(iter(answers))
+            return face, tuple(c for c in coords if c > 0)
 
 
 def cone_in_fan(fan: Fan, cone: Cone) -> bool:

@@ -12,10 +12,10 @@ the Mori cone, the Fano witnesses and the reports' degree column. The
 verdicts read ``fan.wall_classes``, one curve class per wall, built in the
 pass that validates the fan: a divisor is ample iff it is positive on each
 (Reid, "Decomposition of toric morphisms", 1983; Cox, Little and Schenck,
-*Toric Varieties*, Thm 6.3.13). The table and the verdicts start from
-``wall_classes``, the package's one validity gate, so each raises
-``InternalInconsistencyError`` on a fan that ``validate_fan`` rejects
-before it locates a relation or runs an LP.
+*Toric Varieties*, Thm 6.3.13). The single relation, the table and the
+verdicts start from ``wall_classes``, the package's one validity gate, so
+each raises ``InternalInconsistencyError`` on a fan that ``validate_fan``
+rejects before it reads its arguments, locates a relation or runs an LP.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import lattice
-from .errors import InternalInconsistencyError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .fan import Cone, Fan, locate_relint, resolve_cone, wall_classes
 
 
@@ -84,7 +84,10 @@ def primitive_collections(fan: Fan) -> tuple[Cone, ...]:
 
 def primitive_relation(fan: Fan, collection: Iterable[int | str]) -> PrimitiveRelation:
     """The relation attached to a primitive collection of the fan; any other
-    ray set raises ``InvalidArgumentError``."""
+    ray set raises ``InvalidArgumentError``. ``wall_classes`` checks the fan
+    before the collection is read, and on a valid fan ``locate_relint``
+    places the collection's sum."""
+    wall_classes(fan)  # the check only; the classes are not read
     coll = resolve_cone(fan, collection)
     colls = primitive_collections(fan)  # sorted, so bisection finds coll
     i = bisect_left(colls, coll)
@@ -94,12 +97,7 @@ def primitive_relation(fan: Fan, collection: Iterable[int | str]) -> PrimitiveRe
         )
     vecs = fan.cone_vectors(coll)
     total = tuple(sum(col) for col in zip(*vecs))
-    try:
-        target, coeffs = locate_relint(fan, total)
-    except InternalInconsistencyError as exc:
-        raise InternalInconsistencyError(
-            f"sum of collection {fan.cone_names(coll)} lies in no cone: {exc}"
-        ) from exc
+    target, coeffs = locate_relint(fan, total)
     degree = len(coll) - sum(coeffs)
     return PrimitiveRelation(coll, target, coeffs, degree)
 
@@ -107,6 +105,8 @@ def primitive_relation(fan: Fan, collection: Iterable[int | str]) -> PrimitiveRe
 @lru_cache(maxsize=4096)
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     """The relation of every primitive collection, in collection order."""
+    # checked here too: a fan that validate_fan rejects may have no
+    # primitive collection, and so no call of primitive_relation
     wall_classes(fan)  # the check only; the classes are not read
     return tuple(primitive_relation(fan, c) for c in primitive_collections(fan))
 

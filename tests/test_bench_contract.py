@@ -313,3 +313,30 @@ def test_canonical_key_builds_full_keys_only_for_ties(monkeypatch, tower):
     fan.canonical_gl_key(y)
     assert len(calls) == ties
     assert (ties, len(parts)) == (4, 408)
+
+
+def test_locate_relint_stops_at_the_first_holder(monkeypatch, tower):
+    # on a valid fan every maximal cone holding a point names the same face,
+    # so the locator reads the dual rows of the cones up to the first one
+    # that holds the point and no further; paper-Y has 17 maximal cones
+    y = tower[3]
+    mori.wall_classes(y)  # the cached gate reads no dual rows below
+    real = fan._dual_rows
+    visited = []
+
+    def counting(vectors):
+        visited.append(vectors)
+        return real(vectors)
+
+    monkeypatch.setattr(fan, "_dual_rows", counting)
+    sums = [
+        tuple(map(sum, zip(*y.cone_vectors(c)))) for c in mori.primitive_collections(y)
+    ]
+    counts = []
+    for point in sums:
+        visited.clear()
+        face, _ = fan.locate_relint(y, point)
+        first = next(i for i, c in enumerate(y.max_cones) if set(face) <= set(c))
+        assert visited == [y.cone_vectors(c) for c in y.max_cones[: first + 1]]
+        counts.append(len(visited))
+    assert len(y.max_cones) == 17 and max(counts) < 17

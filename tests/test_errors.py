@@ -44,3 +44,28 @@ def test_every_error_class_is_exported():
     for cls in error_classes():
         assert cls.__name__ in toricfan.__all__, cls.__name__
         assert getattr(toricfan, cls.__name__) is cls
+
+
+def inconsistency_raise_sites():
+    """(module, top-level function) of every ``raise InternalInconsistencyError``
+    in the package, one entry per raise, in file order."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if getattr(exc, "id", None) == "InternalInconsistencyError":
+                        sites.append((path.stem, getattr(top, "name", None)))
+    return sites
+
+
+def test_one_gate_raises_for_an_invalid_fan():
+    # fan.wall_classes is the one place that rejects a fan that validate_fan
+    # rejects; a second rejection path would let two readers of one fan
+    # disagree. The Fano enumerator's three self-checks are on the cone
+    # complexes it builds itself, not on a caller's fan.
+    sites = inconsistency_raise_sites()
+    own = [site for site in sites if site[0] == "_fano3"]
+    assert own == [("_fano3", "enumerate_fano_fans")] * 3
+    assert [site for site in sites if site[0] != "_fano3"] == [("fan", "wall_classes")]

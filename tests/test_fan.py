@@ -49,9 +49,11 @@ from conftest import (
 from oracles import (
     _cones_overlap,
     brute_canonical_gl_key,
+    brute_primitive_collections,
     brute_refines,
     pairwise_faces_ok,
     permutation_determinant,
+    rational_solve,
     relint_claims,
 )
 
@@ -510,20 +512,36 @@ def test_locate_relint_rejects_incomplete_fan():
 
 def test_locate_relint_rejects_ambiguous_location():
     # every point off the rays of the twice-winding cycle lies in two cones
-    with pytest.raises(InternalInconsistencyError, match="ambiguous location"):
+    with pytest.raises(InternalInconsistencyError, match="fails validate_fan"):
         locate_relint(TWICE_WINDING, (1, 1))
 
 
-def test_locate_relint_matches_brute_force_partition(catalog_fans):
+@pytest.mark.slow  # reads the dimension-3 enumeration; the oracle takes about 7 s
+def test_locate_relint_matches_brute_force_partition(catalog_fans, seeded_chains):
+    # locate_relint answers with the first maximal cone that holds the
+    # point; the brute force tries every face. Points: the sum of every
+    # primitive collection and seeded random ones, 60 per catalog fan and 5
+    # per other fan. Fans: the contraction corpus (the catalog, the Fano
+    # classes of dimensions 1-3, the chain prefixes and more) and the
+    # seeded chains. The relation table built from the claims is the
+    # package's.
     rng = random.Random(20240917)
-    for fan in catalog_fans.values():
-        for _ in range(60):
+    for fan in dict.fromkeys(contraction_corpus(catalog_fans) + seeded_chains):
+        table = []
+        for coll in brute_primitive_collections(fan):
+            point = tuple(map(sum, zip(*fan.cone_vectors(coll))))
+            (face,) = relint_claims(fan, point)
+            coeffs = tuple(rational_solve(fan.cone_vectors(face), point))
+            degree = len(coll) - sum(coeffs)
+            table.append(mori.PrimitiveRelation(coll, face, coeffs, degree))
+            assert locate_relint(fan, point) == (face, coeffs)
+        assert mori.primitive_relations(fan) == tuple(table)
+        for _ in range(60 if fan in catalog_fans.values() else 5):
             point = tuple(rng.randint(-9, 9) for _ in range(fan.dim))
-            claims = relint_claims(fan, point)
-            assert len(claims) == 1
-            cone, coeffs = locate_relint(fan, point)
-            assert claims[0] == cone
+            (face,) = relint_claims(fan, point)
+            coeffs = tuple(rational_solve(fan.cone_vectors(face), point))
             assert all(c > 0 for c in coeffs)
+            assert locate_relint(fan, point) == (face, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from toricfan import (
     catalog,
     contract_ray,
     lattice,
+    locate_relint,
     make_fan,
     mori,
     validate_fan,
@@ -476,6 +477,8 @@ def test_verdicts_reject_bad_fans_with_typed_errors(monkeypatch, fans):
             lambda f: birational.blow_down(f, 0, via=(1, 2)),
             lambda f: contract_ray(f, 0, (1, 2)),
             lambda f: birational.factor_morphism(f, f),
+            lambda f: locate_relint(f, (1,) * f.dim),
+            lambda f: mori.primitive_relation(f, (0, 1)),
         ):
             with pytest.raises(InternalInconsistencyError, match="fails validate_fan"):
                 verdict(fan)
@@ -486,8 +489,18 @@ def test_relation_of_an_incomplete_fan_raises():
     # {a, c} is a primitive collection of the two cones <a,b> and <b,c>,
     # but a + c = (0, -1) lies in neither
     assert ("a", "c") in collection_names(INCOMPLETE)
-    with pytest.raises(InternalInconsistencyError, match="lies in no cone"):
+    with pytest.raises(InternalInconsistencyError, match="fails validate_fan"):
         mori.primitive_relation(INCOMPLETE, ("a", "c"))
+
+
+def test_relation_of_a_fan_with_an_unused_ray_raises():
+    # {a, b, c} is a primitive collection of P^2 and its sum, the zero
+    # vector, lies in the zero cone; the unused ray d makes the fan invalid,
+    # and the single relation raises as the table does
+    assert (0, 1, 2) in mori.primitive_collections(UNUSED_RAY)
+    for query in (mori.primitive_relations, lambda f: rel(f, (0, 1, 2))):
+        with pytest.raises(InternalInconsistencyError, match="fails validate_fan"):
+            query(UNUSED_RAY)
 
 
 def test_is_fano_y(tower):
