@@ -7,6 +7,11 @@ identical output. Exit codes: 0 ok, 1 parse error, 2 invalid fan,
 3 no factorization, 4 not a refinement, 5 invalid operation argument
 (usage errors included: a missing subcommand, option or argument, or an
 unknown choice).
+
+Every library error with no code of its own (a `ToricFanError` the
+commands let through) exits 5 by one path, `main`, which prints one line,
+``error: <message>``. A command catches an error only where the CLI decides
+something the library does not: another exit code, or its own text.
 """
 
 from __future__ import annotations
@@ -17,17 +22,11 @@ from pathlib import Path
 
 from . import birational, catalog, mori
 from .errors import (
-    CenterNotInFanError,
-    CenterTooSmallError,
     DimensionMismatchError,
     FanParseError,
-    NameCollisionError,
-    NoBlowdownRelationError,
     NotARefinementError,
     StarConditionViolatedError,
     ToricFanError,
-    UnknownRayError,
-    UnsupportedDimensionError,
 )
 from .fan import (
     Fan,
@@ -249,15 +248,7 @@ def _split_names(text: str) -> list[str]:
 
 def _cmd_blowup(args) -> int:
     fan = _load_valid_fan(args.fan)
-    try:
-        result = star_subdivide(fan, _split_names(args.center), args.name)
-    except (
-        CenterNotInFanError,
-        CenterTooSmallError,
-        NameCollisionError,
-        UnknownRayError,
-    ) as exc:
-        raise _CliFailure(EXIT_BAD_ARGUMENT, str(exc)) from exc
+    result = star_subdivide(fan, _split_names(args.center), args.name)
     sys.stdout.write(serialize_fan(result))
     return EXIT_OK
 
@@ -272,8 +263,6 @@ def _cmd_blowdown(args) -> int:
         raise _CliFailure(
             EXIT_BAD_ARGUMENT, f"obstructed by cone(s) {cones}"
         ) from exc
-    except (NoBlowdownRelationError, UnknownRayError) as exc:
-        raise _CliFailure(EXIT_BAD_ARGUMENT, str(exc)) from exc
     sys.stdout.write(serialize_fan(result))
     return EXIT_OK
 
@@ -329,10 +318,7 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        fans = catalog.enumerate_fano(args.dim)
-    except UnsupportedDimensionError as exc:
-        raise _CliFailure(EXIT_BAD_ARGUMENT, str(exc)) from exc
+    fans = catalog.enumerate_fano(args.dim)
     if args.out_dir is not None:
         out = Path(args.out_dir)
         try:

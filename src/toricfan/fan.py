@@ -258,13 +258,12 @@ def serialize_fan(fan: Fan) -> str:
 
 @lru_cache(maxsize=65536)
 def _dual_rows(vectors: tuple[lattice.IntVector, ...]) -> tuple[lattice.IntVector, ...] | None:
-    """Rows phi_i with phi_i(v_j) = delta_ij, or None when not unimodular."""
+    """Rows phi_i with phi_i(v_j) = delta_ij, or None when not unimodular:
+    the inverse of the matrix whose columns are the v_j."""
     try:
-        inv = lattice.unimodular_inverse(vectors)
+        return lattice.unimodular_inverse(tuple(zip(*vectors)))
     except ValueError:
         return None
-    n = len(vectors)
-    return tuple(tuple(inv[r][i] for r in range(n)) for i in range(n))
 
 
 def _cone_label(fan: Fan, cone: Cone) -> str:

@@ -4,7 +4,8 @@ Integers everywhere: one fraction-free Gauss-Jordan elimination gives both
 the determinant and the inverse of a unimodular matrix, and the phase-1
 simplex behind `solve_eq_nonneg` and `nonneg_rational_combination`, which
 decides feasibility, extremality and (by Gordan's alternative) strict
-convexity, pivots on an integer tableau by the same exact division.
+convexity, pivots on an integer tableau. Both make every row update through
+one step, `_pivot`, whose docstring argues that its division is exact.
 `fractions.Fraction` appears only at the boundary: rational input is scaled
 to integers, and the vertex found is returned as Fractions. An entry of
 another type (a float, None) raises ``InvalidArgumentError``, and so does
@@ -46,14 +47,34 @@ def _square(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(_integers(r, InvalidArgumentError, bad)) for r in rows]
 
 
+def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free pivot on (r, c), in place; returns p = rows[r][c].
+
+    Every row but r becomes (p * row - row[c] * rows[r]) // d; row r stays
+    as it is. The one row update of both kernels, exact by Bareiss's
+    argument (Math. Comp. 22 (1968)): when every entry is d times its
+    rational value, d the determinant of the current basis, each new entry
+    is p times its value after the rational pivot, and p is the determinant
+    of the new basis, so the division by d leaves no remainder and p takes
+    d's place for the next pivot.
+    """
+    pivot_row = rows[r]
+    p = pivot_row[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+    return p
+
+
 def _eliminate(m: list[list[int]], n: int) -> int:
     """Fraction-free Gauss-Jordan elimination on the first n columns, in place.
 
-    ``m`` has n rows; columns past the n-th ride along. Each step divides
-    exactly by the previous pivot (Bareiss, Math. Comp. 22 (1968)), so every
-    entry stays an integer. Returns the determinant d of the leading n x n
-    block, or 0 as soon as it turns out singular. When d != 0 the leading
-    block ends as d*I and every other column c as d * A^-1 c.
+    ``m`` has n rows; columns past the n-th ride along. Each step is one
+    `_pivot` on the diagonal, so every entry stays an integer. Returns the
+    determinant d of the leading n x n block, or 0 as soon as it turns out
+    singular. When d != 0 the leading block ends as d*I and every other
+    column c as d * A^-1 c.
     """
     prev = 1
     for k in range(n):
@@ -63,13 +84,7 @@ def _eliminate(m: list[list[int]], n: int) -> int:
                 return 0
             # swap and negate: a row operation of determinant 1
             m[k], m[piv] = m[piv], [-x for x in m[k]]
-        pivot_row = m[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pivot_row)]
-        prev = p
+        prev = _pivot(m, k, k, prev)
     return prev
 
 
@@ -115,10 +130,9 @@ def solve_eq_nonneg(
     whose basic variable is artificial, starts as the column sums.
 
     One integer d > 0 holds the whole tableau: every entry is d times its
-    rational value (d is the determinant of the current basis). Pivoting on
-    (r, e) with p = tab[r][e] > 0 turns every other row into
-    (p * row - row[e] * tab[r]) // d, an exact division, keeps row r as it
-    is and sets d = p.
+    rational value (d is the determinant of the current basis). Each step
+    is one `_pivot` on (r, e), the row update that `_eliminate` makes, and
+    p = tab[r][e] > 0 becomes the new d.
 
     Bland's rule guarantees termination: the entering column is the first
     with a positive reduced cost; the leaving row has the least ratio
@@ -167,14 +181,8 @@ def solve_eq_nonneg(
                 or (c == 0 and basis[i] < basis[r])
             ):
                 r = i
-        pivot_row = tab[r]
-        p = pivot_row[e]
-        for i, row in enumerate(tab):
-            if i != r:
-                f = row[e]
-                tab[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        d = _pivot(tab, r, e, d)
         basis[r] = e
-        d = p
 
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):

@@ -14,6 +14,8 @@ import importlib
 from itertools import permutations
 from pathlib import Path
 
+import pytest
+
 from toricfan import birational, catalog, cli, fan, lattice, mori
 
 from conftest import (
@@ -340,3 +342,45 @@ def test_locate_relint_stops_at_the_first_holder(monkeypatch, tower):
         assert visited == [y.cone_vectors(c) for c in y.max_cones[: first + 1]]
         counts.append(len(visited))
     assert len(y.max_cones) == 17 and max(counts) < 17
+
+
+def test_every_kernel_pivots_through_one_step(monkeypatch):
+    # lattice._pivot is the one fraction-free row update: the elimination
+    # behind determinant and unimodular_inverse makes one per column, and
+    # the simplex one per basis change
+    basis = [(-1, -1, -1, -1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    real = lattice._pivot
+    pivots = []
+
+    def counting(rows, r, c, d):
+        pivots.append((r, c))
+        return real(rows, r, c, d)
+
+    monkeypatch.setattr(lattice, "_pivot", counting)
+    assert abs(lattice.determinant(basis)) == 1
+    assert len(pivots) == 4
+    pivots.clear()
+    lattice.unimodular_inverse(basis)
+    assert len(pivots) == 4
+
+    w = catalog.catalog_fan("paper-W")
+    mori.wall_classes(w)  # the cached gate makes no pivot below
+    mori.is_projective.cache_clear()
+    pivots.clear()
+    assert mori.is_projective(w) is True  # one Gordan LP
+    assert len(pivots) >= 1
+
+    class Pivoted(Exception):
+        pass
+
+    def refuse(rows, r, c, d):
+        raise Pivoted
+
+    monkeypatch.setattr(lattice, "_pivot", refuse)
+    for kernel in (
+        lambda: lattice.determinant(basis),
+        lambda: lattice.unimodular_inverse(basis),
+        lambda: lattice.solve_eq_nonneg([[1, 1]], [1]),
+    ):
+        with pytest.raises(Pivoted):
+            kernel()

@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from toricfan import cli, serialize_fan
+from toricfan import (
+    ToricFanError,
+    birational,
+    catalog,
+    cli,
+    serialize_fan,
+    star_subdivide,
+)
 
 from conftest import FOLDED_CYCLE
 
@@ -336,6 +343,78 @@ def test_invalid_fan_rejected_by_operations(cli_run, tmp_path):
         code, _, err = cli_run(*argv)
         assert code == 2
         assert "not valid" in err
+
+
+# ---------------------------------------------------------------------------
+# library errors: one exit-5 path
+
+
+@pytest.mark.parametrize(
+    "argv, call",
+    [
+        pytest.param(
+            ["blowup", "p4", "--center", "e1,e2", "--name", "1x"],
+            lambda f: star_subdivide(f["p4"], ["e1", "e2"], "1x"),
+            id="bad-name",
+        ),
+        pytest.param(
+            ["blowup", "p4", "--center", "e1,e2", "--name", "e0"],
+            lambda f: star_subdivide(f["p4"], ["e1", "e2"], "e0"),
+            id="name-in-use",
+        ),
+        pytest.param(
+            ["blowup", "p4", "--center", "e1"],
+            lambda f: star_subdivide(f["p4"], ["e1"]),
+            id="center-too-small",
+        ),
+        pytest.param(
+            ["blowup", "p4", "--center", "e1,zz"],
+            lambda f: star_subdivide(f["p4"], ["e1", "zz"]),
+            id="unknown-ray",
+        ),
+        pytest.param(
+            ["blowup", "p4", "--center", "e0,e1,e2,e3,e4"],
+            lambda f: star_subdivide(f["p4"], ["e0", "e1", "e2", "e3", "e4"]),
+            id="center-not-a-cone",
+        ),
+        pytest.param(
+            ["blowdown", "p4", "--ray", "e0"],
+            lambda f: birational.blow_down(f["p4"], "e0"),
+            id="no-relation",
+        ),
+        pytest.param(
+            ["blowdown", "p4", "--ray", "e0", "--via", "e1,e1"],
+            lambda f: birational.blow_down(f["p4"], "e0", ["e1", "e1"]),
+            id="repeated-via",
+        ),
+        pytest.param(
+            ["blowdown", "p4", "--ray", "e0", "--via", "e1,e2"],
+            lambda f: birational.blow_down(f["p4"], "e0", ["e1", "e2"]),
+            id="via-not-a-relation",
+        ),
+        pytest.param(
+            ["enumerate", "--dim", "4"],
+            lambda f: catalog.enumerate_fano(4),
+            id="unsupported-dimension",
+        ),
+        pytest.param(
+            ["factor", "p4", "p3"],
+            lambda f: birational.factor_morphism(f["p4"], f["p3"]),
+            id="dimension-mismatch",
+        ),
+    ],
+)
+def test_library_errors_exit_5_with_one_line(
+    cli_run, fan_files, catalog_fans, argv, call
+):
+    # every library error without a code of its own reaches main's one
+    # ToricFanError handler, which prints the library's message unchanged
+    with pytest.raises(ToricFanError) as exc:
+        call(catalog_fans)
+    argv = [fan_files.get(a, a) for a in argv]
+    code, out, err = cli_run(*argv)
+    assert (code, out) == (5, "")
+    assert err == f"error: {exc.value}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -69,3 +69,30 @@ def test_one_gate_raises_for_an_invalid_fan():
     own = [site for site in sites if site[0] == "_fano3"]
     assert own == [("_fano3", "enumerate_fano_fans")] * 3
     assert [site for site in sites if site[0] != "_fano3"] == [("fan", "wall_classes")]
+
+
+def except_names(path):
+    """The names in every ``except`` clause of a module, tuples unpacked."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.update(ast.unparse(t) for t in types)
+    return names
+
+
+def test_cli_catches_only_what_it_decides():
+    # main's ToricFanError handler is the one exit-5 path for library
+    # errors; a command catches an error only to give it another exit code
+    # or its own text, so a per-command re-wrap into exit 5 cannot return
+    assert except_names(PACKAGE / "cli.py") == {
+        "OSError",
+        "UnicodeDecodeError",
+        "FanParseError",
+        "DimensionMismatchError",
+        "StarConditionViolatedError",
+        "NotARefinementError",
+        "KeyError",
+        "_CliFailure",
+        "ToricFanError",
+    }
