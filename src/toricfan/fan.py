@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -82,6 +82,15 @@ class Fan:
 
     def cone_vectors(self, cone: Cone) -> tuple[lattice.IntVector, ...]:
         return tuple(self.generators[i].vector for i in cone)
+
+    # computed once, for the caches keyed by fans; without the names, whose
+    # str hashes vary by process, a pickled fan's cached hash stays valid
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.vectors(), self.max_cones))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return (

@@ -5,7 +5,8 @@ the determinant and the inverse of a unimodular matrix, and the phase-1
 simplex behind `solve_eq_nonneg` and `nonneg_rational_combination`, which
 decides feasibility, extremality and (by Gordan's alternative) strict
 convexity, pivots on an integer tableau. Both make every row update through
-one step, `_pivot`, whose docstring argues that its division is exact.
+one step, `_pivot`, whose docstring argues that its division is exact; it
+skips the rows that a pivot leaves unchanged.
 `fractions.Fraction` appears only at the boundary: rational input is scaled
 to integers, and the vertex found is returned as Fractions. An entry of
 another type (a float, None) raises ``InvalidArgumentError``, and so does
@@ -56,13 +57,21 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     rational value, d the determinant of the current basis, each new entry
     is p times its value after the rational pivot, and p is the determinant
     of the new basis, so the division by d leaves no remainder and p takes
-    d's place for the next pivot.
+    d's place for the next pivot. Three cases give the same integers with
+    less work: f = row[c] = 0 and p = d leave the row as it is, f = 0
+    makes it p * row // d, and p = d = 1 makes it row - f * rows[r].
     """
     pivot_row = rows[r]
     p = pivot_row[c]
     for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
+        f = row[c]
+        if i == r or (f == 0 and p == d):
+            continue
+        if f == 0:
+            rows[i] = [p * x // d for x in row]
+        elif p == d == 1:
+            rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
+        else:
             rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
     return p
 

@@ -132,15 +132,28 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
     """Classes of all primitive relations with extremality flags.
 
     A class is extremal when it is not a nonnegative rational combination
-    of the other primitive classes (one LP per class against all others);
-    the witnessing decomposition is stored otherwise. ``strictly_convex``
-    is ``is_projective(fan)``, so the summary and the verdict share one
-    Gordan LP. Cached per fan (``lru_cache``, 4096 fans).
+    of the other primitive classes: one LP per class against all others,
+    except where a coordinate separates it. When class k is the only class
+    positive at ray i, e_i is a Farkas certificate (e_i . c_k > 0 and
+    e_i . c_j <= 0 for every other class j), and so is -e_i when it is the
+    only one negative there; either makes it extremal with no LP. The
+    witnessing decomposition, the LP's vertex, is stored otherwise.
+    ``strictly_convex`` is ``is_projective(fan)``, so the summary and the
+    verdict share one Gordan LP. Cached per fan (``lru_cache``, 4096 fans).
     """
     rels = primitive_relations(fan)
     classes = [curve_class(fan, r) for r in rels]
+    # per ray, how many classes are positive and how many negative there
+    positive = [sum(x > 0 for x in col) for col in zip(*classes)]
+    negative = [sum(x < 0 for x in col) for col in zip(*classes)]
     infos = []
     for k, rel in enumerate(rels):
+        if any(
+            (x > 0 and pos == 1) or (x < 0 and neg == 1)
+            for x, pos, neg in zip(classes[k], positive, negative)
+        ):
+            infos.append(MoriClassInfo(rel, classes[k], True, None))
+            continue
         others = classes[:k] + classes[k + 1 :]
         sol = lattice.nonneg_rational_combination(others, classes[k])
         if sol is None:

@@ -58,6 +58,19 @@ def chain_prefixes():
     ]
 
 
+def verdict_fans(catalog_fans, seeded_chains):
+    """Every fan the wall verdicts and the Mori cone are checked on: P^1
+    (one wall, the zero cone) is among the enumerations, the threefold is
+    not projective."""
+    return (
+        list(catalog_fans.values())
+        + [f for d in (1, 2, 3) for f in catalog.enumerate_fano(d)]
+        + seeded_chains
+        + chain_prefixes()
+        + [twisted_threefold()]
+    )
+
+
 def cycle_fan(*vectors):
     """A 2-dimensional cone complex on the rays r_i = vectors[i] with the
     maximal cones r_i r_(i+1), indices cyclic."""

@@ -5,7 +5,8 @@ different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
 exhaustive subset or grid search, a simplex pivoting over Fraction, a
 rational solve per pair of adjacent cones, the located primitive-relation
 table, the Fano enumerator's retired rule, the full structural key of every
-normal form) so that the two sides check each other.
+normal form, one Mori-cone LP for every class) so that the two sides check
+each other.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from toricfan import birational, mori
+from toricfan import birational, lattice, mori
 from toricfan.errors import DimensionMismatchError, StarConditionViolatedError
 from toricfan.fan import (
     _dual_rows,
@@ -361,6 +362,47 @@ def table_blow_down_candidates(fan):
         else:
             out.append(birational.BlowdownCandidate(rel, True, None, target))
     return tuple(out)
+
+
+def all_others_mori_cone(fan):
+    """``mori.mori_cone`` with one LP for every class against all the others
+    and no coordinate certificate; ``strictly_convex`` by Gordan's LP over
+    the primitive classes, not the wall classes."""
+    rels = mori.primitive_relations(fan)
+    classes = [mori.curve_class(fan, r) for r in rels]
+    infos = []
+    for k, rel in enumerate(rels):
+        others = classes[:k] + classes[k + 1 :]
+        sol = lattice.nonneg_rational_combination(others, classes[k])
+        dec = None
+        if sol is not None:
+            other_rels = rels[:k] + rels[k + 1 :]
+            dec = tuple(
+                (other_rels[j].collection, lam) for j, lam in enumerate(sol) if lam
+            )
+        infos.append(mori.MoriClassInfo(rel, classes[k], sol is None, dec))
+    gordan = lattice.nonneg_rational_combination(
+        [c + (1,) for c in classes], (0,) * len(fan.generators) + (1,)
+    )
+    return mori.MoriConeSummary(
+        tuple(infos), len(fan.generators) - fan.dim, gordan is None
+    )
+
+
+def coordinate_separated(classes):
+    """Indices k of the classes that one coordinate separates from all the
+    others: some ray i with classes[k][i] > 0 >= c[i] for every other class
+    c, or with classes[k][i] < 0 <= c[i] for every other class c."""
+    out = []
+    for k, ck in enumerate(classes):
+        others = classes[:k] + classes[k + 1 :]
+        if any(
+            (x > 0 and all(c[i] <= 0 for c in others))
+            or (x < 0 and all(c[i] >= 0 for c in others))
+            for i, x in enumerate(ck)
+        ):
+            out.append(k)
+    return out
 
 
 def retired_fano_rule(cones, vertices, new_cone) -> bool:

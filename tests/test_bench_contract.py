@@ -25,7 +25,7 @@ from conftest import (
     chain_prefixes,
     clear_package_caches,
 )
-from oracles import table_blow_down_candidates
+from oracles import coordinate_separated, table_blow_down_candidates
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -74,6 +74,28 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     # reaches the overlap LP in cones_meet_in_common_face
     fan.validate_fan(NON_SMOOTH_OVERLAP)
     assert len(calls) > before
+
+
+def test_mori_cone_runs_no_lp_for_a_separated_class(monkeypatch, tower):
+    # a class that a coordinate separates from the others is extremal by a
+    # Farkas certificate, so mori_cone runs one LP per other class only
+    real = lattice.solve_eq_nonneg
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(rows)
+        return real(rows, rhs)
+
+    monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
+    for f in (tower[3], blowup_chain(1, 3, 6)):
+        clear_package_caches()
+        mori.is_projective(f)  # its Gordan LP, if any, is not counted
+        classes = [mori.curve_class(f, r) for r in mori.primitive_relations(f)]
+        separated = coordinate_separated(classes)
+        calls.clear()
+        mori.mori_cone(f)
+        assert 0 < len(separated) < len(classes)
+        assert len(calls) == len(classes) - len(separated)
 
 
 def no_relation_table(

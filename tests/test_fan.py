@@ -219,6 +219,21 @@ def test_serialize_roundtrip_identity(catalog_fans):
         assert parse_fan(serialize_fan(fan)) == fan
 
 
+def test_equal_fans_hash_equal(catalog_fans):
+    # the hash is cached per fan; equal fans built apart share it, and the
+    # round trip through the file format gives an equal fan
+    for fan in catalog_fans.values():
+        copy = make_fan(
+            fan.dim,
+            [(g.name, g.vector) for g in fan.generators],
+            fan.max_cones,
+        )
+        again = parse_fan(serialize_fan(fan))
+        assert copy == fan == again
+        assert hash(copy) == hash(fan) == hash(again)
+        assert {fan: 1}[again] == 1
+
+
 def test_serialize_p4_matches_literal():
     fan = parse_fan(P4_TEXT)
     assert parse_fan(serialize_fan(fan)) == fan

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from toricfan import catalog, fan, lattice, mori
 from toricfan.errors import DimensionMismatchError, InvalidArgumentError
 
-from conftest import NON_SMOOTH_OVERLAP
+from conftest import NON_SMOOTH_OVERLAP, verdict_fans
 from oracles import (
+    all_others_mori_cone,
     fm_nonneg_combination_feasible,
     fm_positive_functional_exists,
     fraction_phase1_simplex,
@@ -128,6 +131,62 @@ def test_unimodular_inverse_roundtrip(rows):
         for i in range(n)
     ]
     assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def random_unimodular(rng, n):
+    """A seeded element of GL(n,Z): the identity under random row additions
+    and swaps with a sign."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.25:
+            m[i], m[j] = m[j], [-x for x in m[i]]
+        else:
+            k = rng.choice((-2, -1, 1, 2))
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@pytest.mark.slow  # reads the dimension-3 enumeration
+def test_pivot_cases_match_the_general_update(
+    monkeypatch, catalog_fans, seeded_chains
+):
+    # every row _pivot writes equals the plain Bareiss update
+    # (p * x - f * y) // d, with no remainder, whichever case it takes
+    real = lattice._pivot
+    cases = Counter()
+
+    def checked(rows, r, c, d):
+        before = [list(row) for row in rows]
+        p = real(rows, r, c, d)
+        assert p == before[r][c]
+        for i, row in enumerate(before):
+            if i == r:
+                assert rows[i] == row
+                continue
+            f = row[c]
+            full = [p * x - f * y for x, y in zip(row, before[r])]
+            assert all(v % d == 0 for v in full)
+            assert rows[i] == [v // d for v in full]
+            if f == 0:
+                cases["unchanged" if p == d else "scaled"] += 1
+            else:
+                cases["unit" if p == d == 1 else "general"] += 1
+        return p
+
+    monkeypatch.setattr(lattice, "_pivot", checked)
+    every_case = {"unchanged", "scaled", "unit", "general"}
+    for f in verdict_fans(catalog_fans, seeded_chains):
+        all_others_mori_cone(f)  # solve_eq_nonneg for every class
+    assert set(cases) == every_case
+    cases.clear()
+    rng = random.Random(1)
+    for n in (2, 3, 4, 5) * 10:
+        m = random_unimodular(rng, n)
+        inv = lattice.unimodular_inverse(m)
+        prod = [[lattice.dot(row, col) for col in zip(*inv)] for row in m]
+        assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert set(cases) == every_case
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,13 @@ from conftest import (
     chain_prefixes,
     rejected_complexes,
     twisted_threefold,
+    verdict_fans,
 )
 from oracles import (
+    all_others_mori_cone,
     brute_primitive_collections,
     brute_wall_classes,
+    coordinate_separated,
     fm_nonneg_combination_feasible,
     fm_positive_functional_exists,
 )
@@ -280,6 +283,23 @@ def test_decomposition_replays_exactly(catalog_fans):
             assert tuple(total) == tuple(map(Fraction, info.curve_class))
 
 
+@pytest.mark.slow  # reads the dimension-3 enumeration
+def test_mori_cone_matches_one_lp_per_class(catalog_fans, seeded_chains):
+    # the coordinate certificate changes no field of the summary, and every
+    # class it decides is one that the all-others LP finds infeasible
+    separated = 0
+    for fan in verdict_fans(catalog_fans, seeded_chains):
+        summary = mori.mori_cone(fan)
+        assert summary == all_others_mori_cone(fan)
+        classes = [info.curve_class for info in summary.relations]
+        for k in coordinate_separated(classes):
+            assert summary.relations[k].extremal
+            others = classes[:k] + classes[k + 1 :]
+            assert lattice.nonneg_rational_combination(others, classes[k]) is None
+            separated += 1
+    assert separated > 0
+
+
 def test_extremality_agrees_with_fourier_motzkin(catalog_fans):
     for fan in catalog_fans.values():
         summary = mori.mori_cone(fan)
@@ -333,18 +353,6 @@ def test_is_projective_agrees_with_fourier_motzkin(catalog_fans):
     for fan in fans:
         classes = [info.curve_class for info in mori.mori_cone(fan).relations]
         assert mori.is_projective(fan) == fm_positive_functional_exists(classes)
-
-
-def verdict_fans(catalog_fans, seeded_chains):
-    """Every fan the wall verdicts are checked on: P^1 (one wall, the zero
-    cone) is among the enumerations, the threefold is not projective."""
-    return (
-        list(catalog_fans.values())
-        + [f for d in (1, 2, 3) for f in catalog.enumerate_fano(d)]
-        + seeded_chains
-        + chain_prefixes()
-        + [twisted_threefold()]
-    )
 
 
 def is_relation(fan, cls):
