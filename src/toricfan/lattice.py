@@ -57,9 +57,9 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     rational value, d the determinant of the current basis, each new entry
     is p times its value after the rational pivot, and p is the determinant
     of the new basis, so the division by d leaves no remainder and p takes
-    d's place for the next pivot. Three cases give the same integers with
-    less work: f = row[c] = 0 and p = d leave the row as it is, f = 0
-    makes it p * row // d, and p = d = 1 makes it row - f * rows[r].
+    d's place for the next pivot. Two cases give the same integers with
+    less work: f = row[c] = 0 and p = d leave the row as it is, and
+    p = d = 1 makes it row - f * rows[r].
     """
     pivot_row = rows[r]
     p = pivot_row[c]
@@ -67,9 +67,7 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
         f = row[c]
         if i == r or (f == 0 and p == d):
             continue
-        if f == 0:
-            rows[i] = [p * x // d for x in row]
-        elif p == d == 1:
+        if p == d == 1:
             rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
         else:
             rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]

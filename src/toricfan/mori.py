@@ -152,10 +152,10 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
             (x > 0 and pos == 1) or (x < 0 and neg == 1)
             for x, pos, neg in zip(classes[k], positive, negative)
         ):
-            infos.append(MoriClassInfo(rel, classes[k], True, None))
-            continue
-        others = classes[:k] + classes[k + 1 :]
-        sol = lattice.nonneg_rational_combination(others, classes[k])
+            sol = None
+        else:
+            others = classes[:k] + classes[k + 1 :]
+            sol = lattice.nonneg_rational_combination(others, classes[k])
         if sol is None:
             infos.append(MoriClassInfo(rel, classes[k], True, None))
         else:

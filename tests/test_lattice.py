@@ -168,14 +168,15 @@ def test_pivot_cases_match_the_general_update(
             full = [p * x - f * y for x, y in zip(row, before[r])]
             assert all(v % d == 0 for v in full)
             assert rows[i] == [v // d for v in full]
+            # the rows with f = 0 and p != d take the general update
             if f == 0:
-                cases["unchanged" if p == d else "scaled"] += 1
+                cases["skipped" if p == d else "general, f = 0"] += 1
             else:
                 cases["unit" if p == d == 1 else "general"] += 1
         return p
 
     monkeypatch.setattr(lattice, "_pivot", checked)
-    every_case = {"unchanged", "scaled", "unit", "general"}
+    every_case = {"skipped", "general, f = 0", "unit", "general"}
     for f in verdict_fans(catalog_fans, seeded_chains):
         all_others_mori_cone(f)  # solve_eq_nonneg for every class
     assert set(cases) == every_case
