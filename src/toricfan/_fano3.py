@@ -4,8 +4,8 @@ One advancing-front search serves every dimension (the module keeps its
 name because ``bench/tracer.py`` lists it). It grows simplicial complexes
 of unimodular cones around the standard cone. Every complete smooth fan
 can be mapped by GL(n,Z) so that one maximal cone is the standard cone, so
-each isomorphism class is reachable; completed fans are deduplicated by
-canonical form.
+each isomorphism class is reachable; completed fans are deduplicated as
+below.
 
 The front is the set of walls ((n-1)-faces) lying in exactly one cone so
 far. The expansion step picks the lexicographically smallest open wall
@@ -55,6 +55,22 @@ u_F(nu) only falls as vertices come in: a vertex taking it below 0 is cut.
 The cone across the wall F - e_i, of apex q with q_i = -1, has functional
 u_F + (c - 1)e_i*, c = sum(q) <= 0, at most 1 on every ray, so
 v_i >= (sum(v) - 1)/(1 - c) >= sum(v) - 1, and v_i <= n^2 follows.
+
+Deduplication looks a closed complex up among the normal forms of the
+classes found so far (``fan._normal_forms``): an index, local to one call,
+maps each form's vector part to the full keys of the forms sharing it, so
+a full key is compared only on a tie of vector parts, as in
+``fan_isomorphism``. Only the complex's first normal form is looked up. A
+GL(n,Z) map between fans without repeated vectors carries each ordered
+unimodular cone of one to an ordered cone of the other with the same
+generator images, so isomorphic fans have the same set of form keys; and
+fans sharing one form key are both isomorphic to that form. So the key of
+a complex's first form lies in a found class's set exactly when the
+complex belongs to that class. A hit is skipped. Only a miss, the first
+complex of a new class and its representative, pays for every form, and
+its canonical key is the least of their full keys, the value of
+``canonical_gl_key``. Dimensions 1 to 3 close 1, 9 and 158 complexes for
+1, 5 and 18 classes.
 """
 
 from __future__ import annotations
@@ -67,10 +83,12 @@ from . import lattice, mori
 from .errors import InternalInconsistencyError
 from .fan import (
     Fan,
-    canonical_gl_key,
     make_fan,
     validate_fan,
     _dual_rows,
+    _key,
+    _normal_forms,
+    _vector_part,
     _wall_owners,
 )
 
@@ -132,7 +150,8 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
     """All smooth toric Fano fans of dimension ``dim``, up to GL(dim,Z),
     in canonical-key order."""
     start = tuple(v for v in _primitive_pool(dim) if sum(v) == 1)  # the e_i alone
-    found: dict = {}
+    found: dict = {}  # canonical key -> the first complex of its class
+    forms: dict = {}  # vector part -> full keys of the found classes' forms
 
     def grow(cones: frozenset):
         counts = _wall_owners(cones)
@@ -148,7 +167,14 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
                 )
             if not mori.is_fano(fan)[0]:
                 raise InternalInconsistencyError("closed cone complex is not Fano")
-            found.setdefault(canonical_gl_key(fan), fan)
+            images, _, _ = next(_normal_forms(fan))
+            ties = forms.get(_vector_part(images))
+            if ties and _key(dim, images, fan.max_cones) in ties:
+                return  # a class found before
+            keys = [_key(dim, im, fan.max_cones) for im, _, _ in _normal_forms(fan)]
+            for key in keys:
+                forms.setdefault(key[1], set()).add(key)
+            found[min(keys)] = fan
             return
         ((owner, k),) = counts[wall]
         vertices = {x for cone in cones for x in cone}

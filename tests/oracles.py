@@ -442,3 +442,13 @@ def brute_canonical_gl_key(fan):
         (_key(fan.dim, images, fan.max_cones) for images, _, _ in _normal_forms(fan)),
         default=None,
     )
+
+
+def brute_fano_classes(closed):
+    """The first fan of ``closed`` in each class of
+    ``brute_canonical_gl_key``, in key order: the enumerator's output,
+    deduplicated with no index of normal forms."""
+    first = {}
+    for fan in closed:
+        first.setdefault(brute_canonical_gl_key(fan), fan)
+    return [first[key] for key in sorted(first)]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from toricfan import birational, catalog, cli, fan, lattice, mori
+from toricfan import _fano3, birational, catalog, cli, fan, lattice, mori
 
 from conftest import (
     NON_SMOOTH_OVERLAP,
@@ -312,6 +312,31 @@ def test_enumerations_issue_no_lp(monkeypatch):
     assert len(enumerate_fano(1)) == 1
     assert len(enumerate_fano(2)) == 5
     assert calls == []
+
+
+def test_fano_enumeration_sweeps_normal_forms_only_for_new_classes(monkeypatch):
+    # a closed complex is looked up by its first normal form among those of
+    # the classes found so far; only the first complex of each class has
+    # every form generated, 1, 5 and 18 of the 1, 9 and 158 closed in
+    # dimensions 1 to 3
+    real = fan._normal_forms
+    swept = []
+
+    def counting(f):
+        yield from real(f)
+        swept.append(f)  # reached only when the caller drains every form
+
+    monkeypatch.setattr(fan, "_normal_forms", counting)
+    monkeypatch.setattr(_fano3, "_normal_forms", counting)
+    clear_package_caches()
+    enumerate_fano = catalog._enumerate_cached.__wrapped__
+    counts = []
+    for d in (1, 2, 3):
+        swept.clear()
+        classes = enumerate_fano(d)
+        assert set(swept) == set(classes)  # the representatives
+        counts.append(len(swept))
+    assert counts == [1, 5, 18]
 
 
 def test_canonical_key_builds_full_keys_only_for_ties(monkeypatch, tower):

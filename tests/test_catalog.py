@@ -146,15 +146,18 @@ def test_enumerate_dim2_coordinates_within_bound():
 
 
 def test_enumerate_dim2_deterministic():
-    first = catalog.enumerate_fano(2)
-    second = catalog.enumerate_fano(2)
-    assert first == second
+    # two uncached searches: each carries its found classes from one
+    # closed complex to the next, and none may leak into the other
+    first = _fano3.enumerate_fano_fans(2)
+    second = _fano3.enumerate_fano_fans(2)
+    assert first == second == catalog.enumerate_fano(2)
+    assert len(first) == 5
 
 
 def closed_complexes(monkeypatch, dims):
     """Every complex the search closes and every complex it enters, per
-    dimension, with the classes it returns, in the order the search meets
-    them. Every complex the search enters is checked against the two
+    dimension, in the order the search meets them, with the classes it
+    returns. Every complex the search enters is checked against the two
     facts that let it keep no visited set and no cone cap: none is entered
     twice, and an open one has at most V - 1 cones in dimension 2 and
     2V - 5 in dimension 3, V its number of vertices. Every closed complex
@@ -173,15 +176,14 @@ def closed_complexes(monkeypatch, dims):
         entered[-1].append(cones)
         return real_owners(cones)
 
-    keys = []
+    classes = []
     with monkeypatch.context() as m:  # undone on return, so calls may repeat
         m.setattr(_fano3, "_fan_from_cones", record)
         m.setattr(_fano3, "_wall_owners", enter)
         for d in dims:
             closed.append([])
             entered.append([])
-            fans = _fano3.enumerate_fano_fans(d)
-            keys.append([canonical_gl_key(f) for f in fans])
+            classes.append(_fano3.enumerate_fano_fans(d))
     for d, entered_d, closed_d in zip(dims, entered, closed):
         assert len(set(entered_d)) == len(entered_d) > len(closed_d)
         for fan in closed_d:
@@ -191,7 +193,20 @@ def closed_complexes(monkeypatch, dims):
             if all(len(o) == 2 for o in real_owners(cones).values()):
                 continue  # closed
             assert len(cones) <= {1: 1, 2: v - 1, 3: 2 * v - 5}[d]
-    return keys, closed, entered
+    return classes, closed, entered
+
+
+def class_keys(classes):
+    return [[canonical_gl_key(f) for f in fans] for fans in classes]
+
+
+def test_enumeration_matches_brute_deduplication(monkeypatch):
+    """The classes the search returns, each the first complex it closes in
+    its class, equal every complex it closes deduplicated by the
+    brute-force canonical key: the same representatives in the same order."""
+    classes, closed, _ = closed_complexes(monkeypatch, (1, 2))
+    assert classes == [oracles.brute_fano_classes(c) for c in closed]
+    assert [len(c) for c in classes] == [1, 5]
 
 
 def max_rays(dim):
@@ -214,13 +229,13 @@ def against_retired_rule(monkeypatch, dims):
     classes, all Fano, and the complexes the convexity rule enters are a
     subsequence of those the retired rule enters. Returns the numbers
     entered under each rule and the numbers closed, per dimension."""
-    keys, closed, entered = closed_complexes(monkeypatch, dims)
+    classes, closed, entered = closed_complexes(monkeypatch, dims)
     monkeypatch.setattr(_fano3, "_convex", oracles.retired_fano_rule)
     try:
-        old_keys, old_closed, old_entered = closed_complexes(monkeypatch, dims)
+        old_classes, old_closed, old_entered = closed_complexes(monkeypatch, dims)
     finally:
         oracles._faces_meet.cache_clear()
-    assert keys == old_keys and closed == old_closed
+    assert classes == old_classes and closed == old_closed
     assert all(mori.is_fano(f)[0] for c in closed for f in c)
     for new, old in zip(entered, old_entered):
         rest = iter(old)
@@ -310,14 +325,15 @@ def test_enumerate_dim3_closes_only_fano(monkeypatch):
     """The convexity rule leaves dimension 3 to enter 2,129 complexes and
     close 158, all of them Fano; the retired wall rule and face check
     entered 8,012 (``test_convexity_rule_matches_retired_rule_dim3``)."""
-    keys, closed, entered = closed_complexes(monkeypatch, (3,))
+    classes, closed, entered = closed_complexes(monkeypatch, (3,))
     assert (len(entered[0]), len(closed[0])) == (2129, 158)
     # and every class has at most 8 rays, 8 attained
     assert max(len(f.generators) for f in closed[0]) == max_rays(3) == 8
     assert all(mori.is_fano(f)[0] for f in closed[0])
-    assert keys[0] == [canonical_gl_key(f) for f in catalog.enumerate_fano(3)]
     for f in closed[0]:
         assert canonical_gl_key(f) == oracles.brute_canonical_gl_key(f)
+    assert classes[0] == oracles.brute_fano_classes(closed[0])
+    assert classes[0] == catalog.enumerate_fano(3)
 
 
 def test_threefolds_are_isomorphic_iff_their_keys_are_equal():
@@ -378,16 +394,16 @@ def test_wider_coordinate_bound_closes_the_same_complexes(monkeypatch):
     pool, dimensions 2 and 3 enter 27 and 17,599 complexes, not 24 and
     2,129, but close the same 9 and 158 and return the same classes, as
     every ray of a closed complex obeys the bound."""
-    keys, closed, _ = closed_complexes(monkeypatch, (2, 3))
+    classes, closed, _ = closed_complexes(monkeypatch, (2, 3))
     for d in (2, 3):
         assert set(_fano3._primitive_pool(d)) < set(wider_pool(d))
     monkeypatch.setattr(_fano3, "_primitive_pool", wider_pool)
     _fano3._candidates.cache_clear()
     try:
-        wide_keys, wide_closed, entered = closed_complexes(monkeypatch, (2, 3))
+        wide_classes, wide_closed, entered = closed_complexes(monkeypatch, (2, 3))
     finally:
         _fano3._candidates.cache_clear()
-    assert wide_keys == keys
+    assert class_keys(wide_classes) == class_keys(classes)
     assert [len(c) for c in wide_closed] == [len(c) for c in closed] == [9, 158]
     assert [set(c) for c in wide_closed] == [set(c) for c in closed]
     assert [len(e) for e in entered] == [27, 17599]
