@@ -16,13 +16,14 @@ w = sum(a_i * u_i) - p over the wall vectors u_i.
 
 Convexity rule: for a cone s let u_s be the sum of its dual rows, 1 on
 every ray of s. The search keeps u_s(v) <= 0 for every cone s and every
-vertex v off s, checking a new cone against every vertex and a new apex
-against every cone. A smooth complete fan is Fano iff it is the face fan
-of the convex hull of its rays, each maximal cone spanning a facet
-(Batyrev, *J. Math. Sci.* 94 (1999); Casagrande 2006), that is, iff
-u_s(v) < 1, or u_s(v) <= 0 as u_s is integral, for all such s and v. So
-the rule cuts no complex that extends to a Fano fan, and every closed
-complex that keeps it is Fano.
+vertex v off s: a new cone against every vertex (the vertex half) and a
+new apex against every cone (the apex half, through the admissible set
+below). A smooth complete fan is Fano iff it is the face fan of the
+convex hull of its rays, each maximal cone spanning a facet (Batyrev,
+*J. Math. Sci.* 94 (1999); Casagrande 2006), that is, iff u_s(v) < 1, or
+u_s(v) <= 0 as u_s is integral, for all such s and v. So the rule cuts no
+complex that extends to a Fano fan, and every closed complex that keeps
+it is Fano.
 
 It also implies the face condition. Each simplex conv(s) is the face of
 P = conv(vertices) where u_s = 1, as P lies in u_s <= 1, and 0 lies
@@ -35,11 +36,11 @@ cones on one wall would lie on one side of it and overlap.
 
 The wall rule is the adjacent-cone case: u_owner(w) = sum(a_i) - 1, so
 u_owner(w) <= 0 iff the wall relation p + w = sum(a_i * u_i) has
-anticanonical degree 2 - sum(a_i) > 0 (``mori.wall_classes``);
-``_candidates`` filters on it. Each closed complex is confirmed by
-``validate_fan`` and the wall verdict of ``mori.is_fano``, so the search
-locates no primitive relation; the degrees of the relations (Batyrev,
-*Tohoku Math. J.* 43 (1991)) are a test oracle.
+anticanonical degree 2 - sum(a_i) > 0 (``mori.wall_classes``). Each
+closed complex is confirmed by ``validate_fan`` and the wall verdict of
+``mori.is_fano``, so the search locates no primitive relation; the
+degrees of the relations (Batyrev, *Tohoku Math. J.* 43 (1991)) are a
+test oracle.
 
 No visited set is kept, as no complex is reached twice: two paths first
 differ where they put different cones on one open wall, both cones hold
@@ -55,6 +56,21 @@ u_F(nu) only falls as vertices come in: a vertex taking it below 0 is cut.
 The cone across the wall F - e_i, of apex q with q_i = -1, has functional
 u_F + (c - 1)e_i*, c = sum(q) <= 0, at most 1 on every ray, so
 v_i >= (sum(v) - 1)/(1 - c) >= sum(v) - 1, and v_i <= n^2 follows.
+
+The apex half and the bound are applied through the admissible set that
+each complex carries: the pool vectors x, in pool (lex) order, that are
+no vertex, have u_c(x) <= 0 for every cone c and keep the bound,
+u_F(nu) + sum(x) >= 0. Both conditions only tighten along a search path.
+Cones only accumulate, and u_F(nu) is non-increasing, as every pool vector
+but the e_i of the start cone has sum <= 0. So a child's set is its
+parent's cut by u_new(x) <= 0, which also drops the apex (u_new = 1 on
+it), and by the child's nu; at the root, u_start = sum and u_F(nu) = n. At
+an open wall with owner apex p, the apexes tried are the x of the set and
+the vertices with coordinate -1 on p, in pool order: what a scan of the
+whole pool would give after the apex half and the bound, as a vertex v
+there is off the owner and so already has u_owner(v) <= 0. Each is then
+weighed by the vertex half alone (``_convex``). The set is local to the
+call, like everything the search writes.
 
 Deduplication looks a closed complex up among the normal forms of the
 classes found so far (``fan._normal_forms``): an index, local to one call,
@@ -76,7 +92,7 @@ its canonical key is the least of their full keys, the value of
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 from . import lattice, mori
@@ -103,37 +119,23 @@ def _primitive_pool(dim: int):
 
 @lru_cache(maxsize=65536)  # the size of the _dual_rows cache it reads
 def _functional(cone):
-    """u_cone, the sum of the unimodular ``cone``'s dual rows. Cached, as
-    ``_convex`` asks again for every cone of the complex at each new apex:
-    dimensions 1 to 3 ask 20,357 times for 1,313 distinct cones."""
+    """u_cone, the sum of the unimodular ``cone``'s dual rows."""
     return tuple(map(sum, zip(*_dual_rows(cone))))
 
 
-def _convex(cones, vertices: set, new_cone) -> bool:
-    """The convexity rule: whether ``cones`` (with vertex set ``vertices``)
-    plus ``new_cone`` keep u_s(v) <= 0 for every cone s and vertex v off s,
-    given that ``cones`` keep it."""
+def _convex(cones, vertices: set, new_cone, admissible, nu):
+    """The convexity rule at ``new_cone``, whose apex is a vertex or drawn
+    from ``admissible``, the admissible set of ``cones`` (with vertex set
+    ``vertices``): the vertex half, u_new(v) <= 0 for every vertex v off
+    ``new_cone``. Returns None if it fails, else the admissible set with
+    ``new_cone`` added, whose vertices have u_F(nu) = ``nu``: the x of
+    ``admissible`` with u_new(x) <= 0, which drops the apex, and
+    nu + sum(x) >= 0. ``cones`` is read only by rules that stand in for
+    this one."""
     u = _functional(new_cone)
     if any(lattice.dot(u, v) > 0 for v in vertices.difference(new_cone)):
-        return False
-    fresh = [w for w in new_cone if w not in vertices]  # the apex, if new
-    return not any(lattice.dot(_functional(c), w) > 0 for w in fresh for c in cones)
-
-
-# dimensions 1 to 3 meet 613 (cone, k) pairs; in the first 20,000 complexes
-# of dimension 4 an unbounded cache would save 8 of 5,351 misses, nearly
-# every miss being a first sighting, so a larger cache buys nothing
-@lru_cache(maxsize=2048)
-def _candidates(cone, k):
-    """Pool vectors w with coordinate -1 on ``cone[k]`` in the basis
-    ``cone`` and u_cone(w) <= 0, the convexity rule against the owner of
-    the wall (the wall rule), in pool order."""
-    on_p, u = _dual_rows(cone)[k], _functional(cone)
-    return tuple(
-        w
-        for w in _primitive_pool(len(cone))
-        if lattice.dot(on_p, w) == -1 and lattice.dot(u, w) <= 0
-    )
+        return None
+    return tuple(x for x in admissible if lattice.dot(u, x) <= 0 and nu + sum(x) >= 0)
 
 
 def _fan_from_cones(dim: int, cones) -> Fan:
@@ -149,11 +151,12 @@ def _fan_from_cones(dim: int, cones) -> Fan:
 def enumerate_fano_fans(dim: int) -> list[Fan]:
     """All smooth toric Fano fans of dimension ``dim``, up to GL(dim,Z),
     in canonical-key order."""
-    start = tuple(v for v in _primitive_pool(dim) if sum(v) == 1)  # the e_i alone
+    pool = _primitive_pool(dim)
+    start = tuple(v for v in pool if sum(v) == 1)  # the e_i alone
     found: dict = {}  # canonical key -> the first complex of its class
     forms: dict = {}  # vector part -> full keys of the found classes' forms
 
-    def grow(cones: frozenset):
+    def grow(cones: frozenset, admissible: tuple):
         counts = _wall_owners(cones)
         if any(len(owners) > 2 for owners in counts.values()):
             raise InternalInconsistencyError("wall covered three times")
@@ -177,14 +180,17 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             found[min(keys)] = fan
             return
         ((owner, k),) = counts[wall]
+        on_p = _dual_rows(owner)[k]
         vertices = {x for cone in cones for x in cone}
         nu = sum(map(sum, vertices))  # u_F(nu) so far, F the standard cone
-        for w in _candidates(owner, k):
-            if w not in vertices and nu + sum(w) < 0:
-                continue
+        apexes = (x for x in chain(vertices, admissible) if lattice.dot(on_p, x) == -1)
+        for w in sorted(apexes):  # in pool order
             new_cone = tuple(sorted(wall + (w,)))
-            if _convex(cones, vertices, new_cone):
-                grow(cones | {new_cone})
+            child_nu = nu if w in vertices else nu + sum(w)
+            child = _convex(cones, vertices, new_cone, admissible, child_nu)
+            if child is not None:
+                grow(cones | {new_cone}, child)
 
-    grow(frozenset([start]))
+    # u_start = sum and u_F(nu) = dim at the root
+    grow(frozenset([start]), tuple(v for v in pool if -dim <= sum(v) <= 0))
     return [found[k] for k in sorted(found)]

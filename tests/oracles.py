@@ -4,9 +4,10 @@ Each oracle re-decides a question answered by the library through a
 different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
 exhaustive subset or grid search, a simplex pivoting over Fraction, a
 rational solve per pair of adjacent cones, the located primitive-relation
-table, the Fano enumerator's retired rule, the full structural key of every
-normal form, one Mori-cone LP for every class) so that the two sides check
-each other.
+table, the Fano enumerator's retired rule, its pool scan and two-half
+convexity rule from before the admissible set, the full structural key of
+every normal form, one Mori-cone LP for every class) so that the two sides
+check each other.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from toricfan import birational, lattice, mori
+from toricfan._fano3 import _functional, _primitive_pool
 from toricfan.errors import DimensionMismatchError, StarConditionViolatedError
 from toricfan.fan import (
     _dual_rows,
@@ -405,26 +407,87 @@ def coordinate_separated(classes):
     return out
 
 
-def retired_fano_rule(cones, vertices, new_cone) -> bool:
+def convex_rule(cones, vertices: set, new_cone) -> bool:
+    """The convexity rule in both halves, as the Fano search applied it
+    before it carried an admissible set: ``cones`` (with vertex set
+    ``vertices``) plus ``new_cone`` keep u_s(v) <= 0 for every cone s and
+    vertex v off s, given that ``cones`` keep it; ``new_cone`` is checked
+    against every vertex and its apex, if new, against every cone."""
+    u = _functional(new_cone)
+    if any(lattice.dot(u, v) > 0 for v in vertices.difference(new_cone)):
+        return False
+    fresh = [w for w in new_cone if w not in vertices]
+    return not any(lattice.dot(_functional(c), w) > 0 for w in fresh for c in cones)
+
+
+def scanned_cones(cones, pool):
+    """The new cones the Fano search tries on the complex ``cones``, in
+    order, by a scan of the whole ``pool`` at the smallest open wall with
+    owner c and apex p: every w with coordinate -1 on p in the basis c and
+    u_c(w) <= 0, less a w that is no vertex yet and breaks the
+    special-facet bound or the apex half of ``convex_rule``."""
+    owners = _wall_owners(cones)
+    wall = min(w for w, o in owners.items() if len(o) == 1)
+    ((owner, k),) = owners[wall]
+    on_p, u = _dual_rows(owner)[k], _functional(owner)
+    vertices = {x for cone in cones for x in cone}
+    nu = sum(map(sum, vertices))
+    return [
+        tuple(sorted(wall + (w,)))
+        for w in pool
+        if lattice.dot(on_p, w) == -1
+        and lattice.dot(u, w) <= 0
+        and (
+            w in vertices
+            or nu + sum(w) >= 0
+            and all(lattice.dot(_functional(c), w) <= 0 for c in cones)
+        )
+    ]
+
+
+def admissible_set(cones, pool):
+    """The admissible set of the complex ``cones``, from scratch: the
+    vectors of ``pool``, in order, that are no vertex, have u_c(x) <= 0 for
+    every cone c and keep the special-facet bound, nu + sum(x) >= 0."""
+    vertices = {x for cone in cones for x in cone}
+    nu = sum(map(sum, vertices))
+    functionals = [_functional(c) for c in cones]
+    return tuple(
+        x
+        for x in pool
+        if x not in vertices
+        and nu + sum(x) >= 0
+        and all(lattice.dot(u, x) <= 0 for u in functionals)
+    )
+
+
+def retired_fano_rule(cones, vertices, new_cone, admissible, nu):
     """The Fano enumerator's rule before the convexity rule, in the place of
-    ``_fano3._convex`` (``vertices`` is unused): no facet of ``new_cone``
-    may have two owners already; at each facet with one owner (c, k), the
-    wall relation c[k] + x = sum(a_i * u_i), x the ray of ``new_cone`` off
-    it, must have sum(a_i) <= 1, the wall rule; and ``new_cone`` must meet
-    every cone in a common face."""
+    ``_fano3._convex``: no facet of ``new_cone`` may have two owners
+    already; at each facet with one owner (c, k), the wall relation
+    c[k] + x = sum(a_i * u_i), x the ray of ``new_cone`` off it, must have
+    sum(a_i) <= 1, the wall rule; and ``new_cone`` must meet every cone in a
+    common face. Returns None where it rejects ``new_cone``, else the whole
+    special-facet pool less the vertices, cut by the bound ``nu`` alone, so
+    the search draws its apexes from the full pool, as the retired search
+    did (``admissible`` is unused)."""
     owners = _complex_walls(cones)
     for wall, [(_, j)] in _wall_owners([new_cone]).items():
         sides = owners.get(wall, ())
         if len(sides) >= 2:
-            return False
+            return None
         for cone, k in sides:
             dual = _dual_rows(cone)
             if dual is None:
                 continue
             coeffs = [sum(r * x for r, x in zip(row, new_cone[j])) for row in dual]
             if coeffs.pop(k) == -1 and sum(coeffs) >= 2:
-                return False
-    return all(_faces_meet(new_cone, cone) for cone in cones)
+                return None
+    if not all(_faces_meet(new_cone, cone) for cone in cones):
+        return None
+    taken = vertices.union(new_cone)
+    pool = _primitive_pool(len(new_cone))
+    return tuple(x for x in pool if x not in taken and nu + sum(x) >= 0)
 
 
 # the search weighs all candidates of one complex in a row; the face checks

@@ -339,6 +339,26 @@ def test_fano_enumeration_sweeps_normal_forms_only_for_new_classes(monkeypatch):
     assert counts == [1, 5, 18]
 
 
+def test_fano_search_walks_the_pool_once_per_call(monkeypatch):
+    # the search carries the admissible apexes and shrinks them as it goes
+    # deeper, so it reads the special-facet pool once per call, not once
+    # per (cone, k) pair of an open wall, 613 in dimensions 1 to 3
+    real = _fano3._primitive_pool
+    walks = []
+
+    def counting(dim):
+        walks.append(dim)
+        return real(dim)
+
+    for obj in vars(_fano3).values():  # a warm cache would hide a walk
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    monkeypatch.setattr(_fano3, "_primitive_pool", counting)
+    for d in (1, 2, 3):
+        _fano3.enumerate_fano_fans(d)
+    assert walks == [1, 2, 3]
+
+
 def test_canonical_key_builds_full_keys_only_for_ties(monkeypatch, tower):
     # the least key has the least vector part, so only the forms that tie on
     # it have their cones relabeled: 4 of the 408 forms of paper-Y, each

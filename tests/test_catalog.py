@@ -1,6 +1,6 @@
 from collections import Counter
 from itertools import product
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
@@ -261,6 +261,96 @@ def test_convexity_rule_matches_retired_rule_dim3(monkeypatch):
     assert against_retired_rule(monkeypatch, (3,)) == ([2129], [8012], [158])
 
 
+class Enough(Exception):
+    """Stops a search after the complexes a test reads."""
+
+
+def against_pool_scan(monkeypatch, dim, limit=None):
+    """The search in dimension ``dim``, or its first ``limit`` complexes,
+    against itself before it carried an admissible set. On every complex it
+    enters, the new cones it tries are those of a scan of the whole pool
+    (``oracles.scanned_cones``), in the same order; those it enters are
+    those the two-half rule admits (``oracles.convex_rule``); and the
+    admissible set it carries is its recomputation from scratch
+    (``oracles.admissible_set``). A complex still on the search path when
+    the search stops has tried a prefix of its cones. Returns the numbers
+    of complexes entered and cones tried."""
+    entered, tried, admitted, sets = [], {}, {}, {}
+    real_owners, real_rule = _fano3._wall_owners, _fano3._convex
+
+    def enter(cones):  # grow calls it once per complex it enters
+        if len(entered) == limit:
+            raise Enough(cones)
+        entered.append(cones)
+        return real_owners(cones)
+
+    def rule(cones, vertices, new_cone, admissible, nu):
+        tried.setdefault(cones, []).append(new_cone)
+        sets[cones] = admissible
+        child = real_rule(cones, vertices, new_cone, admissible, nu)
+        if child is not None:
+            admitted.setdefault(cones, []).append(new_cone)
+            sets[cones | {new_cone}] = child
+        return child
+
+    stopped = frozenset()
+    with monkeypatch.context() as m:
+        m.setattr(_fano3, "_wall_owners", enter)
+        m.setattr(_fano3, "_convex", rule)
+        try:
+            _fano3.enumerate_fano_fans(dim)
+        except Enough as stop:
+            (stopped,) = stop.args
+    pool = _fano3._primitive_pool(dim)
+    for cones in entered:
+        assert sets[cones] == oracles.admissible_set(cones, pool)
+        if all(len(o) == 2 for o in real_owners(cones).values()):
+            assert cones not in tried  # closed
+            continue
+        vertices = {x for cone in cones for x in cone}
+        scanned = oracles.scanned_cones(cones, pool)
+        admits = [c for c in scanned if oracles.convex_rule(cones, vertices, c)]
+        if cones <= stopped:
+            n = len(tried.get(cones, ()))
+            scanned = scanned[:n]
+            admits = [c for c in admits if c in scanned]
+        assert tried.get(cones, []) == scanned
+        assert admitted.get(cones, []) == admits
+    return len(entered), sum(map(len, tried.values()))
+
+
+def test_admissible_sets_match_the_pool_scan(monkeypatch):
+    assert [against_pool_scan(monkeypatch, d) for d in (1, 2, 3)] == [
+        (2, 1),
+        (24, 32),
+        (2129, 4912),
+    ]
+
+
+@pytest.mark.slow
+def test_admissible_sets_match_the_pool_scan_dim4(monkeypatch):
+    assert against_pool_scan(monkeypatch, 4, limit=2000) == (2000, 7016)
+
+
+def by_admissible_sets(cones):
+    """The convexity rule as the search applies it to ``cones`` in order,
+    with no special-facet bound: each fresh apex must lie in the admissible
+    set, which starts as the rays x off the first cone with u(x) <= 0 on
+    it, and ``_fano3._convex`` weighs the vertex half and shrinks the set."""
+    rays = sorted({v for cone in cones for v in cone})
+    vertices = set(cones[0])
+    u = _fano3._functional(cones[0])
+    admissible = tuple(x for x in rays if x not in vertices and lattice.dot(u, x) <= 0)
+    for i, cone in enumerate(cones[1:], 1):
+        if any(v not in vertices and v not in admissible for v in cone):
+            return False
+        admissible = _fano3._convex(cones[:i], vertices, cone, admissible, inf)
+        if admissible is None:
+            return False
+        vertices.update(cone)
+    return True
+
+
 def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
     """The face-fan criterion, "u_s(v) <= 0 for every maximal cone s and
     every ray v off s", read through the enumerator's convexity rule on
@@ -268,7 +358,8 @@ def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
     ``mori.is_fano``, on every fan of the seeded chains too, not only their
     last ones, W and the non-projective threefold among them. The rule
     adds the cones one at a time, as the search does: each (s, v) is
-    weighed when the later of s and the first cone holding v comes in."""
+    weighed when the later of s and the first cone holding v comes in,
+    by both halves of the rule at once and by the admissible sets."""
     fans = (
         list(catalog_fans.values())
         + catalog.enumerate_fano(2)
@@ -279,9 +370,10 @@ def test_wall_rule_matches_primitive_fano_verdict(catalog_fans):
     for fan in fans:
         cones = [tuple(sorted(fan.cone_vectors(c))) for c in fan.max_cones]
         by_rule = all(
-            _fano3._convex(cones[:i], {v for c in cones[:i] for v in c}, cone)
+            oracles.convex_rule(cones[:i], {v for c in cones[:i] for v in c}, cone)
             for i, cone in enumerate(cones)
         )
+        assert by_rule == by_admissible_sets(cones)
         by_degrees = all(r.degree > 0 for r in mori.primitive_relations(fan))
         assert by_rule == by_degrees == mori.is_fano(fan)[0]
         verdicts.append(by_rule)
@@ -398,11 +490,7 @@ def test_wider_coordinate_bound_closes_the_same_complexes(monkeypatch):
     for d in (2, 3):
         assert set(_fano3._primitive_pool(d)) < set(wider_pool(d))
     monkeypatch.setattr(_fano3, "_primitive_pool", wider_pool)
-    _fano3._candidates.cache_clear()
-    try:
-        wide_classes, wide_closed, entered = closed_complexes(monkeypatch, (2, 3))
-    finally:
-        _fano3._candidates.cache_clear()
+    wide_classes, wide_closed, entered = closed_complexes(monkeypatch, (2, 3))
     assert class_keys(wide_classes) == class_keys(classes)
     assert [len(c) for c in wide_closed] == [len(c) for c in closed] == [9, 158]
     assert [set(c) for c in wide_closed] == [set(c) for c in closed]
