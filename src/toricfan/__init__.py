@@ -32,7 +32,6 @@ from .fan import (
     Fan,
     RayGenerator,
     ValidationReport,
-    ZERO_CONE,
     canonical_gl_key,
     cone_in_fan,
     contract_ray,
@@ -55,7 +54,6 @@ __all__ = [
     "Fan",
     "RayGenerator",
     "ValidationReport",
-    "ZERO_CONE",
     "birational",
     "canonical_gl_key",
     "catalog",

@@ -72,21 +72,27 @@ there is off the owner and so already has u_owner(v) <= 0. Each is then
 weighed by the vertex half alone (``_convex``). The set is local to the
 call, like everything the search writes.
 
+A tried cone's functional is read off its owner's, with no inverse, as
+for the cone across F - e_i above. Let phi_p be the owner's dual row on p,
+so w = sum(a_i * u_i) - p has a_i = phi_i(w). The dual rows of the new
+cone are phi_i + a_i * phi_p on the u_i and -phi_p on w, so
+u_new = u_owner + (u_owner(w) - 1) * phi_p. The search inverts a cone
+only when it extends one of its walls; ``validate_fan`` inverts the cones
+of a closed complex.
+
 Deduplication looks a closed complex up among the normal forms of the
-classes found so far (``fan._normal_forms``): an index, local to one call,
-maps each form's vector part to the full keys of the forms sharing it, so
-a full key is compared only on a tie of vector parts, as in
-``fan_isomorphism``. Only the complex's first normal form is looked up. A
-GL(n,Z) map between fans without repeated vectors carries each ordered
-unimodular cone of one to an ordered cone of the other with the same
-generator images, so isomorphic fans have the same set of form keys; and
-fans sharing one form key are both isomorphic to that form. So the key of
-a complex's first form lies in a found class's set exactly when the
-complex belongs to that class. A hit is skipped. Only a miss, the first
-complex of a new class and its representative, pays for every form, and
-its canonical key is the least of their full keys, the value of
-``canonical_gl_key``. Dimensions 1 to 3 close 1, 9 and 158 complexes for
-1, 5 and 18 classes.
+classes found so far (``fan._normal_forms``): one set, local to the call,
+holds the full key of every form of every found class, and only the
+complex's first normal form is looked up. A GL(n,Z) map between fans
+without repeated vectors carries each ordered unimodular cone of one to an
+ordered cone of the other with the same generator images, so isomorphic
+fans have the same set of form keys; and fans sharing one form key are
+both isomorphic to that form. So the key of a complex's first form lies in
+the set exactly when the complex belongs to a found class. A hit is
+skipped. Only a miss, the first complex of a new class and its
+representative, pays for every form, and its canonical key is the least of
+their full keys, the value of ``canonical_gl_key``. Dimensions 1 to 3
+close 1, 9 and 158 complexes for 1, 5 and 18 classes.
 """
 
 from __future__ import annotations
@@ -104,7 +110,6 @@ from .fan import (
     _dual_rows,
     _key,
     _normal_forms,
-    _vector_part,
     _wall_owners,
 )
 
@@ -117,22 +122,15 @@ def _primitive_pool(dim: int):
     return tuple(v for v in bounded if gcd(*v) == 1)
 
 
-@lru_cache(maxsize=65536)  # the size of the _dual_rows cache it reads
-def _functional(cone):
-    """u_cone, the sum of the unimodular ``cone``'s dual rows."""
-    return tuple(map(sum, zip(*_dual_rows(cone))))
-
-
-def _convex(cones, vertices: set, new_cone, admissible, nu):
-    """The convexity rule at ``new_cone``, whose apex is a vertex or drawn
-    from ``admissible``, the admissible set of ``cones`` (with vertex set
-    ``vertices``): the vertex half, u_new(v) <= 0 for every vertex v off
-    ``new_cone``. Returns None if it fails, else the admissible set with
-    ``new_cone`` added, whose vertices have u_F(nu) = ``nu``: the x of
-    ``admissible`` with u_new(x) <= 0, which drops the apex, and
-    nu + sum(x) >= 0. ``cones`` is read only by rules that stand in for
-    this one."""
-    u = _functional(new_cone)
+def _convex(cones, vertices: set, new_cone, u, admissible, nu):
+    """The convexity rule at ``new_cone``, of functional ``u``, whose apex
+    is a vertex or drawn from ``admissible``, the admissible set of
+    ``cones`` (with vertex set ``vertices``): the vertex half, u(v) <= 0
+    for every vertex v off ``new_cone``. Returns None if it fails, else the
+    admissible set with ``new_cone`` added, whose vertices have
+    u_F(nu) = ``nu``: the x of ``admissible`` with u(x) <= 0, which drops
+    the apex, and nu + sum(x) >= 0. ``cones`` is read only by rules that
+    stand in for this one, and they may ignore ``u``."""
     if any(lattice.dot(u, v) > 0 for v in vertices.difference(new_cone)):
         return None
     return tuple(x for x in admissible if lattice.dot(u, x) <= 0 and nu + sum(x) >= 0)
@@ -154,7 +152,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
     pool = _primitive_pool(dim)
     start = tuple(v for v in pool if sum(v) == 1)  # the e_i alone
     found: dict = {}  # canonical key -> the first complex of its class
-    forms: dict = {}  # vector part -> full keys of the found classes' forms
+    keys: set = set()  # the full keys of the found classes' normal forms
 
     def grow(cones: frozenset, admissible: tuple):
         counts = _wall_owners(cones)
@@ -171,23 +169,24 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             if not mori.is_fano(fan)[0]:
                 raise InternalInconsistencyError("closed cone complex is not Fano")
             images, _, _ = next(_normal_forms(fan))
-            ties = forms.get(_vector_part(images))
-            if ties and _key(dim, images, fan.max_cones) in ties:
+            if _key(dim, images, fan.max_cones) in keys:
                 return  # a class found before
-            keys = [_key(dim, im, fan.max_cones) for im, _, _ in _normal_forms(fan)]
-            for key in keys:
-                forms.setdefault(key[1], set()).add(key)
-            found[min(keys)] = fan
+            forms = [_key(dim, im, fan.max_cones) for im, _, _ in _normal_forms(fan)]
+            keys.update(forms)
+            found[min(forms)] = fan
             return
         ((owner, k),) = counts[wall]
-        on_p = _dual_rows(owner)[k]
+        rows = _dual_rows(owner)
+        on_p, u = rows[k], tuple(map(sum, zip(*rows)))
         vertices = {x for cone in cones for x in cone}
         nu = sum(map(sum, vertices))  # u_F(nu) so far, F the standard cone
         apexes = (x for x in chain(vertices, admissible) if lattice.dot(on_p, x) == -1)
         for w in sorted(apexes):  # in pool order
             new_cone = tuple(sorted(wall + (w,)))
             child_nu = nu if w in vertices else nu + sum(w)
-            child = _convex(cones, vertices, new_cone, admissible, child_nu)
+            c = lattice.dot(u, w) - 1
+            u_new = tuple(a + c * b for a, b in zip(u, on_p))
+            child = _convex(cones, vertices, new_cone, u_new, admissible, child_nu)
             if child is not None:
                 grow(cones | {new_cone}, child)
 

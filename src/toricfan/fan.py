@@ -31,7 +31,6 @@ from .errors import (
 )
 
 Cone = tuple[int, ...]  # strictly increasing ray indices
-ZERO_CONE: Cone = ()
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
@@ -429,7 +428,7 @@ def _wall_owners(cones) -> dict:
     return owners
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4096)
 def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
     """The curve class of every wall, without duplicates, sorted, when the
     one-pass test of ``validate_fan`` accepts the fan, else None.
@@ -438,10 +437,8 @@ def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
     gives p + q = sum(a_i * u_i), the class +1 on p and q and -a_i on the
     u_i, of degree 2 - sum(a_i). The coordinates of q in the dual rows of
     sigma are the a_i, and -1 on p exactly when the two unimodular cones
-    lie on opposite sides of the wall, test (a). Cached for 16 fans, so
-    that ``contract_ray``'s check of its input reuses the pass of
-    ``birational.blow_down_candidates`` on the same fan, and a target the
-    search steps into gets one pass for its flags and its candidates."""
+    lie on opposite sides of the wall, test (a). Cached per fan, as its
+    readers are (``lru_cache``, 4096 fans)."""
     duals = {cone: _dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones}
     vectors = fan.vectors()
     used = {i for cone in duals for i in cone}
@@ -711,8 +708,9 @@ def _normal_forms(fan: Fan):
     rays that is a Z-basis, cones in max_cones order: ``columns`` holds the
     ordered basis, ``inverse`` sends it to the standard basis and ``images``
     lists the generators moved by ``inverse``, in generator order. The form's
-    structural key is ``_key(fan.dim, images, fan.max_cones)``; both callers
-    compare ``_vector_part(images)`` first and build that key only on a tie.
+    structural key is ``_key(fan.dim, images, fan.max_cones)``;
+    ``fan_isomorphism`` and ``canonical_gl_key`` compare
+    ``_vector_part(images)`` first and build that key only on a tie.
     """
     for cone in fan.max_cones:
         basis = fan.cone_vectors(cone)

@@ -159,8 +159,6 @@ def solve_eq_nonneg(
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("ragged constraint matrix")
-    if n == 0:
-        return [] if all(b == 0 for b in rhs) else None
 
     system = [[*row, b] for row, b in zip(rows, rhs)]
     try:
@@ -202,14 +200,13 @@ def nonneg_rational_combination(
     generators: Sequence[Sequence[int | Fraction]],
     target: Sequence[int | Fraction],
 ) -> list[Fraction] | None:
-    """Nonnegative rationals lam with sum lam_i * g_i = target, or None."""
+    """Nonnegative rationals lam with sum lam_i * g_i = target, or None. An
+    empty target is no equation, which ``solve_eq_nonneg`` rejects."""
     gens = [tuple(g) for g in generators]
     tgt = tuple(target)
     n = len(tgt)
     if any(len(g) != n for g in gens):
         raise DimensionMismatchError("generators and target differ in length")
-    if not gens:
-        return [] if all(Fraction(t) == 0 for t in tgt) else None
     rows = [[g[i] for g in gens] for i in range(n)]
     return solve_eq_nonneg(rows, list(tgt))
 

@@ -5,9 +5,9 @@ different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
 exhaustive subset or grid search, a simplex pivoting over Fraction, a
 rational solve per pair of adjacent cones, the located primitive-relation
 table, the Fano enumerator's retired rule, its pool scan and two-half
-convexity rule from before the admissible set, the full structural key of
-every normal form, one Mori-cone LP for every class) so that the two sides
-check each other.
+convexity rule from before the admissible set, a cone functional by
+inversion, the full structural key of every normal form, one Mori-cone LP
+for every class) so that the two sides check each other.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from toricfan import birational, lattice, mori
-from toricfan._fano3 import _functional, _primitive_pool
+from toricfan._fano3 import _primitive_pool
 from toricfan.errors import DimensionMismatchError, StarConditionViolatedError
 from toricfan.fan import (
     _dual_rows,
@@ -407,17 +407,23 @@ def coordinate_separated(classes):
     return out
 
 
+def functional(cone):
+    """u_cone, the sum of the dual rows of the unimodular ``cone``: its rows
+    inverted, where the Fano search reads it off the cone it grows from."""
+    return tuple(map(sum, zip(*_dual_rows(cone))))
+
+
 def convex_rule(cones, vertices: set, new_cone) -> bool:
     """The convexity rule in both halves, as the Fano search applied it
     before it carried an admissible set: ``cones`` (with vertex set
     ``vertices``) plus ``new_cone`` keep u_s(v) <= 0 for every cone s and
     vertex v off s, given that ``cones`` keep it; ``new_cone`` is checked
     against every vertex and its apex, if new, against every cone."""
-    u = _functional(new_cone)
+    u = functional(new_cone)
     if any(lattice.dot(u, v) > 0 for v in vertices.difference(new_cone)):
         return False
     fresh = [w for w in new_cone if w not in vertices]
-    return not any(lattice.dot(_functional(c), w) > 0 for w in fresh for c in cones)
+    return not any(lattice.dot(functional(c), w) > 0 for w in fresh for c in cones)
 
 
 def scanned_cones(cones, pool):
@@ -429,7 +435,7 @@ def scanned_cones(cones, pool):
     owners = _wall_owners(cones)
     wall = min(w for w, o in owners.items() if len(o) == 1)
     ((owner, k),) = owners[wall]
-    on_p, u = _dual_rows(owner)[k], _functional(owner)
+    on_p, u = _dual_rows(owner)[k], functional(owner)
     vertices = {x for cone in cones for x in cone}
     nu = sum(map(sum, vertices))
     return [
@@ -440,7 +446,7 @@ def scanned_cones(cones, pool):
         and (
             w in vertices
             or nu + sum(w) >= 0
-            and all(lattice.dot(_functional(c), w) <= 0 for c in cones)
+            and all(lattice.dot(functional(c), w) <= 0 for c in cones)
         )
     ]
 
@@ -451,7 +457,7 @@ def admissible_set(cones, pool):
     every cone c and keep the special-facet bound, nu + sum(x) >= 0."""
     vertices = {x for cone in cones for x in cone}
     nu = sum(map(sum, vertices))
-    functionals = [_functional(c) for c in cones]
+    functionals = [functional(c) for c in cones]
     return tuple(
         x
         for x in pool
@@ -461,7 +467,7 @@ def admissible_set(cones, pool):
     )
 
 
-def retired_fano_rule(cones, vertices, new_cone, admissible, nu):
+def retired_fano_rule(cones, vertices, new_cone, u, admissible, nu):
     """The Fano enumerator's rule before the convexity rule, in the place of
     ``_fano3._convex``: no facet of ``new_cone`` may have two owners
     already; at each facet with one owner (c, k), the wall relation
@@ -470,7 +476,7 @@ def retired_fano_rule(cones, vertices, new_cone, admissible, nu):
     common face. Returns None where it rejects ``new_cone``, else the whole
     special-facet pool less the vertices, cut by the bound ``nu`` alone, so
     the search draws its apexes from the full pool, as the retired search
-    did (``admissible`` is unused)."""
+    did (``u`` and ``admissible`` are unused)."""
     owners = _complex_walls(cones)
     for wall, [(_, j)] in _wall_owners([new_cone]).items():
         sides = owners.get(wall, ())

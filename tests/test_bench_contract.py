@@ -281,6 +281,26 @@ def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
     assert sorted(wall_passes) == sorted(f.max_cones for f in refining)
 
 
+def test_factor_path_passes_the_walls_of_each_fan_once(monkeypatch):
+    # _walls caches as many fans as its readers do, so a factor path through
+    # more fans than the 16 it once held still makes one wall pass per
+    # distinct fan
+    y = blowup_chain(2, 4, 20)
+    real = fan._walls
+    passed = []
+
+    def recording(f):
+        passed.append(f)
+        return real(f)
+
+    clear_package_caches()
+    monkeypatch.setattr(fan, "_walls", recording)
+    assert birational.factor_morphism(y, catalog.projective_space(4))
+    distinct = set(passed)
+    assert len(distinct) == 21
+    assert real.cache_info().misses == len(distinct)
+
+
 def test_fano_enumeration_builds_no_relation_table(monkeypatch):
     # each closed complex is confirmed by validate_fan and the wall verdict
     # of mori.is_fano; the degrees of its primitive relations are a test
@@ -357,6 +377,29 @@ def test_fano_search_walks_the_pool_once_per_call(monkeypatch):
     for d in (1, 2, 3):
         _fano3.enumerate_fano_fans(d)
     assert walks == [1, 2, 3]
+
+
+def test_fano_search_inverts_no_tried_cone(monkeypatch):
+    # each tried cone's functional is read off its owner by the wall
+    # formula, so the search inverts a cone only when it extends one of its
+    # walls, and validate_fan the cones of each closed complex: 2, 14 and
+    # 479 inverses in dimensions 1 to 3, where inverting every distinct
+    # tried cone made 2, 17 and 966
+    real = lattice.unimodular_inverse
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    clear_package_caches()  # the dual rows and the wall passes
+    monkeypatch.setattr(lattice, "unimodular_inverse", counting)
+    counts = []
+    for d in (1, 2, 3):
+        calls.clear()
+        _fano3.enumerate_fano_fans(d)
+        counts.append(len(calls))
+    assert counts == [2, 14, 479]
 
 
 def test_canonical_key_builds_full_keys_only_for_ties(monkeypatch, tower):

@@ -270,7 +270,9 @@ def against_pool_scan(monkeypatch, dim, limit=None):
     against itself before it carried an admissible set. On every complex it
     enters, the new cones it tries are those of a scan of the whole pool
     (``oracles.scanned_cones``), in the same order; those it enters are
-    those the two-half rule admits (``oracles.convex_rule``); and the
+    those the two-half rule admits (``oracles.convex_rule``); the
+    functional it weighs each by, read off the cone's owner by the wall
+    formula, is the inverse-based one (``oracles.functional``); and the
     admissible set it carries is its recomputation from scratch
     (``oracles.admissible_set``). A complex still on the search path when
     the search stops has tried a prefix of its cones. Returns the numbers
@@ -284,10 +286,11 @@ def against_pool_scan(monkeypatch, dim, limit=None):
         entered.append(cones)
         return real_owners(cones)
 
-    def rule(cones, vertices, new_cone, admissible, nu):
+    def rule(cones, vertices, new_cone, u, admissible, nu):
+        assert u == oracles.functional(new_cone), new_cone
         tried.setdefault(cones, []).append(new_cone)
         sets[cones] = admissible
-        child = real_rule(cones, vertices, new_cone, admissible, nu)
+        child = real_rule(cones, vertices, new_cone, u, admissible, nu)
         if child is not None:
             admitted.setdefault(cones, []).append(new_cone)
             sets[cones | {new_cone}] = child
@@ -336,15 +339,18 @@ def by_admissible_sets(cones):
     """The convexity rule as the search applies it to ``cones`` in order,
     with no special-facet bound: each fresh apex must lie in the admissible
     set, which starts as the rays x off the first cone with u(x) <= 0 on
-    it, and ``_fano3._convex`` weighs the vertex half and shrinks the set."""
+    it, and ``_fano3._convex`` weighs the vertex half and shrinks the set.
+    Each cone's functional is the oracle's, as these cones need not grow
+    from one another."""
     rays = sorted({v for cone in cones for v in cone})
     vertices = set(cones[0])
-    u = _fano3._functional(cones[0])
+    u = oracles.functional(cones[0])
     admissible = tuple(x for x in rays if x not in vertices and lattice.dot(u, x) <= 0)
     for i, cone in enumerate(cones[1:], 1):
         if any(v not in vertices and v not in admissible for v in cone):
             return False
-        admissible = _fano3._convex(cones[:i], vertices, cone, admissible, inf)
+        u = oracles.functional(cone)
+        admissible = _fano3._convex(cones[:i], vertices, cone, u, admissible, inf)
         if admissible is None:
             return False
         vertices.update(cone)

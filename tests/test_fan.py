@@ -946,9 +946,9 @@ def searched_cone_pairs(monkeypatch, dims):
         entered.update(combinations(sorted(cones), 2))
         return real_owners(cones)
 
-    def rule(cones, vertices, new_cone, admissible, nu):
+    def rule(cones, vertices, new_cone, u, admissible, nu):
         weighed.update((new_cone, cone) for cone in cones)
-        return real_rule(cones, vertices, new_cone, admissible, nu)
+        return real_rule(cones, vertices, new_cone, u, admissible, nu)
 
     monkeypatch.setattr(_fano3, "_wall_owners", enter)
     monkeypatch.setattr(_fano3, "_convex", rule)

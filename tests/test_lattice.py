@@ -85,6 +85,13 @@ def test_lp_rejects_entries_without_a_denominator():
         lattice.solve_eq_nonneg([[1]], [None])
     with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
         lattice.nonneg_rational_combination([(1,)], (0.5,))
+    # with no columns too: the tableau scales the rhs before it decides
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.solve_eq_nonneg([[]], [None])
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.nonneg_rational_combination([], ("x",))
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.nonneg_rational_combination([], (0.0,))
     # integral values of other types are still integers
     assert lattice.determinant([[Fraction(2), 0], [0, 1.0]]) == 2
     assert lattice.solve_eq_nonneg([[Fraction(1, 2)]], [1]) == [2]
@@ -102,10 +109,11 @@ def test_unimodular_wrong_count():
     [
         (lambda: lattice.solve_eq_nonneg([[1, 0], [0, 1]], [1]), "rhs length"),
         (lambda: lattice.solve_eq_nonneg([], []), "at least one equation"),
+        (lambda: lattice.nonneg_rational_combination([], ()), "at least one equation"),
         (lambda: lattice.solve_eq_nonneg([[1, 0], [1]], [1, 1]), "ragged"),
         (lambda: lattice.dot((1, 2), (1, 2, 3)), "unequal lengths"),
     ],
-    ids=["rhs-length", "no-rows", "ragged-rows", "dot-lengths"],
+    ids=["rhs-length", "no-rows", "no-target", "ragged-rows", "dot-lengths"],
 )
 def test_shape_errors(call, match):
     with pytest.raises(DimensionMismatchError, match=match):
