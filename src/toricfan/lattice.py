@@ -7,18 +7,21 @@ decides feasibility, extremality and (by Gordan's alternative) strict
 convexity, pivots on an integer tableau. Both make every row update through
 one step, `_pivot`, whose docstring argues that its division is exact; it
 skips the rows that a pivot leaves unchanged.
-`fractions.Fraction` appears only at the boundary: rational input is scaled
-to integers, and the vertex found is returned as Fractions. An entry of
-another type (a float, None) raises ``InvalidArgumentError``, and so does
-a non-integer entry of a matrix: nothing is truncated. Every yes/no answer
-is a decision, never an approximation.
+`fractions.Fraction` appears only at the boundary: an LP of ints is its
+own tableau, one with a Fraction is scaled to integers by the lcm of its
+denominators, and the vertex found is returned as Fractions. An LP entry
+of another type (a float, None, a bool) raises ``InvalidArgumentError``,
+and so does a non-integer or bool entry of a matrix: nothing is truncated,
+and no bool is read as a number. Every yes/no answer is a decision, never
+an approximation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidArgumentError
@@ -59,15 +62,21 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     of the new basis, so the division by d leaves no remainder and p takes
     d's place for the next pivot. Two cases give the same integers with
     less work: f = row[c] = 0 and p = d leave the row as it is, and
-    p = d = 1 makes it row - f * rows[r].
+    p = d = 1 makes it row - f * rows[r], since p * x - f * y divided by 1
+    is x - f * y; most simplex pivots are of this kind. Within it f = 1
+    and f = -1 give the plain difference row - rows[r] and sum
+    row + rows[r], the same integers with no product per entry.
     """
     pivot_row = rows[r]
     p = pivot_row[c]
+    unit = p == d == 1
     for i, row in enumerate(rows):
         f = row[c]
         if i == r or (f == 0 and p == d):
             continue
-        if p == d == 1:
+        if unit and (f == 1 or f == -1):
+            rows[i] = list(map(sub if f == 1 else add, row, pivot_row))
+        elif unit:
             rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
         else:
             rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
@@ -126,11 +135,12 @@ def solve_eq_nonneg(
 
     Phase-1 simplex on an integer tableau (fraction-free pivoting, Bareiss,
     Math. Comp. 22 (1968); for the simplex, Azulay & Pique, ACM TOMS 27
-    (2001)). Entries are ints or Fractions; any entry without a denominator
-    raises ``InvalidArgumentError``. The system is multiplied by the
-    lcm of all its denominators: one factor for every row keeps the reduced
-    costs proportional to those of the rational tableau, so the pivots are
-    the same. Each row with a negative rhs is then negated. The tableau
+    (2001)). Entries are ints or Fractions; a bool, or any entry without a
+    denominator, raises ``InvalidArgumentError``. A system of ints is taken
+    as it is. One with a Fraction is multiplied by the lcm of all its
+    denominators: one factor for every row keeps the reduced costs
+    proportional to those of the rational tableau, so the pivots are the
+    same. Each row with a negative rhs is then negated. The tableau
     keeps the structural columns and the rhs; the artificial columns are
     dropped, since artificials never re-enter the basis, and their labels
     n + i live on only in ``basis``. The objective row, the sum of the rows
@@ -161,14 +171,17 @@ def solve_eq_nonneg(
         raise DimensionMismatchError("ragged constraint matrix")
 
     system = [[*row, b] for row, b in zip(rows, rhs)]
-    try:
-        scale = lcm(*(x.denominator for row in system for x in row))
-    except AttributeError:
-        raise InvalidArgumentError("LP entries must be ints or Fractions") from None
-    tab = []
-    for row in system:
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        tab.append([-x for x in ints] if ints[-1] < 0 else ints)
+    bad = "LP entries must be ints or Fractions"
+    types = set(map(type, chain.from_iterable(system)))
+    if bool in types:
+        raise InvalidArgumentError(bad)
+    if types - {int}:
+        try:
+            scale = lcm(*(x.denominator for row in system for x in row))
+        except AttributeError:
+            raise InvalidArgumentError(bad) from None
+        system = [[x.numerator * (scale // x.denominator) for x in r] for r in system]
+    tab = [[-x for x in row] if row[-1] < 0 else row for row in system]
     tab.append([sum(col) for col in zip(*tab)])  # the objective row, tab[m]
     basis = list(range(n, n + m))
     d = 1

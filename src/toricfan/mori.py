@@ -138,14 +138,19 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
     e_i . c_j <= 0 for every other class j), and so is -e_i when it is the
     only one negative there; either makes it extremal with no LP. The
     witnessing decomposition, the LP's vertex, is stored otherwise.
+    The classes are transposed once per fan into one matrix with a row
+    per ray; the LP of class k is that matrix with column k deleted and
+    rhs c_k, the system ``lattice.nonneg_rational_combination(others,
+    c_k)`` would build, so its pivots and vertex are the same.
     ``strictly_convex`` is ``is_projective(fan)``, so the summary and the
     verdict share one Gordan LP. Cached per fan (``lru_cache``, 4096 fans).
     """
     rels = primitive_relations(fan)
     classes = [curve_class(fan, r) for r in rels]
+    matrix = list(zip(*classes))  # one row per ray, one column per class
     # per ray, how many classes are positive and how many negative there
-    positive = [sum(x > 0 for x in col) for col in zip(*classes)]
-    negative = [sum(x < 0 for x in col) for col in zip(*classes)]
+    positive = [sum(x > 0 for x in row) for row in matrix]
+    negative = [sum(x < 0 for x in row) for row in matrix]
     infos = []
     for k, rel in enumerate(rels):
         if any(
@@ -154,8 +159,9 @@ def mori_cone(fan: Fan) -> MoriConeSummary:
         ):
             sol = None
         else:
-            others = classes[:k] + classes[k + 1 :]
-            sol = lattice.nonneg_rational_combination(others, classes[k])
+            sol = lattice.solve_eq_nonneg(
+                [row[:k] + row[k + 1 :] for row in matrix], classes[k]
+            )
         if sol is None:
             infos.append(MoriClassInfo(rel, classes[k], True, None))
         else:

@@ -11,6 +11,7 @@ end count calls the same way.
 
 import ast
 import importlib
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
@@ -67,7 +68,7 @@ def test_package_lps_go_through_the_module_global(monkeypatch):
     monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
     mori.mori_cone.cache_clear()
     w = catalog.catalog_fan("paper-W")
-    mori.mori_cone(w)  # through nonneg_rational_combination
+    mori.mori_cone(w)
     assert len(calls) > 0
     before = len(calls)
     # a valid fan needs no pairwise test; an invalid one, such as this,
@@ -96,6 +97,35 @@ def test_mori_cone_runs_no_lp_for_a_separated_class(monkeypatch, tower):
         mori.mori_cone(f)
         assert 0 < len(separated) < len(classes)
         assert len(calls) == len(classes) - len(separated)
+
+
+def test_mori_cone_lps_take_the_int_path(monkeypatch):
+    # mori_cone hands solve_eq_nonneg its int class matrix, column k
+    # deleted, and an int system is its own tableau: no lcm of denominators,
+    # and no nonneg_rational_combination transposing the classes per class
+    real_lcm = lattice.lcm
+    lcms = []
+
+    def counting(*args):
+        lcms.append(args)
+        return real_lcm(*args)
+
+    def refuse(*args):
+        raise AssertionError("mori_cone called nonneg_rational_combination")
+
+    monkeypatch.setattr(lattice, "lcm", counting)
+    f = blowup_chain(2, 4, 4)
+    clear_package_caches()
+    summary = mori.mori_cone(f)  # its Gordan LP included: -K is not ample
+    assert not mori.is_fano_by_walls(f)
+    assert any(not info.extremal for info in summary.relations)  # LPs ran
+    assert lcms == []
+    # a Fraction system is scaled by one lcm
+    assert lattice.solve_eq_nonneg([[Fraction(1, 2), 1]], [1]) == [2, 0]
+    assert len(lcms) == 1
+    mori.mori_cone.cache_clear()  # is_projective's Gordan LP stays cached
+    monkeypatch.setattr(lattice, "nonneg_rational_combination", refuse)
+    assert mori.mori_cone(f) == summary
 
 
 def no_relation_table(

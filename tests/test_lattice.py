@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from toricfan import catalog, fan, lattice, mori
 from toricfan.errors import DimensionMismatchError, InvalidArgumentError
 
-from conftest import NON_SMOOTH_OVERLAP, verdict_fans
+from conftest import NON_SMOOTH_OVERLAP, clear_package_caches, verdict_fans
 from oracles import (
     all_others_mori_cone,
+    coordinate_separated,
     fm_nonneg_combination_feasible,
     fm_positive_functional_exists,
     fraction_phase1_simplex,
@@ -92,6 +93,13 @@ def test_lp_rejects_entries_without_a_denominator():
         lattice.nonneg_rational_combination([], ("x",))
     with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
         lattice.nonneg_rational_combination([], (0.0,))
+    # a bool is no int here, although True.denominator == 1
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.solve_eq_nonneg([[True]], [1])
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.solve_eq_nonneg([[1]], [False])
+    with pytest.raises(InvalidArgumentError, match="ints or Fractions"):
+        lattice.nonneg_rational_combination([(1,), (True,)], (1,))
     # integral values of other types are still integers
     assert lattice.determinant([[Fraction(2), 0], [0, 1.0]]) == 2
     assert lattice.solve_eq_nonneg([[Fraction(1, 2)]], [1]) == [2]
@@ -179,12 +187,21 @@ def test_pivot_cases_match_the_general_update(
             # the rows with f = 0 and p != d take the general update
             if f == 0:
                 cases["skipped" if p == d else "general, f = 0"] += 1
+            elif p == d == 1:
+                cases[f"unit, f = {f}" if f in (1, -1) else "unit"] += 1
             else:
-                cases["unit" if p == d == 1 else "general"] += 1
+                cases["general"] += 1
         return p
 
     monkeypatch.setattr(lattice, "_pivot", checked)
-    every_case = {"skipped", "general, f = 0", "unit", "general"}
+    every_case = {
+        "skipped",
+        "general, f = 0",
+        "unit, f = 1",
+        "unit, f = -1",
+        "unit",
+        "general",
+    }
     for f in verdict_fans(catalog_fans, seeded_chains):
         all_others_mori_cone(f)  # solve_eq_nonneg for every class
     assert set(cases) == every_case
@@ -306,6 +323,10 @@ def test_integer_tableau_matches_fraction_simplex(system):
     assert got == fraction_phase1_simplex(rows, rhs)
     if got is not None:
         assert all(type(x) is Fraction for x in got)
+    # an int system is its own tableau; its copy with every entry a Fraction
+    # takes the scaling path, and both must give the same vertex
+    as_fractions = [list(map(Fraction, row)) for row in rows]
+    assert lattice.solve_eq_nonneg(as_fractions, list(map(Fraction, rhs))) == got
 
 
 def test_replayed_package_lps_match_fraction_simplex(
@@ -321,14 +342,21 @@ def test_replayed_package_lps_match_fraction_simplex(
         return out
 
     monkeypatch.setattr(lattice, "solve_eq_nonneg", record)
-    mori.mori_cone.cache_clear()
+    clear_package_caches()
     fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + seeded_chains
-    for f in fans:
+    # valid fans pass the linear face check and need no pairwise LP, so the
+    # LPs are mori_cone's: one per class no coordinate separates, and the
+    # Gordan LP of is_projective on each fan where -K is not ample
+    expected = 0
+    for f in dict.fromkeys(fans):
         fan.validate_fan(f)
-        mori.mori_cone(f)
-    # valid fans pass the linear face check and need no pairwise LP; this
-    # invalid one reaches the overlap LPs
+        classes = [info.curve_class for info in mori.mori_cone(f).relations]
+        expected += len(classes) - len(coordinate_separated(classes))
+        expected += not mori.is_fano_by_walls(f)
+    assert len(issued) == expected
+    # this invalid fan reaches the overlap LPs
     fan.validate_fan(NON_SMOOTH_OVERLAP)
+    assert len(issued) > expected
     assert sum(out is None for _, _, out in issued) > 0
     assert sum(out is not None for _, _, out in issued) > 0
     for rows, rhs, out in issued:
