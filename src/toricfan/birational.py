@@ -30,7 +30,6 @@ from .fan import (
     _ray_masks,
     contract_ray,
     resolve_ray,
-    structural_key,
 )
 
 
@@ -120,26 +119,32 @@ def factor_morphism(
     """Factor the refinement morphism fine -> coarse into blow-downs.
 
     Depth-first search over valid blow-down candidates whose targets still
-    refine ``coarse``; a path is complete when the current fan equals
-    ``coarse`` structurally. The coarse-cone bitmasks of ``fine``'s rays are
-    computed once (see ``fan.refines``); every target's rays are among
-    them, so each refinement test is one AND per maximal cone. Both
-    endpoints, and every intermediate via ``blow_down_candidates``, go
-    through the cached wall pass of ``mori.wall_classes``, so a fan that
-    ``validate_fan`` rejects raises ``InternalInconsistencyError``; the step
-    flags come from ``mori.is_fano_by_walls`` and the cached
-    ``mori.is_projective``, both read off that pass, so the search locates
-    no primitive relation. With ``require_fano``, intermediates strictly
-    between the endpoints must be Fano. With ``exhaustive``, all complete
-    paths are returned, otherwise only the first; the empty tuple means the
-    search finished and no factorization exists. Candidate order (by
-    contracted ray name, then collection) makes results deterministic.
+    refine ``coarse``; a path is complete when the current fan has as many
+    rays as ``coarse``. A complete fan refining ``coarse`` holds every ray
+    of ``coarse``, so with as many rays it holds no other, and each coarse
+    cone is then the one fine cone inside it: the fan equals ``coarse``.
+    The coarse-cone bitmasks of ``fine``'s rays are computed once (see
+    ``fan.refines``); every target's rays are among them, so each
+    refinement test is one AND per maximal cone. Both endpoints, and every
+    intermediate via ``blow_down_candidates``, go through the cached wall
+    pass of ``mori.wall_classes``, so a fan that ``validate_fan`` rejects
+    raises ``InternalInconsistencyError``; the step flags come from
+    ``mori.is_fano_by_walls`` and the cached ``mori.is_projective``, both
+    read off that pass, so the search locates no primitive relation. With
+    ``require_fano``, intermediates strictly between the endpoints must be
+    Fano. With ``exhaustive``, all complete paths are returned, otherwise
+    only the first; the empty tuple means the search finished and no
+    factorization exists. Candidate order (by contracted ray name, then
+    collection) makes results deterministic, and the steps are named from
+    ``fine``.
 
-    One memo maps each structural key to the step suffixes from there to
+    One memo maps each intermediate fan to its step suffixes down to
     ``coarse`` (at most one unless ``exhaustive``), so each intermediate
-    lists its candidates once. Every ray comes from ``fine``, so equal keys
-    mean equal rays and names, and a memoized suffix is the one a new walk
-    would build.
+    lists its candidates once. The memo compares fans as values:
+    ``contract_ray`` slices the generators of the fan it contracts and
+    sorts the cones, so every intermediate has ``fine``'s rays in
+    ``fine``'s order, equal fans are equal ``Fan`` values, and a memoized
+    suffix is the one a new walk would build.
     """
     for endpoint in (fine, coarse):
         mori.wall_classes(endpoint)  # the check only; the classes are not read
@@ -149,13 +154,14 @@ def factor_morphism(
             "the first fan does not refine the second; no equivariant"
             " morphism to factor"
         )
-    coarse_key = structural_key(coarse)
-    memo: dict = {coarse_key: ((),)}
+    rays = len(coarse.generators)
+    memo: dict = {}
 
     def suffixes(current: Fan) -> tuple[tuple[FactorStep, ...], ...]:
-        key = structural_key(current)
-        if key in memo:
-            return memo[key]
+        if len(current.generators) == rays:
+            return ((),)
+        if current in memo:
+            return memo[current]
         found: list[tuple[FactorStep, ...]] = []
         for cand in blow_down_candidates(current):
             target = cand.target
@@ -163,7 +169,7 @@ def factor_morphism(
                 continue
             if (
                 require_fano
-                and structural_key(target) != coarse_key
+                and len(target.generators) != rays
                 and not mori.is_fano_by_walls(target)
             ):
                 continue
@@ -182,7 +188,7 @@ def factor_morphism(
             found.extend((step,) + r for r in rest)
             if not exhaustive:
                 break
-        memo[key] = tuple(found)
-        return memo[key]
+        memo[current] = tuple(found)
+        return memo[current]
 
     return tuple(FactorizationPath(s) for s in suffixes(fine))

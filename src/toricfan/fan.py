@@ -329,90 +329,77 @@ def validate_fan(fan: Fan) -> ValidationReport:
     lies in cones s and s', with x in relint F for a face F of s, the
     generic points of s' near x lie in a cone containing F, which can only
     be s'; F is then the face of s' holding x, and every pair meets in the
-    cone of its shared rays. Otherwise every pair of cones is tested with
+    cone of its shared rays.
+
+    Only a fan ``_walls`` rejects is examined further. Its witnesses go
+    into three lists, one per condition, and each flag says that its list
+    is empty. The wall counts and the connectivity walk read the wall map
+    of ``_wall_owners``, the one ``_walls`` reads; the walk counts the
+    cones it reaches by occurrence, so a repeated maximal cone counts as
+    often as it appears. Every pair of cones is tested with
     ``cones_meet_in_common_face``, by the exact LP, and each failure is
     named.
     """
     if _walls(fan) is not None:
         return ValidationReport(True, True, True, ())
-    witnesses: list[str] = []
-
-    smooth = True
-    for cone in fan.max_cones:
-        vectors = fan.cone_vectors(cone)
-        if _dual_rows(vectors) is None:
-            smooth = False
-            witnesses.append(
-                f"maximal cone {_cone_label(fan, cone)} has determinant"
-                f" {lattice.determinant(vectors)}"
+    cones = fan.max_cones
+    smooth = [
+        f"maximal cone {_cone_label(fan, cone)} has determinant"
+        f" {lattice.determinant(fan.cone_vectors(cone))}"
+        for cone in cones
+        if _dual_rows(fan.cone_vectors(cone)) is None
+    ]
+    owners = _wall_owners(cones)
+    complete = [
+        f"wall {_cone_label(fan, wall)} lies in {len(sides)} maximal"
+        " cone(s), expected 2"
+        for wall, sides in sorted(owners.items())
+        if len(sides) != 2
+    ]
+    if not cones:
+        complete.append("fan has no maximal cones")
+    elif not complete:
+        reached = {cones[0]}
+        frontier = [cones[0]]
+        while frontier:
+            for wall in combinations(frontier.pop(), fan.dim - 1):
+                for cone, _ in owners[wall]:
+                    if cone not in reached:
+                        reached.add(cone)
+                        frontier.append(cone)
+        count = sum(cone in reached for cone in cones)
+        if count != len(cones):
+            complete.append(
+                "wall-adjacency graph is disconnected"
+                f" ({count} of {len(cones)} cones reached)"
             )
 
-    complete = True
-    if not fan.max_cones:
-        complete = False
-        witnesses.append("fan has no maximal cones")
-    else:
-        owners: dict[Cone, list[int]] = {}
-        for ci, cone in enumerate(fan.max_cones):
-            for wall in combinations(cone, fan.dim - 1):
-                owners.setdefault(wall, []).append(ci)
-        for wall, cones in sorted(owners.items()):
-            if len(cones) != 2:
-                complete = False
-                witnesses.append(
-                    f"wall {_cone_label(fan, wall)} lies in {len(cones)} maximal"
-                    " cone(s), expected 2"
-                )
-        if complete and len(fan.max_cones) > 1:
-            reached = {0}
-            frontier = [0]
-            while frontier:
-                for wall in combinations(fan.max_cones[frontier.pop()], fan.dim - 1):
-                    for j in owners[wall]:
-                        if j not in reached:
-                            reached.add(j)
-                            frontier.append(j)
-            if len(reached) != len(fan.max_cones):
-                complete = False
-                witnesses.append(
-                    "wall-adjacency graph is disconnected"
-                    f" ({len(reached)} of {len(fan.max_cones)} cones reached)"
-                )
-
-    faces_ok = True
-    seen_vectors: dict[lattice.IntVector, str] = {}
-    for g in fan.generators:
-        if g.vector in seen_vectors:
-            faces_ok = False
-            witnesses.append(
-                f"generators {seen_vectors[g.vector]} and {g.name} share the"
+    faces = []
+    first: dict[lattice.IntVector, int] = {}
+    for i, g in enumerate(fan.generators):
+        j = first.setdefault(g.vector, i)
+        if j != i:
+            faces.append(
+                f"generators {fan.generators[j].name} and {g.name} share the"
                 f" vector {g.vector}"
             )
-        else:
-            seen_vectors[g.vector] = g.name
-    used = set()
-    for cone in fan.max_cones:
-        used.update(cone)
-    for i, g in enumerate(fan.generators):
-        if i not in used:
-            faces_ok = False
-            witnesses.append(f"generator {g.name} lies in no maximal cone")
-    for ai, bi in combinations(range(len(fan.max_cones)), 2):
-        a, b = fan.max_cones[ai], fan.max_cones[bi]
+    used = {i for cone in cones for i in cone}
+    faces += [
+        f"generator {g.name} lies in no maximal cone"
+        for i, g in enumerate(fan.generators)
+        if i not in used
+    ]
+    for a, b in combinations(cones, 2):
         if a == b:
-            faces_ok = False
-            witnesses.append(
-                f"maximal cone {_cone_label(fan, a)} appears more than once"
-            )
-            continue
-        if not cones_meet_in_common_face(fan.cone_vectors(a), fan.cone_vectors(b)):
-            faces_ok = False
-            witnesses.append(
+            faces.append(f"maximal cone {_cone_label(fan, a)} appears more than once")
+        elif not cones_meet_in_common_face(fan.cone_vectors(a), fan.cone_vectors(b)):
+            faces.append(
                 f"cones {_cone_label(fan, a)} and {_cone_label(fan, b)}"
                 " do not intersect in a common face"
             )
-
-    return ValidationReport(smooth, complete, faces_ok, tuple(witnesses))
+    return ValidationReport(
+        not smooth, not complete, not faces, tuple(smooth + complete + faces)
+    )
 
 
 def _wall_owners(cones) -> dict:

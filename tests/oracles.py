@@ -4,7 +4,8 @@ Each oracle re-decides a question answered by the library through a
 different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
 exhaustive subset or grid search, a simplex pivoting over Fraction, a
 rational solve per pair of adjacent cones, the located primitive-relation
-table, the Fano enumerator's retired rule, its pool scan and two-half
+table, the rejection path of ``validate_fan`` with its own wall map, the
+Fano enumerator's retired rule, its pool scan and two-half
 convexity rule from before the admissible set, a cone functional by
 inversion, the full structural key of every normal form, one Mori-cone LP
 for every class) so that the two sides check each other.
@@ -20,6 +21,9 @@ from toricfan import birational, lattice, mori
 from toricfan._fano3 import _primitive_pool
 from toricfan.errors import DimensionMismatchError, StarConditionViolatedError
 from toricfan.fan import (
+    Cone,
+    ValidationReport,
+    _cone_label,
     _dual_rows,
     _key,
     _normal_forms,
@@ -332,6 +336,90 @@ def pairwise_faces_ok(fan) -> bool:
         _cones_overlap(fan.cone_vectors(a), fan.cone_vectors(b))
         for a, b in combinations(fan.max_cones, 2)
     )
+
+
+def own_wall_map_rejection(fan):
+    """The report of ``validate_fan`` by its former rejection path: its own
+    wall -> cone-index map, a walk over cone indices and three flags set
+    beside the witnesses."""
+    witnesses: list[str] = []
+
+    smooth = True
+    for cone in fan.max_cones:
+        vectors = fan.cone_vectors(cone)
+        if _dual_rows(vectors) is None:
+            smooth = False
+            witnesses.append(
+                f"maximal cone {_cone_label(fan, cone)} has determinant"
+                f" {lattice.determinant(vectors)}"
+            )
+
+    complete = True
+    if not fan.max_cones:
+        complete = False
+        witnesses.append("fan has no maximal cones")
+    else:
+        owners: dict[Cone, list[int]] = {}
+        for ci, cone in enumerate(fan.max_cones):
+            for wall in combinations(cone, fan.dim - 1):
+                owners.setdefault(wall, []).append(ci)
+        for wall, cones in sorted(owners.items()):
+            if len(cones) != 2:
+                complete = False
+                witnesses.append(
+                    f"wall {_cone_label(fan, wall)} lies in {len(cones)} maximal"
+                    " cone(s), expected 2"
+                )
+        if complete and len(fan.max_cones) > 1:
+            reached = {0}
+            frontier = [0]
+            while frontier:
+                for wall in combinations(fan.max_cones[frontier.pop()], fan.dim - 1):
+                    for j in owners[wall]:
+                        if j not in reached:
+                            reached.add(j)
+                            frontier.append(j)
+            if len(reached) != len(fan.max_cones):
+                complete = False
+                witnesses.append(
+                    "wall-adjacency graph is disconnected"
+                    f" ({len(reached)} of {len(fan.max_cones)} cones reached)"
+                )
+
+    faces_ok = True
+    seen_vectors: dict[lattice.IntVector, str] = {}
+    for g in fan.generators:
+        if g.vector in seen_vectors:
+            faces_ok = False
+            witnesses.append(
+                f"generators {seen_vectors[g.vector]} and {g.name} share the"
+                f" vector {g.vector}"
+            )
+        else:
+            seen_vectors[g.vector] = g.name
+    used = set()
+    for cone in fan.max_cones:
+        used.update(cone)
+    for i, g in enumerate(fan.generators):
+        if i not in used:
+            faces_ok = False
+            witnesses.append(f"generator {g.name} lies in no maximal cone")
+    for ai, bi in combinations(range(len(fan.max_cones)), 2):
+        a, b = fan.max_cones[ai], fan.max_cones[bi]
+        if a == b:
+            faces_ok = False
+            witnesses.append(
+                f"maximal cone {_cone_label(fan, a)} appears more than once"
+            )
+            continue
+        if not cones_meet_in_common_face(fan.cone_vectors(a), fan.cone_vectors(b)):
+            faces_ok = False
+            witnesses.append(
+                f"cones {_cone_label(fan, a)} and {_cone_label(fan, b)}"
+                " do not intersect in a common face"
+            )
+
+    return ValidationReport(smooth, complete, faces_ok, tuple(witnesses))
 
 
 @lru_cache(maxsize=None)

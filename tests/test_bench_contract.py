@@ -20,8 +20,12 @@ import pytest
 from toricfan import _fano3, birational, catalog, cli, fan, lattice, mori
 
 from conftest import (
+    DOUBLE_P2,
+    FOLDED_CYCLE,
     NON_SMOOTH_OVERLAP,
+    OVERLAPPING_TEXT,
     TWICE_WINDING,
+    ZIGZAG_CYCLE,
     blowup_chain,
     chain_prefixes,
     clear_package_caches,
@@ -279,6 +283,49 @@ def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
     assert wall_passes == [f.max_cones for f in distinct]
     assert not fan.validate_fan(TWICE_WINDING).ok
     assert len(calls) > 0
+
+
+def test_rejection_path_builds_one_wall_map(monkeypatch):
+    # the wall pass of _walls is cached first, so the maps counted are the
+    # rejection path's: it reads the one map of _wall_owners
+    named = [
+        TWICE_WINDING, FOLDED_CYCLE, DOUBLE_P2, fan.parse_fan(OVERLAPPING_TEXT),
+        ZIGZAG_CYCLE, NON_SMOOTH_OVERLAP,
+    ]
+    for f in named:
+        assert fan._walls(f) is None
+    real = fan._wall_owners
+    calls = []
+
+    def counting(cones):
+        calls.append(cones)
+        return real(cones)
+
+    monkeypatch.setattr(fan, "_wall_owners", counting)
+    for f in named:
+        assert not fan.validate_fan(f).ok
+    assert calls == [f.max_cones for f in named]
+
+
+def test_factor_search_builds_no_structural_key(monkeypatch, tower):
+    # the memo holds the fans themselves, and a path ends when the fan has
+    # as many rays as the coarse one
+    real = fan._key
+    calls = []
+
+    def counting(dim, vectors, cones):
+        calls.append(vectors)
+        return real(dim, vectors, cones)
+
+    p4, x, _, y = tower
+    chain = blowup_chain(2, 4, 8)
+    clear_package_caches()
+    monkeypatch.setattr(fan, "_key", counting)
+    assert len(birational.factor_morphism(y, x, exhaustive=True)) == 1
+    assert birational.factor_morphism(y, x, require_fano=True) == ()
+    assert len(birational.factor_morphism(x, x)) == 1
+    assert len(birational.factor_morphism(chain, p4, exhaustive=True)) == 84
+    assert calls == []
 
 
 def test_factor_search_shares_the_wall_pass(monkeypatch, tower):

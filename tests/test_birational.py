@@ -256,6 +256,41 @@ def test_factor_identity(tower):
     assert paths[0].steps == ()
 
 
+def _renamed_reversed(f):
+    """``f`` on the same vectors, its rays renamed c0, c1, ... in reverse
+    order."""
+    k = len(f.generators)
+    gens = [(f"c{i}", f.generators[k - 1 - i].vector) for i in range(k)]
+    return make_fan(f.dim, gens, [[k - 1 - i for i in c] for c in f.max_cones])
+
+
+def test_factor_onto_renamed_reordered_rays(tower):
+    # every intermediate has fine's rays, and a path ends when the fan has
+    # as many rays as coarse, so coarse's names and ray order do not matter
+    p4, x, w, y = tower
+    for fine, coarse in ((y, x), (y, p4), (x, x)):
+        renamed = _renamed_reversed(coarse)
+        assert renamed != coarse and structurally_equal(renamed, coarse)
+        for exhaustive in (False, True):
+            paths = birational.factor_morphism(fine, renamed, exhaustive=exhaustive)
+            assert paths
+            assert paths == birational.factor_morphism(
+                fine, coarse, exhaustive=exhaustive
+            )
+            for step in (s for path in paths for s in path.steps):
+                assert step.ray in fine.names()
+                assert set(step.center) <= set(step.fan.names()) < set(fine.names())
+    (path,) = birational.factor_morphism(y, _renamed_reversed(x))
+    assert [s.ray for s in path.steps] == ["e7", "e6"]
+    assert birational.factor_morphism(x, _renamed_reversed(x)) == (
+        birational.FactorizationPath(()),
+    )
+    assert birational.factor_morphism(y, _renamed_reversed(x), require_fano=True) == ()
+    # W is not Fano, and the end of a path is exempt from require_fano
+    (path,) = birational.factor_morphism(y, _renamed_reversed(w), require_fano=True)
+    assert [s.ray for s in path.steps] == ["e7"] and not path.steps[0].fano
+
+
 def test_factor_y_to_p4_exists(tower):
     p4, _, _, y = tower
     paths = birational.factor_morphism(y, p4, exhaustive=True)

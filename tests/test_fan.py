@@ -39,6 +39,7 @@ from toricfan.fan import _auto_name
 from conftest import (
     DOUBLE_P2,
     FOLDED_CYCLE,
+    NON_SMOOTH_OVERLAP,
     OVERLAPPING_TEXT,
     TWICE_WINDING,
     ZIGZAG_CYCLE,
@@ -51,6 +52,7 @@ from oracles import (
     brute_canonical_gl_key,
     brute_primitive_collections,
     brute_refines,
+    own_wall_map_rejection,
     pairwise_faces_ok,
     permutation_determinant,
     rational_solve,
@@ -359,6 +361,19 @@ def _single_ray_moves(fans, per_fan, seed):
     return out
 
 
+def _dropped_cones(fans):
+    """Each fan with one maximal cone deleted, every way."""
+    return [
+        make_fan(
+            f.dim,
+            [(g.name, g.vector) for g in f.generators],
+            f.max_cones[:i] + f.max_cones[i + 1 :],
+        )
+        for f in fans
+        for i in range(len(f.max_cones))
+    ]
+
+
 def _face_check_inputs(catalog_fans):
     chains = chain_prefixes()
     base = (
@@ -368,19 +383,10 @@ def _face_check_inputs(catalog_fans):
         + chains
     )
     twisted = [_twist(f, GL_TWISTS[f.dim]) for f in base]
-    deleted = [
-        make_fan(
-            f.dim,
-            [(g.name, g.vector) for g in f.generators],
-            f.max_cones[:i] + f.max_cones[i + 1 :],
-        )
-        for f in base
-        for i in range(len(f.max_cones))
-    ]
     return (
         base
         + twisted
-        + deleted
+        + _dropped_cones(base)
         + _single_ray_moves(chains, 20, 7)
         + [
             parse_fan(OVERLAPPING_TEXT),
@@ -416,6 +422,58 @@ def test_linear_face_check_matches_all_pairs_and_oracle(monkeypatch, catalog_fan
     tried = [r for r in linear if r.smooth and r.complete]
     assert any(r.faces_ok for r in tried)
     assert any(not r.faces_ok for r in tried)
+
+
+def _rejection_corpus(catalog_fans):
+    """Fans for the rejection path: the six named invalid fans, repeated
+    maximal cones in dimensions 1-3, a fan without cones, one with an unused
+    ray and one with a repeated vector, and moved-ray and dropped-cone
+    mutants of the catalog fans and of the Fano fans of dimensions 2 and 3."""
+    named = [
+        TWICE_WINDING, FOLDED_CYCLE, DOUBLE_P2, parse_fan(OVERLAPPING_TEXT),
+        ZIGZAG_CYCLE, NON_SMOOTH_OVERLAP,
+    ]
+    repeated = []
+    for d in (1, 2, 3):
+        p = catalog.projective_space(d)
+        gens = [(g.name, g.vector) for g in p.generators]
+        first = p.max_cones[:1]
+        # one cone twice among the others, a lone cone twice, every cone twice
+        for cones in (p.max_cones + first, first * 2, p.max_cones * 2):
+            repeated.append(make_fan(d, gens, cones))
+    p2 = [(g.name, g.vector) for g in catalog.projective_space(2).generators]
+    odd = [
+        make_fan(2, p2, []),
+        make_fan(2, p2 + [("u", (1, 1))], [(0, 1), (0, 2), (1, 2)]),
+        make_fan(2, p2 + [("v", (1, 0))], [(0, 1), (0, 2), (2, 3)]),
+    ]
+    base = (
+        list(catalog_fans.values())
+        + catalog.enumerate_fano(2)
+        + catalog.enumerate_fano(3)
+    )
+    moved = _single_ray_moves(base, 4, 11)
+    return named + repeated + odd + moved + _dropped_cones(base)
+
+
+def test_rejection_path_matches_the_own_wall_map_oracle(catalog_fans):
+    # the flags are read off the witness lists and the walk runs over the
+    # wall map of _wall_owners; the oracle keeps a wall map of cone indices
+    # and sets its flags beside the witnesses
+    fans = _rejection_corpus(catalog_fans)
+    reports = [validate_fan(f) for f in fans]
+    for f, report in zip(fans, reports):
+        assert report == own_wall_map_rejection(f), serialize_fan(f)
+    rejected = [r for r in reports if not r.ok]
+    assert (len(fans), len(rejected)) == (361, 345)
+    for flag in ("smooth", "complete", "faces_ok"):
+        assert {getattr(r, flag) for r in rejected} == {False, True}
+    # a lone cone twice passes every wall count and the walk, which reaches
+    # both copies
+    for d in (1, 2, 3):
+        p = catalog.projective_space(d)
+        gens = [(g.name, g.vector) for g in p.generators]
+        assert validate_fan(make_fan(d, gens, p.max_cones[:1] * 2)).complete
 
 
 # ---------------------------------------------------------------------------
