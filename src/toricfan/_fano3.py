@@ -69,8 +69,20 @@ an open wall with owner apex p, the apexes tried are the x of the set and
 the vertices with coordinate -1 on p, in pool order: what a scan of the
 whole pool would give after the apex half and the bound, as a vertex v
 there is off the owner and so already has u_owner(v) <= 0. Each is then
-weighed by the vertex half alone (``_convex``). The set is local to the
-call, like everything the search writes.
+weighed by the vertex half alone (``_convex``).
+
+The search maps the walls once, at the root, and carries the map down: the
+owners of each wall, with the position of each owner's ray off it, beside
+the set of open walls, the vertex set and u_F(nu). A child adds its new
+cone's n walls on entry and takes them off on return. A wall leaves the
+open set at its second owner, and a third owner, which the face condition
+above rules out, raises ``InternalInconsistencyError`` where it appears.
+So the smallest open wall is the least of the open set, with no scan of
+the map. The map, the sets and the found classes are local to the call,
+so concurrent calls share nothing but the caches of pure functions. Every
+vector the search dots (a pool vector, a vertex, a dual row) has n entries
+by construction, so it dots with ``sum(map(mul, u, x))``, with no length
+check.
 
 A tried cone's functional is read off its owner's, with no inverse, as
 for the cone across F - e_i above. Let phi_p be the owner's dual row on p,
@@ -98,10 +110,11 @@ close 1, 9 and 158 complexes for 1, 5 and 18 classes.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import gcd
+from operator import mul
 
-from . import lattice, mori
+from . import mori
 from .errors import InternalInconsistencyError
 from .fan import (
     Fan,
@@ -131,9 +144,9 @@ def _convex(cones, vertices: set, new_cone, u, admissible, nu):
     u_F(nu) = ``nu``: the x of ``admissible`` with u(x) <= 0, which drops
     the apex, and nu + sum(x) >= 0. ``cones`` is read only by rules that
     stand in for this one, and they may ignore ``u``."""
-    if any(lattice.dot(u, v) > 0 for v in vertices.difference(new_cone)):
+    if any(sum(map(mul, u, v)) > 0 for v in vertices.difference(new_cone)):
         return None
-    return tuple(x for x in admissible if lattice.dot(u, x) <= 0 and nu + sum(x) >= 0)
+    return tuple(x for x in admissible if sum(map(mul, u, x)) <= 0 and nu + sum(x) >= 0)
 
 
 def _fan_from_cones(dim: int, cones) -> Fan:
@@ -154,13 +167,35 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
     found: dict = {}  # canonical key -> the first complex of its class
     keys: set = set()  # the full keys of the found classes' normal forms
 
-    def grow(cones: frozenset, admissible: tuple):
-        counts = _wall_owners(cones)
-        if any(len(owners) > 2 for owners in counts.values()):
-            raise InternalInconsistencyError("wall covered three times")
-        # the smallest open wall, None once the complex is closed
-        wall = min((w for w, o in counts.items() if len(o) == 1), default=None)
-        if wall is None:
+    owners = _wall_owners([start])  # wall -> [(cone, k)], one or two owners
+    open_walls = set(owners)  # the walls with one owner
+    vertices = set(start)
+
+    def enter(cone):  # adds the walls of a cone the rule admitted
+        k = len(cone)
+        for wall in combinations(cone, k - 1):  # as _wall_owners orders them
+            k -= 1
+            sides = owners.setdefault(wall, [])
+            sides.append((cone, k))
+            if len(sides) == 1:
+                open_walls.add(wall)
+            elif len(sides) == 2:
+                open_walls.discard(wall)
+            else:
+                raise InternalInconsistencyError("wall covered three times")
+
+    def leave(cone):  # undoes enter(cone)
+        for wall in combinations(cone, len(cone) - 1):
+            sides = owners[wall]
+            sides.pop()
+            if sides:
+                open_walls.add(wall)
+            else:
+                del owners[wall]
+                open_walls.discard(wall)
+
+    def grow(cones: frozenset, admissible: tuple, nu: int):
+        if not open_walls:
             fan = _fan_from_cones(dim, cones)
             if not validate_fan(fan).ok:
                 raise InternalInconsistencyError(
@@ -175,21 +210,27 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             keys.update(forms)
             found[min(forms)] = fan
             return
-        ((owner, k),) = counts[wall]
+        wall = min(open_walls)
+        ((owner, k),) = owners[wall]
         rows = _dual_rows(owner)
         on_p, u = rows[k], tuple(map(sum, zip(*rows)))
-        vertices = {x for cone in cones for x in cone}
-        nu = sum(map(sum, vertices))  # u_F(nu) so far, F the standard cone
-        apexes = (x for x in chain(vertices, admissible) if lattice.dot(on_p, x) == -1)
+        apexes = (x for x in chain(vertices, admissible) if sum(map(mul, on_p, x)) == -1)
         for w in sorted(apexes):  # in pool order
             new_cone = tuple(sorted(wall + (w,)))
-            child_nu = nu if w in vertices else nu + sum(w)
-            c = lattice.dot(u, w) - 1
+            fresh = w not in vertices
+            child_nu = nu + sum(w) if fresh else nu
+            c = sum(map(mul, u, w)) - 1
             u_new = tuple(a + c * b for a, b in zip(u, on_p))
             child = _convex(cones, vertices, new_cone, u_new, admissible, child_nu)
-            if child is not None:
-                grow(cones | {new_cone}, child)
+            if child is None:
+                continue
+            enter(new_cone)
+            vertices.add(w)
+            grow(cones | {new_cone}, child, child_nu)
+            if fresh:
+                vertices.remove(w)
+            leave(new_cone)
 
     # u_start = sum and u_F(nu) = dim at the root
-    grow(frozenset([start]), tuple(v for v in pool if -dim <= sum(v) <= 0))
+    grow(frozenset([start]), tuple(v for v in pool if -dim <= sum(v) <= 0), dim)
     return [found[k] for k in sorted(found)]

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import lattice
@@ -24,6 +25,7 @@ from .errors import (
     DuplicateNameError,
     FanSyntaxError,
     InternalInconsistencyError,
+    InvalidArgumentError,
     NameCollisionError,
     NoBlowdownRelationError,
     StarConditionViolatedError,
@@ -80,7 +82,8 @@ class Fan:
         return tuple(self.generators[i].name for i in cone)
 
     def cone_vectors(self, cone: Cone) -> tuple[lattice.IntVector, ...]:
-        return tuple(self.generators[i].vector for i in cone)
+        gens = self.generators
+        return tuple([gens[i].vector for i in cone])
 
     # computed once, for the caches keyed by fans; without the names, whose
     # str hashes vary by process, a pickled fan's cached hash stays valid
@@ -264,10 +267,20 @@ def serialize_fan(fan: Fan) -> str:
 # validation
 
 
-@lru_cache(maxsize=65536)
 def _dual_rows(vectors: tuple[lattice.IntVector, ...]) -> tuple[lattice.IntVector, ...] | None:
     """Rows phi_i with phi_i(v_j) = delta_ij, or None when not unimodular:
-    the inverse of the matrix whose columns are the v_j."""
+    the inverse of the matrix whose columns are the v_j. A bool entry
+    raises ``InvalidArgumentError`` before the cache is read, as True and 1
+    are one key there."""
+    for row in vectors:
+        for x in row:
+            if type(x) is bool:
+                raise InvalidArgumentError("matrix entries must be integers")
+    return _cached_dual_rows(vectors)
+
+
+@lru_cache(maxsize=65536)
+def _cached_dual_rows(vectors: tuple[lattice.IntVector, ...]) -> tuple[lattice.IntVector, ...] | None:
     try:
         return lattice.unimodular_inverse(tuple(zip(*vectors)))
     except ValueError:
@@ -436,7 +449,9 @@ def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
         if len(sides) != 2:
             return None
         (cone, k), (other, j) = sides
-        coeffs = [lattice.dot(row, vectors[other[j]]) for row in duals[cone]]
+        # a dual row has as many entries as the vectors it inverts, so the
+        # dots here and in locate_relint skip lattice.dot's length check
+        coeffs = [sum(map(mul, row, vectors[other[j]])) for row in duals[cone]]
         if coeffs.pop(k) >= 0:
             return None  # (a): both cones on one side of the wall
         entries = [0] * len(vectors)
@@ -446,7 +461,7 @@ def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
         classes.add(tuple(entries))
     first, *others = fan.max_cones
     x0 = tuple(map(sum, zip(*fan.cone_vectors(first))))
-    if any(all(lattice.dot(r, x0) >= 0 for r in duals[c]) for c in others):
+    if any(all(sum(map(mul, r, x0)) >= 0 for r in duals[c]) for c in others):
         return None  # (b): x0, interior to the first cone, lies in another
     return tuple(sorted(classes))
 
@@ -494,7 +509,7 @@ def locate_relint(
     for cone in fan.max_cones:
         coords = []
         for row in _dual_rows(fan.cone_vectors(cone)):
-            coords.append(lattice.dot(row, pt))
+            coords.append(sum(map(mul, row, pt)))
             if coords[-1] < 0:  # most cones miss the point at an early row
                 break
         else:

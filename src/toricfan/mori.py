@@ -23,8 +23,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from . import lattice
@@ -65,15 +66,38 @@ def primitive_collections(fan: Fan) -> tuple[Cone, ...]:
 
     Every proper subset of a minimal non-face is a face, so each one of
     size h >= 2 is a nonempty face F plus one ray r > max(F), and arises
-    once that way: the work is bounded by #faces x #rays.
+    once that way. Each ray's neighbour mask, the OR of the maximal cones
+    holding it, bounds the rays tried: for |F| >= 2 every pair of the
+    collection is a face, so r is a neighbour of every ray of F, a bit of
+    the AND of their masks; for |F| = 1 the pair is no face, so r is no
+    neighbour of F's ray, though it lies in some cone. The work is bounded
+    by #faces x #rays.
     """
+    masks = [0] * len(fan.generators)
     faces = set()
     for mc in fan.max_cones:
+        bits = 0
+        for i in mc:
+            bits |= 1 << i
+        for i in mc:
+            masks[i] |= bits
         for r in range(1, fan.dim + 1):
             faces.update(combinations(mc, r))
+    used = reduce(or_, masks, 0)
     out = []
     for face in faces:
-        for r in range(face[-1] + 1, len(fan.generators)):
+        if len(face) == 1:
+            rays = used & ~masks[face[0]]
+        else:
+            rays = -1
+            for i in face:
+                rays &= masks[i]
+        r = face[-1]
+        rays >>= r + 1
+        while rays:
+            skip = (rays & -rays).bit_length()
+            rays >>= skip
+            r += skip
             cand = face + (r,)
             if cand not in faces and all(
                 cand[:i] + cand[i + 1 :] in faces for i in range(len(face))

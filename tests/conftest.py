@@ -51,6 +51,13 @@ def seeded_chains():
     return [blowup_chain(1, 3, 6), blowup_chain(2, 4, 4)]
 
 
+def search_root(dim):
+    """The complex the Fano search enters first: the standard cone alone,
+    its unit vectors in lex order."""
+    units = (tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return frozenset([tuple(sorted(units))])
+
+
 def chain_prefixes():
     """Every fan of the two ``seeded_chains``, from P^3 and P^4 on."""
     return [blowup_chain(1, 3, k) for k in range(7)] + [

@@ -3,9 +3,10 @@
 Each oracle re-decides a question answered by the library through a
 different, slower route (Leibniz expansion, Fourier-Motzkin elimination,
 exhaustive subset or grid search, a simplex pivoting over Fraction, a
-rational solve per pair of adjacent cones, the located primitive-relation
-table, the rejection path of ``validate_fan`` with its own wall map, the
-Fano enumerator's retired rule, its pool scan and two-half
+rational solve per pair of adjacent cones, the face-plus-ray scan of
+primitive collections from before the neighbour masks, the located
+primitive-relation table, the rejection path of ``validate_fan`` with its
+own wall map, the Fano enumerator's retired rule, its pool scan and two-half
 convexity rule from before the admissible set, a cone functional by
 inversion, the full structural key of every normal form, one Mori-cone LP
 for every class) so that the two sides check each other.
@@ -279,6 +280,26 @@ def relint_claims(fan, point):
         if coords is not None and all(c > 0 for c in coords):
             claims.append(face)
     return claims
+
+
+def face_ray_collections(fan):
+    """Minimal non-faces as ``mori.primitive_collections`` found them
+    before it read neighbour masks: every face F of at most n rays plus
+    every ray r > max(F), kept when it is no face and each deletion of a
+    ray of F is one."""
+    faces = set()
+    for mc in fan.max_cones:
+        for r in range(1, fan.dim + 1):
+            faces.update(combinations(mc, r))
+    out = []
+    for face in faces:
+        for r in range(face[-1] + 1, len(fan.generators)):
+            cand = face + (r,)
+            if cand not in faces and all(
+                cand[:i] + cand[i + 1 :] in faces for i in range(len(face))
+            ):
+                out.append(cand)
+    return sorted(out)
 
 
 def brute_primitive_collections(fan):

@@ -7,11 +7,15 @@ import pytest
 from toricfan import _fano3, catalog, lattice, mori
 from toricfan import canonical_gl_key, fan_isomorphism
 from toricfan import validate_fan
-from toricfan.errors import InvalidDimensionError, UnsupportedDimensionError
+from toricfan.errors import (
+    InternalInconsistencyError,
+    InvalidDimensionError,
+    UnsupportedDimensionError,
+)
 from toricfan.fan import _dual_rows
 
 import oracles
-from conftest import chain_prefixes, twisted_threefold
+from conftest import chain_prefixes, search_root, twisted_threefold
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +169,26 @@ def closed_complexes(monkeypatch, dims):
     every primitive relation, beside the wall verdict the search reads."""
     closed = []
     entered = []
-    real_fan, real_owners = _fano3._fan_from_cones, _fano3._wall_owners
+    real_fan, real_rule = _fano3._fan_from_cones, _fano3._convex
 
     def record(dim, cones):
         fan = real_fan(dim, cones)
         closed[-1].append(fan)
         return fan
 
-    def enter(cones):  # grow calls it once per complex it enters
-        entered[-1].append(cones)
-        return real_owners(cones)
+    def rule(cones, vertices, new_cone, u, admissible, nu):
+        child = real_rule(cones, vertices, new_cone, u, admissible, nu)
+        if child is not None:  # grow enters the complex with new_cone added
+            entered[-1].append(cones | {new_cone})
+        return child
 
     classes = []
     with monkeypatch.context() as m:  # undone on return, so calls may repeat
         m.setattr(_fano3, "_fan_from_cones", record)
-        m.setattr(_fano3, "_wall_owners", enter)
+        m.setattr(_fano3, "_convex", rule)
         for d in dims:
             closed.append([])
-            entered.append([])
+            entered.append([search_root(d)])
             classes.append(_fano3.enumerate_fano_fans(d))
     for d, entered_d, closed_d in zip(dims, entered, closed):
         assert len(set(entered_d)) == len(entered_d) > len(closed_d)
@@ -190,7 +196,7 @@ def closed_complexes(monkeypatch, dims):
             assert all(r.degree > 0 for r in mori.primitive_relations(fan))
         for cones in entered_d:
             v = len({x for cone in cones for x in cone})
-            if all(len(o) == 2 for o in real_owners(cones).values()):
+            if all(len(o) == 2 for o in _fano3._wall_owners(cones).values()):
                 continue  # closed
             assert len(cones) <= {1: 1, 2: v - 1, 3: 2 * v - 5}[d]
     return classes, closed, entered
@@ -207,6 +213,22 @@ def test_enumeration_matches_brute_deduplication(monkeypatch):
     classes, closed, _ = closed_complexes(monkeypatch, (1, 2))
     assert classes == [oracles.brute_fano_classes(c) for c in closed]
     assert [len(c) for c in classes] == [1, 5]
+
+
+def test_a_third_owner_of_a_wall_raises(monkeypatch):
+    """Without the convexity rule nothing keeps a new cone off a closed
+    wall: the search raises as the wall takes its third owner, in
+    dimension 2 at the fourth cone tried."""
+    tried = []
+
+    def lax(cones, vertices, new_cone, u, admissible, nu):
+        tried.append(new_cone)
+        return admissible
+
+    monkeypatch.setattr(_fano3, "_convex", lax)
+    with pytest.raises(InternalInconsistencyError, match="covered three times"):
+        _fano3.enumerate_fano_fans(2)
+    assert len(tried) == 4
 
 
 def max_rays(dim):
@@ -277,28 +299,24 @@ def against_pool_scan(monkeypatch, dim, limit=None):
     (``oracles.admissible_set``). A complex still on the search path when
     the search stops has tried a prefix of its cones. Returns the numbers
     of complexes entered and cones tried."""
-    entered, tried, admitted, sets = [], {}, {}, {}
-    real_owners, real_rule = _fano3._wall_owners, _fano3._convex
-
-    def enter(cones):  # grow calls it once per complex it enters
-        if len(entered) == limit:
-            raise Enough(cones)
-        entered.append(cones)
-        return real_owners(cones)
+    entered, tried, admitted, sets = [search_root(dim)], {}, {}, {}
+    real_rule = _fano3._convex
 
     def rule(cones, vertices, new_cone, u, admissible, nu):
         assert u == oracles.functional(new_cone), new_cone
         tried.setdefault(cones, []).append(new_cone)
         sets[cones] = admissible
         child = real_rule(cones, vertices, new_cone, u, admissible, nu)
-        if child is not None:
+        if child is not None:  # grow enters the complex with new_cone added
             admitted.setdefault(cones, []).append(new_cone)
             sets[cones | {new_cone}] = child
+            if len(entered) == limit:
+                raise Enough(cones | {new_cone})
+            entered.append(cones | {new_cone})
         return child
 
     stopped = frozenset()
     with monkeypatch.context() as m:
-        m.setattr(_fano3, "_wall_owners", enter)
         m.setattr(_fano3, "_convex", rule)
         try:
             _fano3.enumerate_fano_fans(dim)
@@ -307,7 +325,7 @@ def against_pool_scan(monkeypatch, dim, limit=None):
     pool = _fano3._primitive_pool(dim)
     for cones in entered:
         assert sets[cones] == oracles.admissible_set(cones, pool)
-        if all(len(o) == 2 for o in real_owners(cones).values()):
+        if all(len(o) == 2 for o in _fano3._wall_owners(cones).values()):
             assert cones not in tried  # closed
             continue
         vertices = {x for cone in cones for x in cone}

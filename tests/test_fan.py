@@ -998,18 +998,16 @@ def searched_cone_pairs(monkeypatch, dims):
     from toricfan import _fano3
 
     entered, weighed = set(), set()
-    real_owners, real_rule = _fano3._wall_owners, _fano3._convex
-
-    def enter(cones):  # grow calls it once per complex it enters
-        entered.update(combinations(sorted(cones), 2))
-        return real_owners(cones)
+    real_rule = _fano3._convex
 
     def rule(cones, vertices, new_cone, u, admissible, nu):
         weighed.update((new_cone, cone) for cone in cones)
-        return real_rule(cones, vertices, new_cone, u, admissible, nu)
+        child = real_rule(cones, vertices, new_cone, u, admissible, nu)
+        if child is not None:  # grow enters the complex with new_cone added
+            entered.update(combinations(sorted(cones | {new_cone}), 2))
+        return child
 
-    monkeypatch.setattr(_fano3, "_wall_owners", enter)
-    monkeypatch.setattr(_fano3, "_convex", rule)
+    monkeypatch.setattr(_fano3, "_convex", rule)  # the root, one cone, has no pair
     for dim in dims:
         _fano3.enumerate_fano_fans(dim)
     return entered, weighed

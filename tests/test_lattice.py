@@ -72,10 +72,17 @@ def test_elimination_rejects_non_integer_entries(rows):
         lattice.determinant(rows)
     with pytest.raises(InvalidArgumentError, match="must be integers"):
         lattice.unimodular_inverse(rows)
-    # not a ValueError, which _dual_rows reads as "not unimodular" (called
-    # past its cache, where True and 1 are the same key)
+    # not a ValueError, which _dual_rows reads as "not unimodular"
     with pytest.raises(InvalidArgumentError):
-        fan._dual_rows.__wrapped__(tuple(map(tuple, rows)))
+        fan._dual_rows(tuple(map(tuple, rows)))
+
+
+def test_dual_rows_reject_a_bool_matrix_after_the_equal_ints():
+    # True == 1 with one hash, so a cache keyed by the vectors alone gave
+    # the bool matrix the rows it holds for the identity
+    assert fan._dual_rows(((1, 0), (0, 1))) == ((1, 0), (0, 1))
+    with pytest.raises(InvalidArgumentError, match="must be integers"):
+        fan._dual_rows(((True, 0), (0, 1)))
 
 
 def test_lp_rejects_entries_without_a_denominator():

@@ -33,6 +33,7 @@ from oracles import (
     brute_primitive_collections,
     brute_wall_classes,
     coordinate_separated,
+    face_ray_collections,
     fm_nonneg_combination_feasible,
     fm_positive_functional_exists,
 )
@@ -91,13 +92,20 @@ def test_collections_y(tower):
     }
 
 
-def test_collections_match_brute_force(catalog_fans, seeded_chains):
-    fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + seeded_chains
-    for fan in fans:
+def test_collections_match_brute_force(catalog_fans):
+    """The collections read off the neighbour masks against the scan over
+    every ray past the face that the masks replaced and against the direct
+    definition, on every fan of the seeded chains and on complexes that
+    validate_fan rejects, with unused rays and repeated cones; the valid
+    fans' relation table holds one relation per collection."""
+    fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + chain_prefixes()
+    rejected = [DOUBLE_P2, FOLDED_CYCLE, TWICE_WINDING, ZIGZAG_CYCLE]
+    for fan in fans + rejected + rejected_complexes(20261020, 40):
         brute = brute_primitive_collections(fan)
-        assert list(mori.primitive_collections(fan)) == brute
+        assert list(mori.primitive_collections(fan)) == face_ray_collections(fan) == brute
+    for fan in fans:
         assert mori.primitive_relations(fan) == tuple(
-            mori.primitive_relation(fan, c) for c in brute
+            mori.primitive_relation(fan, c) for c in mori.primitive_collections(fan)
         )
 
 
