@@ -161,9 +161,9 @@ def _analysis_plain(fan: Fan, report) -> str:
     lines.append(f"extremal classes: {n_extremal}")
     lines.append(f"projective: {_yesno(summary.strictly_convex)}")
     fano, witnesses = mori.is_fano(fan)
-    degree = {r.collection: r.degree for r in mori.primitive_relations(fan)}
     parts = ", ".join(
-        f"witness {_names(fan, c)}, degree {degree[c]}" for c in witnesses
+        f"witness {_names(fan, c)}, degree {mori.primitive_relation(fan, c).degree}"
+        for c in witnesses
     )
     lines.append("fano: yes" if fano else f"fano: no ({parts})")
     lines += _candidate_lines(fan)

@@ -449,8 +449,8 @@ def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
         if len(sides) != 2:
             return None
         (cone, k), (other, j) = sides
-        # a dual row has as many entries as the vectors it inverts, so the
-        # dots here and in locate_relint skip lattice.dot's length check
+        # a dual row has as many entries as the vectors it inverts, so every
+        # dot in this module skips lattice.dot's length check
         coeffs = [sum(map(mul, row, vectors[other[j]])) for row in duals[cone]]
         if coeffs.pop(k) >= 0:
             return None  # (a): both cones on one side of the wall
@@ -491,7 +491,10 @@ def locate_relint(
     Returns the cone as an index tuple together with the strictly positive
     integer coefficients over its generators; the zero vector yields the
     zero cone with no coefficients. ``wall_classes`` checks the fan before
-    the point is read.
+    the point is read. ``mori.primitive_relations`` builds the relation
+    table by placing each primitive collection's sum here; the single
+    relation, ``mori.primitive_relation``, reads that table and locates
+    nothing.
 
     The answer is the face of the first maximal cone whose dual rows are
     all >= 0 on the point. By the argument of ``validate_fan`` a valid fan
@@ -663,7 +666,7 @@ def _ray_masks(fine: Fan, coarse: Fan) -> dict[lattice.IntVector, int]:
         dual = _dual_rows(vecs)
         for v in masks:
             if (
-                all(lattice.dot(row, v) >= 0 for row in dual)
+                all(sum(map(mul, row, v)) >= 0 for row in dual)
                 if dual
                 else lattice.nonneg_rational_combination(vecs, v) is not None
             ):
@@ -719,7 +722,7 @@ def _normal_forms(fan: Fan):
         dual = _dual_rows(basis)
         if dual is None:
             continue
-        coords = [tuple(lattice.dot(row, v) for row in dual) for v in fan.vectors()]
+        coords = [tuple(sum(map(mul, row, v)) for row in dual) for v in fan.vectors()]
         # reordering the basis reorders the rows of its inverse, and with
         # them the coordinates of every generator
         for order in permutations(range(fan.dim)):
@@ -762,7 +765,7 @@ def fan_isomorphism(a: Fan, b: Fan):
     for other, columns, _ in _normal_forms(b):
         if _vector_part(other) == key[1] and _key(b.dim, other, b.max_cones) == key:
             return tuple(
-                tuple(lattice.dot(row, col) for col in zip(*inverse))
+                tuple(sum(map(mul, row, col)) for col in zip(*inverse))
                 for row in columns
             )
     return None

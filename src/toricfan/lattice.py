@@ -225,6 +225,8 @@ def nonneg_rational_combination(
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """The dot product, checking the lengths; the package's own dots pair
+    vectors of equal length by construction and skip the check."""
     if len(u) != len(v):
         raise DimensionMismatchError("dot product of unequal lengths")
     return sum(map(mul, u, v))

@@ -7,20 +7,23 @@ holding it in its relative interior; the resulting integer relation among
 generators is a curve class. The primitive classes generate the cone of
 effective curves, which makes extremality a finite, exact computation.
 
-``primitive_relations`` is the one cached relation table per fan, read by
-the Mori cone, the Fano witnesses and the reports' degree column. The
-verdicts read ``fan.wall_classes``, one curve class per wall, built in the
-pass that validates the fan: a divisor is ample iff it is positive on each
-(Reid, "Decomposition of toric morphisms", 1983; Cox, Little and Schenck,
-*Toric Varieties*, Thm 6.3.13). The single relation, the table and the
-verdicts start from ``wall_classes``, the package's one validity gate, so
-each raises ``InternalInconsistencyError`` on a fan that ``validate_fan``
-rejects before it reads its arguments, locates a relation or runs an LP.
+``primitive_relations`` is the one cached relation table per fan and the
+only code that builds a relation: it places each collection's sum with
+``fan.locate_relint``. The Mori cone and the Fano witnesses read the table,
+and ``primitive_relation`` reads one entry of it, for the reports' degree
+column and for callers naming a single collection. The verdicts read
+``fan.wall_classes``, one curve class per wall, built in the pass that
+validates the fan: a divisor is ample iff it is positive on each (Reid,
+"Decomposition of toric morphisms", 1983; Cox, Little and Schenck, *Toric
+Varieties*, Thm 6.3.13). The table and the verdicts start from
+``wall_classes``, the package's one validity gate, and the single relation
+from the table, so each raises ``InternalInconsistencyError`` on a fan that
+``validate_fan`` rejects before it reads its arguments, locates a relation
+or runs an LP.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -107,32 +110,34 @@ def primitive_collections(fan: Fan) -> tuple[Cone, ...]:
 
 
 def primitive_relation(fan: Fan, collection: Iterable[int | str]) -> PrimitiveRelation:
-    """The relation attached to a primitive collection of the fan; any other
-    ray set raises ``InvalidArgumentError``. ``wall_classes`` checks the fan
-    before the collection is read, and on a valid fan ``locate_relint``
-    places the collection's sum."""
-    wall_classes(fan)  # the check only; the classes are not read
+    """The relation attached to a primitive collection of the fan: its entry
+    in ``primitive_relations``, which is read first, so ``wall_classes``
+    checks the fan before the collection is read. Any other ray set raises
+    ``InvalidArgumentError``; nothing is located here."""
+    table = primitive_relations(fan)
     coll = resolve_cone(fan, collection)
-    colls = primitive_collections(fan)  # sorted, so bisection finds coll
-    i = bisect_left(colls, coll)
-    if colls[i : i + 1] != (coll,):
-        raise InvalidArgumentError(
-            f"{{{','.join(fan.cone_names(coll))}}} is not a primitive collection"
-        )
-    vecs = fan.cone_vectors(coll)
-    total = tuple(sum(col) for col in zip(*vecs))
-    target, coeffs = locate_relint(fan, total)
-    degree = len(coll) - sum(coeffs)
-    return PrimitiveRelation(coll, target, coeffs, degree)
+    for rel in table:
+        if rel.collection == coll:
+            return rel
+    raise InvalidArgumentError(
+        f"{{{','.join(fan.cone_names(coll))}}} is not a primitive collection"
+    )
 
 
 @lru_cache(maxsize=4096)
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
-    """The relation of every primitive collection, in collection order."""
-    # checked here too: a fan that validate_fan rejects may have no
-    # primitive collection, and so no call of primitive_relation
+    """The relation of every primitive collection, in collection order: the
+    one place relations are built. ``wall_classes`` checks the fan first,
+    since a fan that ``validate_fan`` rejects may have no primitive
+    collection; ``locate_relint`` then places each collection's sum, and the
+    degree is |P| minus the sum of the coefficients."""
     wall_classes(fan)  # the check only; the classes are not read
-    return tuple(primitive_relation(fan, c) for c in primitive_collections(fan))
+    table = []
+    for coll in primitive_collections(fan):
+        total = tuple(map(sum, zip(*fan.cone_vectors(coll))))
+        target, coeffs = locate_relint(fan, total)
+        table.append(PrimitiveRelation(coll, target, coeffs, len(coll) - sum(coeffs)))
+    return tuple(table)
 
 
 def curve_class(fan: Fan, relation: PrimitiveRelation) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ end count calls the same way.
 
 import ast
 import importlib
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -551,6 +552,36 @@ def test_locate_relint_stops_at_the_first_holder(monkeypatch, tower):
         assert visited == [y.cone_vectors(c) for c in y.max_cones[: first + 1]]
         counts.append(len(visited))
     assert len(y.max_cones) == 17 and max(counts) < 17
+
+
+def test_relation_table_is_built_in_one_place(monkeypatch, tower):
+    # primitive_relations builds every relation itself: it runs mori's gate
+    # once and places each collection's sum with locate_relint, with no
+    # collection re-parsed by resolve_cone and no call of the single
+    # relation, which reads the table; paper-Y has 7 primitive collections
+    y = tower[3]
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls[f"{module.__name__}.{name}"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in (
+        (mori, "wall_classes"),
+        (mori, "locate_relint"),
+        (mori, "resolve_cone"),
+        (fan, "resolve_cone"),
+        (mori, "primitive_relation"),
+    ):
+        count(module, name)
+    clear_package_caches()
+    assert len(mori.primitive_relations(y)) == 7
+    assert calls == {"toricfan.mori.wall_classes": 1, "toricfan.mori.locate_relint": 7}
 
 
 def test_every_kernel_pivots_through_one_step(monkeypatch):

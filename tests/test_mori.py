@@ -36,6 +36,8 @@ from oracles import (
     face_ray_collections,
     fm_nonneg_combination_feasible,
     fm_positive_functional_exists,
+    rational_solve,
+    relint_claims,
 )
 
 
@@ -97,16 +99,22 @@ def test_collections_match_brute_force(catalog_fans):
     every ray past the face that the masks replaced and against the direct
     definition, on every fan of the seeded chains and on complexes that
     validate_fan rejects, with unused rays and repeated cones; the valid
-    fans' relation table holds one relation per collection."""
+    fans' relation table holds one relation per collection, its sum placed
+    by the brute-force face search and solved over that face."""
     fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + chain_prefixes()
     rejected = [DOUBLE_P2, FOLDED_CYCLE, TWICE_WINDING, ZIGZAG_CYCLE]
     for fan in fans + rejected + rejected_complexes(20261020, 40):
         brute = brute_primitive_collections(fan)
         assert list(mori.primitive_collections(fan)) == face_ray_collections(fan) == brute
     for fan in fans:
-        assert mori.primitive_relations(fan) == tuple(
-            mori.primitive_relation(fan, c) for c in mori.primitive_collections(fan)
-        )
+        table = mori.primitive_relations(fan)
+        assert [r.collection for r in table] == brute_primitive_collections(fan)
+        for r in table:
+            point = tuple(map(sum, zip(*fan.cone_vectors(r.collection))))
+            (face,) = relint_claims(fan, point)
+            coeffs = tuple(rational_solve(fan.cone_vectors(face), point))
+            assert (r.target, r.coefficients) == (face, coeffs)
+            assert r.degree == len(r.collection) - sum(coeffs)
 
 
 def test_collections_are_sorted(catalog_fans):
