@@ -9,13 +9,15 @@ ray, and for factorization. Factorization searches for chains of valid
 blow-downs carrying a fine fan onto a coarse one it refines, depth-first
 with one memo of the step suffixes below each intermediate, optionally
 insisting that every strict intermediate be Fano.
+
+The records are ``typing.NamedTuple`` classes, not dataclasses, so that a
+cold start does not import ``dataclasses`` (see the ``fan`` docstring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import mori
 from .errors import (
@@ -33,8 +35,7 @@ from .fan import (
 )
 
 
-@dataclass(frozen=True)
-class BlowdownCandidate:
+class BlowdownCandidate(NamedTuple):
     relation: mori.PrimitiveRelation
     valid: bool
     # every maximal cone violating the star condition, when invalid
@@ -45,8 +46,7 @@ class BlowdownCandidate:
         return fan.generators[self.relation.target[0]].name
 
 
-@dataclass(frozen=True)
-class FactorStep:
+class FactorStep(NamedTuple):
     ray: str  # contracted ray name
     center: tuple[str, ...]  # blow-up center in the target, by name
     fan: Fan  # the fan after this contraction
@@ -54,8 +54,7 @@ class FactorStep:
     projective: bool
 
 
-@dataclass(frozen=True)
-class FactorizationPath:
+class FactorizationPath(NamedTuple):
     steps: tuple[FactorStep, ...]
 
 

@@ -6,16 +6,21 @@ geometric validation, relative-interior location, star subdivision
 (equivariant blow-up), ray contraction (blow-down), refinement testing and
 GL(n,Z) fan isomorphism. Fans are immutable values; every operation is a
 pure function.
+
+The records are ``typing.NamedTuple`` classes and ``Fan`` is a hand-written
+value class, not dataclasses: importing ``dataclasses`` pulls in
+``inspect``, ``ast``, ``dis``, ``tokenize`` and seven more stdlib modules,
+about a seventh of a cold ``python -m toricfan`` run, and a dataclass takes
+several times as long as a NamedTuple to build at import.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice
 from .errors import (
@@ -38,16 +43,14 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
-@dataclass(frozen=True)
-class RayGenerator:
+class RayGenerator(NamedTuple):
     """A 1-dimensional cone: a name plus its primitive lattice vector."""
 
     name: str
     vector: lattice.IntVector
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     smooth: bool
     complete: bool
     faces_ok: bool
@@ -58,13 +61,42 @@ class ValidationReport:
         return self.smooth and self.complete and self.faces_ok
 
 
-@dataclass(frozen=True, repr=False)
 class Fan:
-    """A fan in Z^dim: ray generators and maximal cones of full dimension."""
+    """A fan in Z^dim: ray generators and maximal cones of full dimension.
+
+    An immutable value: fans compare by (dim, generators, max_cones) and
+    refuse assignment. It is written by hand, not as a NamedTuple, because
+    a NamedTuple has no instance dict to hold the cached ``_hash``, which
+    leaves out the names: without it every cache lookup would hash the
+    whole fan again.
+    """
 
     dim: int
     generators: tuple[RayGenerator, ...]
     max_cones: tuple[Cone, ...]
+
+    def __init__(
+        self,
+        dim: int,
+        generators: tuple[RayGenerator, ...],
+        max_cones: tuple[Cone, ...],
+    ) -> None:
+        self.__dict__.update(dim=dim, generators=generators, max_cones=max_cones)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Fan")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Fan")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Fan:
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and self.generators == other.generators
+            and self.max_cones == other.max_cones
+        )
 
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)

@@ -20,24 +20,25 @@ Varieties*, Thm 6.3.13). The table and the verdicts start from
 from the table, so each raises ``InternalInconsistencyError`` on a fan that
 ``validate_fan`` rejects before it reads its arguments, locates a relation
 or runs an LP.
+
+The records are ``typing.NamedTuple`` classes, not dataclasses, so that a
+cold start does not import ``dataclasses`` (see the ``fan`` docstring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import lattice
 from .errors import InvalidArgumentError
 from .fan import Cone, Fan, locate_relint, resolve_cone, wall_classes
 
 
-@dataclass(frozen=True)
-class PrimitiveRelation:
+class PrimitiveRelation(NamedTuple):
     """collection's vectors sum to sum(coefficients[i] * target[i] vectors)."""
 
     collection: Cone
@@ -46,8 +47,7 @@ class PrimitiveRelation:
     degree: int
 
 
-@dataclass(frozen=True)
-class MoriClassInfo:
+class MoriClassInfo(NamedTuple):
     relation: PrimitiveRelation
     curve_class: tuple[int, ...]
     extremal: bool
@@ -56,8 +56,7 @@ class MoriClassInfo:
     decomposition: tuple[tuple[Cone, Fraction], ...] | None
 
 
-@dataclass(frozen=True)
-class MoriConeSummary:
+class MoriConeSummary(NamedTuple):
     relations: tuple[MoriClassInfo, ...]
     picard_number: int
     strictly_convex: bool

@@ -487,3 +487,21 @@ def test_cli_start_up_leaves_the_enumerator_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_start_up_leaves_dataclasses_unimported():
+    # the records are NamedTuples and Fan a hand-written class, so a cold
+    # start skips dataclasses and the inspect/ast/dis/tokenize it loads
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; before = set(sys.modules); import toricfan.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+            " & (set(sys.modules) - before)))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

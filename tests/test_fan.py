@@ -1,3 +1,5 @@
+import copy as copy_module
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -234,6 +236,53 @@ def test_equal_fans_hash_equal(catalog_fans):
         assert copy == fan == again
         assert hash(copy) == hash(fan) == hash(again)
         assert {fan: 1}[again] == 1
+        # a value of its own kind: no tuple of its fields equals it, a
+        # pickle or deep copy is an equal fan with the same hash, and no
+        # field can be assigned or deleted
+        assert fan != (fan.dim, fan.generators, fan.max_cones)
+        for clone in (pickle.loads(pickle.dumps(fan)), copy_module.deepcopy(fan)):
+            assert clone == fan and hash(clone) == hash(fan)
+        with pytest.raises(AttributeError):
+            fan.dim = 3
+        with pytest.raises(AttributeError):
+            del fan.dim
+        assert fan.dim == copy.dim
+
+
+def test_records_keep_repr_hash_and_immutability(tower):
+    # each record reprs, hashes and refuses assignment as it always has;
+    # its hash is that of its field tuple, so caches and dicts keyed by
+    # records behave the same
+    _, x, _, y = tower
+    assert repr(y.generators[0]) == "RayGenerator(name='e0', vector=(-1, -1, -1, -1))"
+    assert repr(mori.primitive_relations(y)[0]) == (
+        "PrimitiveRelation(collection=(0, 5, 6), target=(2, 3), "
+        "coefficients=(1, 1), degree=1)"
+    )
+    assert repr(validate_fan(y)) == (
+        "ValidationReport(smooth=True, complete=True, faces_ok=True, witnesses=())"
+    )
+    cone = mori.mori_cone(y)
+    info = cone.relations[0]
+    path = birational.factor_morphism(y, x)[0]
+    records = [
+        (y.generators[0], ("name", "vector")),
+        (validate_fan(y), ("smooth", "complete", "faces_ok", "witnesses")),
+        (info.relation, ("collection", "target", "coefficients", "degree")),
+        (info, ("relation", "curve_class", "extremal", "decomposition")),
+        (cone, ("relations", "picard_number", "strictly_convex")),
+        (
+            birational.blow_down_candidates(y)[0],
+            ("relation", "valid", "obstruction", "target"),
+        ),
+        (path.steps[0], ("ray", "center", "fan", "fano", "projective")),
+        (path, ("steps",)),
+    ]
+    assert len({type(record) for record, _ in records}) == 8
+    for record, fields in records:
+        assert hash(record) == hash(tuple(getattr(record, f) for f in fields))
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], None)
 
 
 def test_serialize_p4_matches_literal():
