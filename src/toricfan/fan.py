@@ -461,6 +461,14 @@ def _wall_owners(cones) -> dict:
 
 
 @lru_cache(maxsize=4096)
+def _cone_duals(fan: Fan) -> tuple:
+    """The dual rows of every maximal cone, in ``max_cones`` order, None for
+    a cone that is not unimodular: the one table ``_walls`` and
+    ``locate_relint`` read. Cached per fan (``lru_cache``, 4096 fans)."""
+    return tuple(_dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones)
+
+
+@lru_cache(maxsize=4096)
 def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
     """The curve class of every wall, without duplicates, sorted, when the
     one-pass test of ``validate_fan`` accepts the fan, else None.
@@ -471,7 +479,7 @@ def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
     sigma are the a_i, and -1 on p exactly when the two unimodular cones
     lie on opposite sides of the wall, test (a). Cached per fan, as its
     readers are (``lru_cache``, 4096 fans)."""
-    duals = {cone: _dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones}
+    duals = dict(zip(fan.max_cones, _cone_duals(fan)))
     vectors = fan.vectors()
     used = {i for cone in duals for i in cone}
     if None in duals.values() or not 0 < len(used) == len(set(vectors)) == len(vectors):
@@ -528,11 +536,11 @@ def locate_relint(
     relation, ``mori.primitive_relation``, reads that table and locates
     nothing.
 
-    The answer is the face of the first maximal cone whose dual rows are
-    all >= 0 on the point. By the argument of ``validate_fan`` a valid fan
-    is complete, so some maximal cone holds the point, and any two maximal
-    cones meet in the cone of their shared rays, so every cone holding it
-    names the same face.
+    The answer is the face of the first maximal cone whose dual rows, read
+    from the fan's table ``_cone_duals``, are all >= 0 on the point. By the
+    argument of ``validate_fan`` a valid fan is complete, so some maximal
+    cone holds the point, and any two maximal cones meet in the cone of
+    their shared rays, so every cone holding it names the same face.
     """
     wall_classes(fan)  # the check only; the classes are not read
     bad = "point: coordinates must be integers"
@@ -541,9 +549,9 @@ def locate_relint(
         raise DimensionMismatchError(
             f"point has {len(pt)} coordinates in a dim-{fan.dim} fan"
         )
-    for cone in fan.max_cones:
+    for cone, rows in zip(fan.max_cones, _cone_duals(fan)):
         coords = []
-        for row in _dual_rows(fan.cone_vectors(cone)):
+        for row in rows:
             coords.append(sum(map(mul, row, pt)))
             if coords[-1] < 0:  # most cones miss the point at an early row
                 break

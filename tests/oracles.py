@@ -7,7 +7,8 @@ rational solve per pair of adjacent cones, the face-plus-ray scan of
 primitive collections from before the neighbour masks, the located
 primitive-relation table, the rejection path of ``validate_fan`` with its
 own wall map, the Fano enumerator's retired rule, its pool scan and two-half
-convexity rule from before the admissible set, a cone functional by
+convexity rule from before the admissible set, the coordinate permutations
+fixing a complex tried one by one, a cone functional by
 inversion, the full structural key of every normal form, one Mori-cone LP
 for every class) so that the two sides check each other.
 """
@@ -557,6 +558,40 @@ def scanned_cones(cones, pool):
             or nu + sum(w) >= 0
             and all(lattice.dot(functional(c), w) <= 0 for c in cones)
         )
+    ]
+
+
+def _permuted(g, cone):
+    """The sorted images of the vectors of ``cone`` under the coordinate
+    permutation ``g``, x -> (x[g[0]], ..., x[g[n-1]])."""
+    return tuple(sorted(tuple(x[i] for i in g) for x in cone))
+
+
+def cone_stabilizer(cones):
+    """The permutations the Fano search carries on the complex ``cones``,
+    from all n! of them: every coordinate permutation but the identity that
+    maps each cone onto itself. They fix the complex, whose whole
+    stabilizer may be larger: it may also swap cones."""
+    dim = len(next(iter(cones)))
+    others = list(permutations(range(dim)))[1:]
+    return {g for g in others if all(_permuted(g, c) == c for c in cones)}
+
+
+def mirrored_cones(cones, pool):
+    """The cones of ``scanned_cones`` that the Fano search skips by symmetry:
+    those wall + (w,) whose apex w some permutation of ``cone_stabilizer``
+    that fixes the wall maps to a smaller vector, the apex of a cone tried
+    before."""
+    owners = _wall_owners(cones)
+    wall = min(w for w, o in owners.items() if len(o) == 1)
+    fixing = [g for g in cone_stabilizer(cones) if _permuted(g, wall) == wall]
+    if not fixing:
+        return []
+    return [
+        cone
+        for cone in scanned_cones(cones, pool)
+        for (w,) in [set(cone).difference(wall)]
+        if any(tuple(w[i] for i in g) < w for g in fixing)
     ]
 
 

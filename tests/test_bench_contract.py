@@ -415,7 +415,7 @@ def test_enumerations_issue_no_lp(monkeypatch):
 def test_fano_enumeration_sweeps_normal_forms_only_for_new_classes(monkeypatch):
     # a closed complex is looked up by its first normal form among those of
     # the classes found so far; only the first complex of each class has
-    # every form generated, 1, 5 and 18 of the 1, 9 and 158 closed in
+    # every form generated, 1, 5 and 18 of the 1, 9 and 95 closed in
     # dimensions 1 to 3
     real = fan._normal_forms
     swept = []
@@ -457,12 +457,9 @@ def test_fano_search_walks_the_pool_once_per_call(monkeypatch):
     assert walks == [1, 2, 3]
 
 
-def test_fano_search_inverts_no_tried_cone(monkeypatch):
-    # each tried cone's functional is read off its owner by the wall
-    # formula, so the search inverts a cone only when it extends one of its
-    # walls, and validate_fan the cones of each closed complex: 2, 14 and
-    # 479 inverses in dimensions 1 to 3, where inverting every distinct
-    # tried cone made 2, 17 and 966
+def fano_search_inverses(monkeypatch):
+    """The unimodular inverses the Fano search makes in dimensions 1 to 3,
+    from cold caches."""
     real = lattice.unimodular_inverse
     calls = []
 
@@ -477,15 +474,32 @@ def test_fano_search_inverts_no_tried_cone(monkeypatch):
         calls.clear()
         _fano3.enumerate_fano_fans(d)
         counts.append(len(calls))
-    assert counts == [2, 14, 479]
+    return counts
+
+
+def test_fano_search_inverts_no_tried_cone(monkeypatch):
+    # each tried cone's functional is read off its owner by the wall
+    # formula, so the search inverts a cone only when it extends one of its
+    # walls, and validate_fan the cones of each closed complex: 2, 14 and
+    # 479 inverses in dimensions 1 to 3 with no permutation to prune by,
+    # where inverting every distinct tried cone made 2, 17 and 966
+    monkeypatch.setattr(_fano3, "_coordinate_permutations", lambda dim: ())
+    assert fano_search_inverses(monkeypatch) == [2, 14, 479]
+
+
+def test_fano_search_tries_one_apex_per_orbit(monkeypatch):
+    # the search skips an apex that a permutation fixing the complex and
+    # the wall maps to one tried before, and with it that apex's subtree:
+    # 273 inverses in dimension 3 instead of 479
+    assert fano_search_inverses(monkeypatch) == [2, 14, 273]
 
 
 def test_fano_search_builds_one_wall_map_per_call(monkeypatch):
     # the search maps the walls of its start cone and carries the map down:
     # each cone it enters adds its walls and takes them off on return, so
     # one map per call, where rebuilding it per complex entered made 2, 24
-    # and 2,129 in dimensions 1 to 3 (the inverses it makes stay pinned by
-    # test_fano_search_inverts_no_tried_cone)
+    # and 1,160 in dimensions 1 to 3 (2,129 trying every apex; the
+    # inverses it makes stay pinned by test_fano_search_inverts_no_tried_cone)
     real = _fano3._wall_owners
     calls = []
 
@@ -529,18 +543,26 @@ def test_canonical_key_builds_full_keys_only_for_ties(monkeypatch, tower):
 
 def test_locate_relint_stops_at_the_first_holder(monkeypatch, tower):
     # on a valid fan every maximal cone holding a point names the same face,
-    # so the locator reads the dual rows of the cones up to the first one
-    # that holds the point and no further; paper-Y has 17 maximal cones
+    # so the locator reads the fan's table of dual rows up to the first cone
+    # that holds the point and no further, and builds no dual rows itself;
+    # paper-Y has 17 maximal cones
     y = tower[3]
     mori.wall_classes(y)  # the cached gate reads no dual rows below
-    real = fan._dual_rows
+    table = fan._cone_duals(y)
+    assert table == tuple(fan._dual_rows(y.cone_vectors(c)) for c in y.max_cones)
     visited = []
 
-    def counting(vectors):
-        visited.append(vectors)
-        return real(vectors)
+    def reading(f):
+        assert f is y
+        for rows in table:
+            visited.append(rows)
+            yield rows
 
-    monkeypatch.setattr(fan, "_dual_rows", counting)
+    def refuse(vectors):
+        raise AssertionError("locate_relint built dual rows")
+
+    monkeypatch.setattr(fan, "_cone_duals", reading)
+    monkeypatch.setattr(fan, "_dual_rows", refuse)
     sums = [
         tuple(map(sum, zip(*y.cone_vectors(c)))) for c in mori.primitive_collections(y)
     ]
@@ -549,7 +571,7 @@ def test_locate_relint_stops_at_the_first_holder(monkeypatch, tower):
         visited.clear()
         face, _ = fan.locate_relint(y, point)
         first = next(i for i, c in enumerate(y.max_cones) if set(face) <= set(c))
-        assert visited == [y.cone_vectors(c) for c in y.max_cones[: first + 1]]
+        assert visited == list(table[: first + 1])
         counts.append(len(visited))
     assert len(y.max_cones) == 17 and max(counts) < 17
 
