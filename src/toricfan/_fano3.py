@@ -263,7 +263,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
                 continue
             enter(new_cone)
             vertices.add(w)
-            grow(cones | {new_cone}, child, child_nu, _fixing(on_wall, new_cone))
+            grow(cones | {new_cone}, child, child_nu, _fixing(group, new_cone))
             if fresh:
                 vertices.remove(w)
             leave(new_cone)
