@@ -1,4 +1,4 @@
-"""Enumeration of smooth toric Fano fans in dimensions 1 to 3.
+"""Enumeration of smooth toric Fano fans in dimensions 1 to 4.
 
 One advancing-front search serves every dimension (the module keeps its
 name because ``bench/tracer.py`` lists it). It grows simplicial complexes

@@ -4,9 +4,9 @@ The catalog holds projective spaces and a fixed tower of three blow-ups of
 P^4 (keys paper-X, paper-W, paper-Y) that exhibits a Fano 4-fold admitting
 no equivariant blow-down to a smooth Fano 4-fold; the tower drives most of
 the golden tests. Enumeration of smooth toric Fano fans up to lattice
-isomorphism covers dimensions 1-3 with one search, ``_fano3``'s advancing
-front, and reproduces the published counts 1, 5 and 18 (Batyrev,
-J. Math. Sci. 94 (1999)).
+isomorphism covers dimensions 1-4 with one search, ``_fano3``'s advancing
+front, and reproduces the published counts 1, 5, 18 and 124 (Batyrev,
+J. Math. Sci. 94 (1999); Sato, Tohoku Math. J. 52 (2000)).
 """
 
 from __future__ import annotations
@@ -87,15 +87,15 @@ def enumerate_fano(dim: int) -> list[Fan]:
     """All smooth complete Fano fans of the given dimension, one per
     lattice-isomorphism class, in canonical-key order.
 
-    One advancing-front search serves dimensions 1 to 3 (see ``_fano3``);
+    One advancing-front search serves dimensions 1 to 4 (see ``_fano3``);
     the result is cached per dimension. Dimensions 1 to 3 together take
-    about 0.1 s of CPU (Python 3.11.7, 2 CPUs), nearly all in dimension 3.
-    The same search finds the 124 classes of dimension 4 in about 32 s,
-    too long for this entry point, which does not serve it.
-    ``dim`` must be an ``int``: the cache would take 2.0 or True for 2 or 1.
+    about 0.1 s of CPU (Python 3.11.7, 2 CPUs), nearly all in dimension 3;
+    the 124 classes of dimension 4 take 29-38 s. Dimension 5 and above are
+    refused. ``dim`` must be an ``int``: the cache would take 2.0 or True
+    for 2 or 1.
     """
-    if type(dim) is not int or not 1 <= dim <= 3:
+    if type(dim) is not int or not 1 <= dim <= 4:
         raise UnsupportedDimensionError(
-            f"enumeration is implemented for dimensions 1-3, not {dim!r}"
+            f"enumeration is implemented for dimensions 1-4, not {dim!r}"
         )
     return list(_enumerate_cached(dim))

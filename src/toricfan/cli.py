@@ -318,26 +318,25 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    fans = catalog.enumerate_fano(args.dim)
+    texts = [serialize_fan(fan) for fan in catalog.enumerate_fano(args.dim)]
     if args.out_dir is not None:
         out = Path(args.out_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            for i, fan in enumerate(fans, start=1):
+            for i, text in enumerate(texts, start=1):
                 (out / f"fano{args.dim}-{i:02d}.fan").write_text(
-                    serialize_fan(fan), encoding="utf-8"
+                    text, encoding="utf-8"
                 )
         except OSError as exc:
             raise _CliFailure(
                 EXIT_BAD_ARGUMENT, f"cannot write {args.out_dir}: {exc}"
             ) from exc
-    chunks = []
-    for i, fan in enumerate(fans, start=1):
-        chunks.append(
-            f"# smooth toric fano, dim {args.dim}, {i} of {len(fans)}\n"
-            + serialize_fan(fan)
+    sys.stdout.write(
+        "\n".join(
+            f"# smooth toric fano, dim {args.dim}, {i} of {len(texts)}\n" + text
+            for i, text in enumerate(texts, start=1)
         )
-    sys.stdout.write("\n".join(chunks))
+    )
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ from .errors import (
     CenterTooSmallError,
     DimensionMismatchError,
     DuplicateNameError,
+    FanParseError,
     FanSyntaxError,
     InternalInconsistencyError,
     InvalidArgumentError,
@@ -141,41 +142,53 @@ def make_fan(
     """Construct a Fan after structural checks (geometry is validate_fan's job)."""
     if type(dim) is not int or dim < 1:
         raise DimensionMismatchError("fan dimension must be a positive integer")
-    gens = []
-    seen = set()
+    gens: list[RayGenerator] = []
+    taken: set[str] = set()
     for gen in generators:
-        try:
-            name, vec = gen
-        except (TypeError, ValueError):
-            bad = f"generator {gen!r} is not a (name, vector) pair"
-            raise FanSyntaxError(bad) from None
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise FanSyntaxError(f"invalid ray name {name!r}")
-        if name in seen:
-            raise DuplicateNameError(f"duplicate ray name {name!r}")
-        seen.add(name)
-        bad = f"ray {name!r}: coordinates must be integers"
-        v = lattice._integers(vec, FanSyntaxError, bad)
-        if len(v) != dim:
-            raise DimensionMismatchError(
-                f"ray {name!r}: expected {dim} coordinates, got {len(v)}"
-            )
-        gens.append(RayGenerator(name, v))
-    cones = []
-    for cone in max_cones:
-        bad = f"cone {cone!r}: ray index is not an integer"
-        idx = tuple(sorted(lattice._integers(cone, UnknownRayError, bad)))
-        for i in idx:
-            if not 0 <= i < len(gens):
-                raise UnknownRayError(f"cone references ray index {i}")
-        if len(set(idx)) != len(idx):
-            raise FanSyntaxError(f"repeated ray in cone {idx}")
-        if len(idx) != dim:
-            raise DimensionMismatchError(
-                f"maximal cone must have {dim} rays, got {len(idx)}"
-            )
-        cones.append(idx)
-    return Fan(dim, tuple(gens), tuple(sorted(cones)))
+        gens.append(_generator(dim, gen, taken))
+        taken.add(gens[-1].name)
+    cones = sorted(_cone(dim, cone, len(gens)) for cone in max_cones)
+    return Fan(dim, tuple(gens), tuple(cones))
+
+
+def _generator(dim: int, gen, taken) -> RayGenerator:
+    """One ray, checked: a (name, vector) pair whose name matches the name
+    pattern and is not in ``taken``, with ``dim`` integer coordinates. The
+    one rule for a ray of ``make_fan``, ``parse_fan`` and ``star_subdivide``."""
+    try:
+        name, vec = gen
+    except (TypeError, ValueError):
+        bad = f"generator {gen!r} is not a (name, vector) pair"
+        raise FanSyntaxError(bad) from None
+    if not isinstance(name, str) or not _NAME_RE.match(name):
+        raise FanSyntaxError(f"invalid ray name {name!r}")
+    if name in taken:
+        raise DuplicateNameError(f"duplicate ray name {name!r}")
+    bad = f"ray {name!r}: coordinates must be integers"
+    v = lattice._integers(vec, FanSyntaxError, bad)
+    if len(v) != dim:
+        raise DimensionMismatchError(
+            f"ray {name!r}: expected {dim} coordinates, got {len(v)}"
+        )
+    return RayGenerator(name, v)
+
+
+def _cone(dim: int, cone, count: int) -> Cone:
+    """One maximal cone as a sorted index tuple, checked: ``dim`` distinct
+    integer indices into ``count`` rays. The one rule for a maximal cone of
+    ``make_fan`` and ``parse_fan``."""
+    bad = f"cone {cone!r}: ray index is not an integer"
+    idx = tuple(sorted(lattice._integers(cone, UnknownRayError, bad)))
+    for i in idx:
+        if not 0 <= i < count:
+            raise UnknownRayError(f"cone references ray index {i}")
+    if len(set(idx)) != len(idx):
+        raise FanSyntaxError(f"repeated ray in cone {idx}")
+    if len(idx) != dim:
+        raise DimensionMismatchError(
+            f"maximal cone must have {dim} rays, got {len(idx)}"
+        )
+    return idx
 
 
 def resolve_ray(fan: Fan, ray: int | str) -> int:
@@ -210,79 +223,63 @@ def parse_fan(text: str) -> Fan:
     Format: a ``dim <n>`` line, then ``ray <name> <n integers>`` lines
     (order defines indices), then ``maxcone <name> ... <name>`` lines with
     exactly n names. Integers are ASCII decimal, ``[+-]?[0-9]+``.
-    '#' starts a comment; blank lines are ignored.
-    Only structural properties are checked here; run validate_fan for the
-    geometric ones.
+    '#' starts a comment; blank lines are ignored; one leading byte-order
+    mark is dropped. Only structural properties are checked here; run
+    validate_fan for the geometric ones.
+
+    The directives, the integer tokens and the name lookup are checked
+    here; each ray and maximal cone then goes through the rule of
+    ``make_fan`` (``_generator``, ``_cone``), and an error gets its line:
+    ``line N:`` in front for a ``FanSyntaxError``, `` (line N)`` after
+    for the others.
     """
     dim: int | None = None
-    rays: list[tuple[str, tuple[int, ...]]] = []
+    gens: list[RayGenerator] = []
     index: dict[str, int] = {}
-    cones: list[list[int]] = []
-    seen_maxcone = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kw = tokens[0]
-        if kw == "dim":
-            if dim is not None:
-                raise FanSyntaxError("duplicate 'dim' line", lineno)
-            if len(tokens) != 2:
-                raise FanSyntaxError("expected 'dim <n>'", lineno)
-            if not _INT_RE.match(tokens[1]):
-                raise FanSyntaxError("dimension must be an integer", lineno)
-            dim = int(tokens[1])
-            if dim < 1:
-                raise FanSyntaxError("dimension must be positive", lineno)
-        elif kw == "ray":
-            if dim is None:
-                raise FanSyntaxError("'ray' before 'dim'", lineno)
-            if seen_maxcone:
-                raise FanSyntaxError("'ray' after 'maxcone'", lineno)
-            if len(tokens) < 2 or not _NAME_RE.match(tokens[1]):
-                raise FanSyntaxError("expected 'ray <name> <coordinates>'", lineno)
-            name = tokens[1]
-            if name in index:
-                raise DuplicateNameError(
-                    f"duplicate ray name {name!r} (line {lineno})"
-                )
-            coords = tokens[2:]
-            if len(coords) != dim:
-                raise DimensionMismatchError(
-                    f"ray {name!r}: expected {dim} coordinates, got"
-                    f" {len(coords)} (line {lineno})"
-                )
-            if not all(_INT_RE.match(c) for c in coords):
-                raise FanSyntaxError(
-                    f"ray {name!r}: coordinates must be integers", lineno
-                )
-            vec = tuple(int(c) for c in coords)
-            index[name] = len(rays)
-            rays.append((name, vec))
-        elif kw == "maxcone":
-            if dim is None:
-                raise FanSyntaxError("'maxcone' before 'dim'", lineno)
-            seen_maxcone = True
-            cnames = tokens[1:]
-            for nm in cnames:
-                if nm not in index:
-                    raise UnknownRayError(
-                        f"maxcone references unknown ray {nm!r} (line {lineno})"
-                    )
-            if len(cnames) != dim:
-                raise DimensionMismatchError(
-                    f"maxcone must list exactly {dim} rays, got"
-                    f" {len(cnames)} (line {lineno})"
-                )
-            if len(set(cnames)) != len(cnames):
-                raise FanSyntaxError("repeated ray in maxcone", lineno)
-            cones.append([index[nm] for nm in cnames])
-        else:
-            raise FanSyntaxError(f"unknown directive {kw!r}", lineno)
+    cones: list[Cone] = []
+    lines = text.removeprefix("\ufeff").splitlines()  # a UTF-8 byte-order mark
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            kw = tokens[0]
+            if kw == "dim":
+                if dim is not None:
+                    raise FanSyntaxError("duplicate 'dim' line")
+                if len(tokens) != 2:
+                    raise FanSyntaxError("expected 'dim <n>'")
+                if not _INT_RE.match(tokens[1]):
+                    raise FanSyntaxError("dimension must be an integer")
+                dim = int(tokens[1])
+                if dim < 1:
+                    raise FanSyntaxError("dimension must be positive")
+            elif dim is None and kw in ("ray", "maxcone"):
+                raise FanSyntaxError(f"{kw!r} before 'dim'")
+            elif kw == "ray":
+                if cones:
+                    raise FanSyntaxError("'ray' after 'maxcone'")
+                name = tokens[1] if len(tokens) > 1 else ""
+                # a token that is not ASCII decimal stays a str, which
+                # _generator rejects as a non-integer coordinate
+                vec = [int(c) if _INT_RE.match(c) else c for c in tokens[2:]]
+                gens.append(_generator(dim, (name, vec), index))
+                index[name] = len(index)
+            elif kw == "maxcone":
+                for nm in tokens[1:]:
+                    if nm not in index:
+                        raise UnknownRayError(f"maxcone references unknown ray {nm!r}")
+                idx = [index[nm] for nm in tokens[1:]]
+                cones.append(_cone(dim, idx, len(gens)))
+            else:
+                raise FanSyntaxError(f"unknown directive {kw!r}")
+    except (FanParseError, DimensionMismatchError) as err:
+        if isinstance(err, FanSyntaxError):
+            raise FanSyntaxError(str(err), lineno) from None
+        raise type(err)(f"{err} (line {lineno})") from None
     if dim is None:
         raise FanSyntaxError("missing 'dim' line")
-    return make_fan(dim, rays, cones)
+    return Fan(dim, tuple(gens), tuple(sorted(cones)))
 
 
 def serialize_fan(fan: Fan) -> str:
@@ -391,8 +388,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
     smooth = [
         f"maximal cone {_cone_label(fan, cone)} has determinant"
         f" {lattice.determinant(fan.cone_vectors(cone))}"
-        for cone in cones
-        if _dual_rows(fan.cone_vectors(cone)) is None
+        for cone, dual in zip(cones, _cone_duals(fan))
+        if dual is None
     ]
     owners = _wall_owners(cones)
     complete = [
@@ -463,8 +460,9 @@ def _wall_owners(cones) -> dict:
 @lru_cache(maxsize=4096)
 def _cone_duals(fan: Fan) -> tuple:
     """The dual rows of every maximal cone, in ``max_cones`` order, None for
-    a cone that is not unimodular: the one table ``_walls`` and
-    ``locate_relint`` read. Cached per fan (``lru_cache``, 4096 fans)."""
+    a cone that is not unimodular: the one table of the fan's dual rows,
+    which ``_walls``, ``validate_fan``, ``locate_relint``, ``_ray_masks``
+    and ``_normal_forms`` read. Cached per fan (``lru_cache``, 4096 fans)."""
     return tuple(_dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones)
 
 
@@ -603,19 +601,19 @@ def star_subdivide(
     name = new_name if new_name is not None else _auto_name(names)
     if name in names:
         raise NameCollisionError(f"ray name {name!r} already in use")
-    vecs = fan.cone_vectors(cidx)
-    new_vec = tuple(sum(col) for col in zip(*vecs))
+    # the name is checked against the fan's above; _generator checks its form
+    new_vec = tuple(map(sum, zip(*fan.cone_vectors(cidx))))
+    gen = _generator(fan.dim, (name, new_vec), ())
     new_index = len(fan.generators)
     cset = set(cidx)
-    cones: list[Iterable[int]] = []
+    cones = []
     for mc in fan.max_cones:
         if cset <= set(mc):
-            for i in cidx:
-                cones.append((set(mc) - {i}) | {new_index})
+            # the new index is the largest, so each piece stays sorted
+            cones += [tuple(j for j in mc if j != i) + (new_index,) for i in cidx]
         else:
             cones.append(mc)
-    gens = [(g.name, g.vector) for g in fan.generators] + [(name, new_vec)]
-    return make_fan(fan.dim, gens, cones)
+    return Fan(fan.dim, fan.generators + (gen,), tuple(sorted(cones)))
 
 
 def contract_ray(
@@ -701,9 +699,8 @@ def _ray_masks(fine: Fan, coarse: Fan) -> dict[lattice.IntVector, int]:
             f"cannot compare fans of dimension {fine.dim} and {coarse.dim}"
         )
     masks = dict.fromkeys(fine.vectors(), 0)
-    for bit, cone in enumerate(coarse.max_cones):
+    for bit, (cone, dual) in enumerate(zip(coarse.max_cones, _cone_duals(coarse))):
         vecs = coarse.cone_vectors(cone)
-        dual = _dual_rows(vecs)
         for v in masks:
             if (
                 all(sum(map(mul, row, v)) >= 0 for row in dual)
@@ -757,11 +754,10 @@ def _normal_forms(fan: Fan):
     ``fan_isomorphism`` and ``canonical_gl_key`` compare
     ``_vector_part(images)`` first and build that key only on a tie.
     """
-    for cone in fan.max_cones:
-        basis = fan.cone_vectors(cone)
-        dual = _dual_rows(basis)
+    for cone, dual in zip(fan.max_cones, _cone_duals(fan)):
         if dual is None:
             continue
+        basis = fan.cone_vectors(cone)
         coords = [tuple(sum(map(mul, row, v)) for row in dual) for v in fan.vectors()]
         # reordering the basis reorders the rows of its inverse, and with
         # them the coordinates of every generator

@@ -477,7 +477,7 @@ def test_enumerate_rejects_other_dims():
     with pytest.raises(UnsupportedDimensionError):
         catalog.enumerate_fano(0)
     with pytest.raises(UnsupportedDimensionError):
-        catalog.enumerate_fano(4)
+        catalog.enumerate_fano(5)
 
 
 @pytest.mark.parametrize("dim", [2.5, "2", 2.0, True, None, [2]])
@@ -527,9 +527,9 @@ def test_enumerate_dim4_classes():
     Picard number 1 to 8 the published 1, 9, 28, 47, 27, 10, 1 and 1
     (Batyrev, J. Math. Sci. 94 (1999); Sato, Tohoku Math. J. 52 (2000)),
     with distinct canonical keys, in under a minute of CPU. The catalog
-    still serves dimensions 1 to 3 only."""
+    serves dimensions 1 to 4 and refuses 5."""
     start = time.process_time()
-    fans = _fano3.enumerate_fano_fans(4)
+    fans = catalog.enumerate_fano(4)
     cpu = time.process_time() - start
     assert len(fans) == 124
     picard = Counter(len(f.generators) - 4 for f in fans)
@@ -537,7 +537,7 @@ def test_enumerate_dim4_classes():
     assert len({canonical_gl_key(f) for f in fans}) == 124
     assert cpu < 60
     with pytest.raises(UnsupportedDimensionError):
-        catalog.enumerate_fano(4)
+        catalog.enumerate_fano(5)
 
 
 def test_threefolds_are_isomorphic_iff_their_keys_are_equal():

@@ -1,4 +1,6 @@
+import codecs
 import io
+import os
 import subprocess
 import sys
 
@@ -117,6 +119,23 @@ def test_analyze_non_utf8_exits_1(cli_run, tmp_path):
     assert out == ""
     assert err.startswith(f"cannot read {bad}: ")
     assert "can't decode byte 0xff" in err
+
+
+def test_analyze_reads_a_file_saved_with_a_bom(cli_run, tmp_path):
+    # the README calls the format UTF-8, and editors may save it with a BOM
+    text = serialize_fan(catalog.catalog_fan("p2"))
+    saved = tmp_path / "p2.fan"
+    saved.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    code, want, _ = cli_run("analyze", "-", stdin=text)
+    assert code == 0
+    assert cli_run("analyze", str(saved)) == (0, want, "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricfan", "analyze", "-"],
+        input=saved.read_bytes(),
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+    )
+    assert (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr) == (0, want, b"")
 
 
 def test_analyze_byte_stable(cli_run, fan_files):
@@ -306,9 +325,9 @@ def test_enumerate_dim3_runs_like_dims_1_and_2(cli_run, capsys):
 
 
 def test_enumerate_unsupported_dim_exits_5(cli_run):
-    code, _, err = cli_run("enumerate", "--dim", "4")
+    code, _, err = cli_run("enumerate", "--dim", "5")
     assert code == 5
-    assert "dimensions 1-3" in err
+    assert "dimensions 1-4" in err
 
 
 def test_isomorphic_w_wbar(cli_run, fan_files, tmp_path, tower):
@@ -393,8 +412,8 @@ def test_invalid_fan_rejected_by_operations(cli_run, tmp_path):
             id="via-not-a-relation",
         ),
         pytest.param(
-            ["enumerate", "--dim", "4"],
-            lambda f: catalog.enumerate_fano(4),
+            ["enumerate", "--dim", "5"],
+            lambda f: catalog.enumerate_fano(5),
             id="unsupported-dimension",
         ),
         pytest.param(

@@ -1,3 +1,4 @@
+import codecs
 import copy as copy_module
 import pickle
 import random
@@ -115,38 +116,63 @@ def test_parse_duplicate_name():
 
 
 PLANE_RAYS = [("a", (1, 0)), ("b", (0, 1)), ("c", (-1, -1))]
+PLANE_TEXT = "dim 2\nray a 1 0\nray b 0 1\nray c -1 -1\n"  # the fault goes on line 5
 
 
 @pytest.mark.parametrize(
-    "build, error, match",
+    "build, line, error, message",
     [
         (
             lambda: make_fan(2, PLANE_RAYS + [("a", (1, 1))], []),
+            "ray a 1 1",
             DuplicateNameError,
             "duplicate ray name 'a'",
         ),
         (
-            lambda: make_fan(2, [("a", (1, 0, 0))], []),
+            lambda: make_fan(2, PLANE_RAYS + [("d", (1, 0, 0))], []),
+            "ray d 1 0 0",
             DimensionMismatchError,
-            "expected 2 coordinates, got 3",
+            "ray 'd': expected 2 coordinates, got 3",
+        ),
+        (
+            lambda: make_fan(2, PLANE_RAYS + [("d", (1, 1.5))], []),
+            "ray d 1 1.5",
+            FanSyntaxError,
+            "ray 'd': coordinates must be integers",
+        ),
+        (
+            lambda: make_fan(2, PLANE_RAYS + [("1d", (1, 1))], []),
+            "ray 1d 1 1",
+            FanSyntaxError,
+            "invalid ray name '1d'",
+        ),
+        (
+            lambda: make_fan(2, PLANE_RAYS + [("", ())], []),
+            "ray",
+            FanSyntaxError,
+            "invalid ray name ''",
         ),
         (
             lambda: make_fan(2, PLANE_RAYS, [(0, 3)]),
+            "maxcone a d",
             UnknownRayError,
-            "ray index 3",
+            None,  # make_fan names the index, parse_fan the name
         ),
         (
             lambda: make_fan(2, PLANE_RAYS, [(1, 1)]),
+            "maxcone b b",
             FanSyntaxError,
-            "repeated ray",
+            "repeated ray in cone (1, 1)",
         ),
         (
             lambda: make_fan(2, PLANE_RAYS, [(0, 1, 2)]),
+            "maxcone a b c",
             DimensionMismatchError,
-            "must have 2 rays, got 3",
+            "maximal cone must have 2 rays, got 3",
         ),
         (
             lambda: fan_module.resolve_ray(catalog.projective_space(2), 99),
+            None,  # no fan text has a ray index
             UnknownRayError,
             "no ray with index 99",
         ),
@@ -154,16 +180,43 @@ PLANE_RAYS = [("a", (1, 0)), ("b", (0, 1)), ("c", (-1, -1))]
     ids=[
         "duplicate-name",
         "coordinate-count",
+        "non-integer-coordinate",
+        "invalid-name",
+        "missing-name",
         "index-range",
         "repeated-ray",
         "cone-arity",
         "resolve-ray",
     ],
 )
-def test_make_fan_structural_errors(build, error, match):
-    # parse_fan checks these first, so only direct calls reach make_fan's own
-    with pytest.raises(error, match=match):
+def test_make_fan_structural_errors(build, line, error, message):
+    """A structural fault raises one error from make_fan and from the same
+    fault on line 5 of a fan file: the same type and, but for the line the
+    parse error names, the same message."""
+    with pytest.raises(error) as built:
         build()
+    if message is not None:
+        assert str(built.value) == message
+    if line is None:
+        return
+    with pytest.raises(error) as parsed:
+        parse_fan(PLANE_TEXT + line + "\n")
+    if error is FanSyntaxError:
+        assert parsed.value.line == 5
+        assert str(parsed.value) == f"line 5: {built.value}"
+    elif message is None:
+        assert str(parsed.value).endswith(" (line 5)")
+    else:
+        assert str(parsed.value) == f"{built.value} (line 5)"
+
+
+def test_parse_drops_one_leading_byte_order_mark():
+    text = serialize_fan(catalog.projective_space(2))
+    saved = codecs.BOM_UTF8 + text.encode("utf-8")  # a UTF-8 file with a BOM
+    assert parse_fan(saved.decode("utf-8")) == parse_fan(text)
+    with pytest.raises(FanSyntaxError) as exc:
+        parse_fan("\ufeff\ufeff" + text)
+    assert str(exc.value) == "line 1: unknown directive '\\ufeffdim'"
 
 
 @pytest.mark.parametrize(
