@@ -90,7 +90,7 @@ def enumerate_fano(dim: int) -> list[Fan]:
     One advancing-front search serves dimensions 1 to 4 (see ``_fano3``);
     the result is cached per dimension. Dimensions 1 to 3 together take
     about 0.1 s of CPU (Python 3.11.7, 2 CPUs), nearly all in dimension 3;
-    the 124 classes of dimension 4 take 29-38 s. Dimension 5 and above are
+    the 124 classes of dimension 4 take 24-28 s. Dimension 5 and above are
     refused. ``dim`` must be an ``int``: the cache would take 2.0 or True
     for 2 or 1.
     """

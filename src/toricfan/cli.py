@@ -321,10 +321,11 @@ def _cmd_enumerate(args) -> int:
     texts = [serialize_fan(fan) for fan in catalog.enumerate_fano(args.dim)]
     if args.out_dir is not None:
         out = Path(args.out_dir)
+        width = max(2, len(str(len(texts))))  # name order is enumeration order
         try:
             out.mkdir(parents=True, exist_ok=True)
             for i, text in enumerate(texts, start=1):
-                (out / f"fano{args.dim}-{i:02d}.fan").write_text(
+                (out / f"fano{args.dim}-{i:0{width}d}.fan").write_text(
                     text, encoding="utf-8"
                 )
         except OSError as exc:

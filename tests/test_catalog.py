@@ -7,7 +7,7 @@ import pytest
 
 from toricfan import _fano3, catalog, lattice, mori
 from toricfan import canonical_gl_key, fan_isomorphism
-from toricfan import validate_fan
+from toricfan import make_fan, validate_fan
 from toricfan.errors import (
     InternalInconsistencyError,
     InvalidDimensionError,
@@ -174,7 +174,9 @@ def closed_complexes(monkeypatch, dims):
     twice, and an open one has at most V - 1 cones in dimension 2 and
     2V - 5 in dimension 3, V its number of vertices. Every closed complex
     is checked to be Fano by Batyrev's criterion, a positive degree on
-    every primitive relation, beside the wall verdict the search reads."""
+    every primitive relation, beside the wall verdict the search reads, and
+    to equal ``make_fan`` of its own rays and cones, as the search builds
+    it with no structural check."""
     closed = []
     entered = []
     real_fan, real_rule = _fano3._fan_from_cones, _fano3._convex
@@ -201,6 +203,7 @@ def closed_complexes(monkeypatch, dims):
     for d, entered_d, closed_d in zip(dims, entered, closed):
         assert len(set(entered_d)) == len(entered_d) > len(closed_d)
         for fan in closed_d:
+            assert fan == make_fan(d, fan.generators, fan.max_cones)
             assert all(r.degree > 0 for r in mori.primitive_relations(fan))
         for cones in entered_d:
             v = len({x for cone in cones for x in cone})
@@ -238,10 +241,12 @@ def test_one_apex_per_orbit_keeps_every_class(monkeypatch):
 def test_enumeration_matches_brute_deduplication(monkeypatch):
     """The classes the search returns, each the first complex it closes in
     its class, equal every complex it closes deduplicated by the
-    brute-force canonical key: the same representatives in the same order."""
-    classes, closed, _ = closed_complexes(monkeypatch, (1, 2))
+    brute-force canonical key: the same representatives in the same order.
+    Dimension 3 closes 95 complexes for 18 classes, most of them looked up
+    by a vector part that some found class has."""
+    classes, closed, _ = closed_complexes(monkeypatch, (1, 2, 3))
     assert classes == [oracles.brute_fano_classes(c) for c in closed]
-    assert [len(c) for c in classes] == [1, 5]
+    assert [len(c) for c in classes] == [1, 5, 18]
 
 
 def test_a_third_owner_of_a_wall_raises(monkeypatch):

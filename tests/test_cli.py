@@ -11,6 +11,7 @@ from toricfan import (
     birational,
     catalog,
     cli,
+    make_fan,
     serialize_fan,
     star_subdivide,
 )
@@ -299,7 +300,29 @@ def test_enumerate_dim2_out_dir(cli_run, tmp_path):
     out_dir = tmp_path / "fans"
     code, _, _ = cli_run("enumerate", "--dim", "2", "--out-dir", str(out_dir))
     assert code == 0
-    assert len(list(out_dir.glob("*.fan"))) == 5
+    names = sorted(p.name for p in out_dir.glob("*.fan"))
+    assert names == [f"fano2-0{i}.fan" for i in range(1, 6)]
+
+
+def test_enumerate_out_dir_names_sort_in_enumeration_order(
+    cli_run, tmp_path, monkeypatch
+):
+    # over 99 classes, as the 124 of dimension 4, the numbers take three
+    # digits, zero-padded, so the file names sort as the classes come; a
+    # stand-in list of 124 fans keeps the search out of the test
+    fans = [
+        make_fan(1, [(f"r{i}", (1,)), ("s", (-1,))], [(0,), (1,)])
+        for i in range(124)
+    ]
+    monkeypatch.setattr(catalog, "enumerate_fano", lambda dim: fans)
+    out_dir = tmp_path / "fans"
+    code, _, _ = cli_run("enumerate", "--dim", "4", "--out-dir", str(out_dir))
+    assert code == 0
+    paths = sorted(out_dir.glob("*.fan"))
+    assert paths[0].name == "fano4-001.fan"
+    assert paths[-1].name == "fano4-124.fan"
+    texts = [p.read_text(encoding="utf-8") for p in paths]
+    assert texts == [serialize_fan(f) for f in fans]
 
 
 def test_enumerate_out_dir_on_existing_file_exits_5(cli_run, tmp_path):
