@@ -112,33 +112,25 @@ only when it extends one of its walls; ``validate_fan`` inverts the cones
 of a closed complex.
 
 Deduplication looks a closed complex up among the normal forms of the
-classes found so far (``fan._normal_forms``). A GL(n,Z) map between fans
-without repeated vectors carries each ordered unimodular cone of one to an
-ordered cone of the other with the same generator images, so isomorphic
-fans have the same set of form keys (``fan._key``, the full keys); and
-fans sharing one form key are both isomorphic to that form. So the key of
-a complex's first form is a found form's key exactly when the complex
-belongs to a found class.
-
-A full key relabels every cone; its vector part, the sorted images
-(``fan._vector_part``), does not, and keys compare by vector part first.
-So the found forms are indexed by vector part, local to the call, beside
-the set of full keys built so far: each vector part of a found form maps
-to its stored forms with no key built yet. A complex looks up the vector
-part of its first form. A miss is a new class. Only a hit builds full
-keys: the complex's own, and those of the stored forms with that vector
-part, which stay in the set for later hits. The image of a Fano fan
-under a form is a Fano fan, the face fan of the hull of its rays (above),
-so its rays determine it: two forms with one vector part, of one fan or
-of two, have one image and one full key. So a hit finds its key among
-the full keys, which confirm it, and a class stores one form per vector
-part, the others being automorphic copies. The first complex of a new
-class, its representative, drains its forms for their vector parts, and
-the full key of the least is its canonical key: the least of all its
-forms' keys, the value of ``canonical_gl_key``.
+classes found so far (``fan._normal_forms``) by vector part alone, the
+sorted images (``fan._vector_part``). A GL(n,Z) map between fans without
+repeated vectors carries each ordered unimodular cone of one to an ordered
+cone of the other with the same generator images, so isomorphic fans have
+the same set of vector parts. Conversely, the image of a Fano fan under a
+form is a Fano fan, the face fan of the hull of its rays (above), so its
+rays determine it: two forms with one vector part, of one fan or of two,
+have one image, and both fans are isomorphic to it. So the vector part of
+a complex's first form is that of a found class's form exactly when the
+complex belongs to that class, and two classes have disjoint sets of
+vector parts. The first complex of a new class, its representative,
+drains its forms into the set of found vector parts and is stored under
+its least one. Full keys (``fan._key``) compare by vector part first, so
+a class's least vector part is that of its canonical key, the least of its
+forms' full keys (``canonical_gl_key``), and as two classes' least vector
+parts differ, their order is canonical-key order.
 Dimensions 1 to 3 close 1, 9 and 95 complexes for 1, 5 and 18 classes
-(1, 9 and 158 when every apex is tried) and build 1, 12 and 152 full keys;
-dimension 4 closes 2,095 for its 124 and builds 3,294.
+(1, 9 and 158 when every apex is tried) and build no full key; dimension
+4 closes 2,095 for its 124.
 """
 
 from __future__ import annotations
@@ -155,7 +147,6 @@ from .fan import (
     RayGenerator,
     validate_fan,
     _dual_rows,
-    _key,
     _normal_forms,
     _vector_part,
     _wall_owners,
@@ -218,9 +209,8 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
     in canonical-key order."""
     pool = _primitive_pool(dim)
     start = tuple(v for v in pool if sum(v) == 1)  # the e_i alone
-    found: dict = {}  # canonical key -> the first complex of its class
-    keys: set = set()  # the full keys built, of found classes' forms
-    unkeyed: dict = {}  # found vector part -> [(images, cones)] not in keys
+    found: dict = {}  # least vector part -> the first complex of its class
+    parts: set = set()  # the vector parts of every form of every found class
 
     owners = _wall_owners([start])  # wall -> [(cone, k)], one or two owners
     open_walls = set(owners)  # the walls with one owner
@@ -259,23 +249,12 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             if not mori.is_fano(fan)[0]:
                 raise InternalInconsistencyError("closed cone complex is not Fano")
             forms = _normal_forms(fan)
-            images, _, _ = next(forms)
-            part = _vector_part(images)
-            if part in unkeyed:
-                keys.update(_key(dim, *form) for form in unkeyed[part])
-                unkeyed[part] = []
-                if _key(dim, images, fan.max_cones) in keys:
-                    return  # a class found before
-            parts = {part: images}  # one form per vector part, see above
-            for im, _, _ in forms:
-                parts.setdefault(_vector_part(im), im)
-            least = min(parts)
-            key = _key(dim, parts.pop(least), fan.max_cones)
-            keys.add(key)
-            unkeyed.setdefault(least, [])
-            for other, im in parts.items():
-                unkeyed.setdefault(other, []).append((im, fan.max_cones))
-            found[key] = fan
+            part = _vector_part(next(forms)[0])
+            if part in parts:
+                return  # a class found before
+            new = {part, *(_vector_part(images) for images, _, _ in forms)}
+            parts.update(new)
+            found[min(new)] = fan
             return
         wall = min(open_walls)
         ((owner, k),) = owners[wall]

@@ -65,7 +65,7 @@ def catalog_keys() -> tuple[str, ...]:
 
 def catalog_fan(key: str) -> Fan:
     fans = _fans()
-    if key not in fans:
+    if not isinstance(key, str) or key not in fans:
         raise KeyError(
             f"unknown catalog key {key!r}; available: {', '.join(fans)}"
         )

@@ -437,27 +437,18 @@ def test_fano_enumeration_sweeps_normal_forms_only_for_new_classes(monkeypatch):
     assert counts == [1, 5, 18]
 
 
-def test_fano_enumeration_builds_full_keys_only_on_a_vector_part_tie(monkeypatch):
-    # a closed complex looks up the vector part of its first normal form,
-    # and only a hit builds full keys: its own and the stored forms' with
-    # that vector part; a new class keys only its least vector part. 1, 12
-    # and 152 full keys in dimensions 1 to 3, where keying every form of
-    # each new class and the first form of every closed complex made 3, 53
-    # and 983
-    real = _fano3._key
-    built = []
+def test_fano_enumeration_builds_no_full_key(monkeypatch):
+    # a closed complex is looked up by the vector part of its first normal
+    # form alone: a Fano fan is the face fan of the hull of its rays, so one
+    # vector part is one class, and the classes are ordered by their least
+    # vector part; no structural key is built
+    assert not hasattr(_fano3, "_key")
 
-    def counting(dim, vectors, cones):
-        built.append(dim)
-        return real(dim, vectors, cones)
+    def refusing(*args):
+        raise AssertionError("full key built")
 
-    monkeypatch.setattr(_fano3, "_key", counting)
-    counts = []
-    for d in (1, 2, 3):
-        built.clear()
-        _fano3.enumerate_fano_fans(d)
-        counts.append(len(built))
-    assert counts == [1, 12, 152]
+    monkeypatch.setattr(fan, "_key", refusing)
+    assert [len(_fano3.enumerate_fano_fans(d)) for d in (1, 2, 3)] == [1, 5, 18]
 
 
 def test_fano_search_walks_the_pool_once_per_call(monkeypatch):

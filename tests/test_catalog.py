@@ -92,6 +92,9 @@ def test_catalog_keys_and_lookup(tower):
         KeyError, match="unknown catalog key 'nope'; available: p1, p2, p3,"
     ):
         catalog.catalog_fan("nope")
+    for key in (["p1"], 5):
+        with pytest.raises(KeyError, match="unknown catalog key"):
+            catalog.catalog_fan(key)
 
 
 def test_catalog_fans_validate(catalog_fans):
@@ -531,15 +534,17 @@ def test_enumerate_dim4_classes():
     """The search finds the 124 classes of smooth toric Fano 4-folds, by
     Picard number 1 to 8 the published 1, 9, 28, 47, 27, 10, 1 and 1
     (Batyrev, J. Math. Sci. 94 (1999); Sato, Tohoku Math. J. 52 (2000)),
-    with distinct canonical keys, in under a minute of CPU. The catalog
-    serves dimensions 1 to 4 and refuses 5."""
+    with distinct canonical keys in canonical-key order, in under a minute
+    of CPU. The catalog serves dimensions 1 to 4 and refuses 5."""
     start = time.process_time()
     fans = catalog.enumerate_fano(4)
     cpu = time.process_time() - start
     assert len(fans) == 124
     picard = Counter(len(f.generators) - 4 for f in fans)
     assert picard == {1: 1, 2: 9, 3: 28, 4: 47, 5: 27, 6: 10, 7: 1, 8: 1}
-    assert len({canonical_gl_key(f) for f in fans}) == 124
+    keys = [canonical_gl_key(f) for f in fans]
+    assert len(set(keys)) == 124
+    assert keys == sorted(keys)
     assert cpu < 60
     with pytest.raises(UnsupportedDimensionError):
         catalog.enumerate_fano(5)
