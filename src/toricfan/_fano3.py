@@ -108,8 +108,9 @@ for the cone across F - e_i above. Let phi_p be the owner's dual row on p,
 so w = sum(a_i * u_i) - p has a_i = phi_i(w). The dual rows of the new
 cone are phi_i + a_i * phi_p on the u_i and -phi_p on w, so
 u_new = u_owner + (u_owner(w) - 1) * phi_p. The search inverts a cone
-only when it extends one of its walls; ``validate_fan`` inverts the cones
-of a closed complex.
+only when it extends one of its walls; ``validate_fan`` inverts the first
+cone of a closed complex and carries its rows to the others by the same
+exchange, across each wall (``fan._walk``).
 
 Deduplication looks a closed complex up among the normal forms of the
 classes found so far (``fan._normal_forms``) by vector part alone, the

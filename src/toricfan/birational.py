@@ -20,14 +20,11 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import mori
-from .errors import (
-    NoBlowdownRelationError,
-    NotARefinementError,
-    StarConditionViolatedError,
-)
+from .errors import NoBlowdownRelationError, NotARefinementError
 from .fan import (
     Cone,
     Fan,
+    _contract,
     _masks_cover,
     _ray_masks,
     contract_ray,
@@ -61,10 +58,13 @@ class FactorizationPath(NamedTuple):
 @lru_cache(maxsize=4096)
 def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
     """Each primitive collection whose vectors sum to a generator x, read as
-    x1+...+xh = x and tested by ``contract_ray``, the one validity rule,
-    with the obstructions of those that fail; ordered by the name of x, then
-    by collection. Raises on a fan ``validate_fan`` rejects, via
-    ``mori.wall_classes``; cached (4096 fans)."""
+    x1+...+xh = x and contracted by ``fan._contract``, the step of
+    ``contract_ray`` and its one validity rule, with the obstructions of
+    those that fail; ordered by the name of x, then by collection. The
+    indices come resolved and the sum checked, so the step runs without
+    ``contract_ray``'s argument checks and raises nothing. Raises on a fan
+    ``validate_fan`` rejects, via ``mori.wall_classes``; cached (4096
+    fans)."""
     mori.wall_classes(fan)  # the check only; the classes are not read
     index = {v: i for i, v in enumerate(fan.vectors())}
     pairs = []
@@ -75,12 +75,11 @@ def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
     out = []
     for x, coll in sorted(pairs, key=lambda p: (fan.generators[p[0]].name, p[1])):
         rel = mori.PrimitiveRelation(coll, (x,), (1,), len(coll) - 1)
-        try:
-            target = contract_ray(fan, x, coll)
-        except StarConditionViolatedError as exc:
-            out.append(BlowdownCandidate(rel, False, exc.witnesses, None))
-        else:
+        target = _contract(fan, x, coll)
+        if type(target) is Fan:
             out.append(BlowdownCandidate(rel, True, None, target))
+        else:
+            out.append(BlowdownCandidate(rel, False, target, None))
     return tuple(out)
 
 
@@ -140,8 +139,8 @@ def factor_morphism(
     One memo maps each intermediate fan to its step suffixes down to
     ``coarse`` (at most one unless ``exhaustive``), so each intermediate
     lists its candidates once. The memo compares fans as values:
-    ``contract_ray`` slices the generators of the fan it contracts and
-    sorts the cones, so every intermediate has ``fine``'s rays in
+    the contraction step slices the generators of the fan it contracts and
+    keeps the cones sorted, so every intermediate has ``fine``'s rays in
     ``fine``'s order, equal fans are equal ``Fan`` values, and a memoized
     suffix is the one a new walk would build.
     """

@@ -17,6 +17,7 @@ several times as long as a NamedTuple to build at import.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from operator import mul
@@ -358,25 +359,28 @@ def validate_fan(fan: Fan) -> ValidationReport:
     faces_ok: no generator vector repeats, every generator is used and any
     two maximal cones intersect in the cone of their shared rays.
 
-    ``_walls`` decides all three in one pass over the walls: the cones are
-    unimodular, the generators distinct and used, each wall in two cones,
-    (a) on opposite sides of it, and (b) x0, the sum of the first cone's
-    generators, in no other cone. By (a), crossing a wall off the
-    (n-2)-skeleton swaps one cone for one, so every generic point lies in
-    the same number d of cones (n >= 2; for n = 1, (a) alone forces the rays
-    1 and -1). As x0 is interior to the first cone, (b) makes d = 1, and as
-    each component of the wall-adjacency graph adds at least 1 to d, the
-    graph is connected. The same count in the quotient by a face F shows
-    that the cones containing F cover a neighbourhood of relint F. So if x
-    lies in cones s and s', with x in relint F for a face F of s, the
-    generic points of s' near x lie in a cone containing F, which can only
-    be s'; F is then the face of s' holding x, and every pair meets in the
-    cone of its shared rays.
+    ``_walls`` decides all three in one walk over the walls (``_walk``),
+    which inverts the first cone only and carries its dual rows across each
+    wall: the generators are distinct and used, each wall lies in two cones,
+    (a) on opposite sides of it with the cone across unimodular, the walk
+    reaches every cone, so every cone is unimodular, and (b) x0, the sum of
+    the first cone's generators, lies in no other cone. By (a), crossing a
+    wall off the (n-2)-skeleton swaps one cone for one, so every generic
+    point lies in the same number d of cones (n >= 2; for n = 1, (a) alone
+    forces the rays 1 and -1). As x0 is interior to the first cone, (b)
+    makes d = 1, and as each component of the wall-adjacency graph adds at
+    least 1 to d, the graph is connected. The same count in the quotient by
+    a face F shows that the cones containing F cover a neighbourhood of
+    relint F. So if x lies in cones s and s', with x in relint F for a face
+    F of s, the generic points of s' near x lie in a cone containing F,
+    which can only be s'; F is then the face of s' holding x, and every pair
+    meets in the cone of its shared rays.
 
-    Only a fan ``_walls`` rejects is examined further. Its witnesses go
-    into three lists, one per condition, and each flag says that its list
-    is empty. The wall counts and the connectivity walk read the wall map
-    of ``_wall_owners``, the one ``_walls`` reads; the walk counts the
+    Only a fan ``_walls`` rejects is examined further, and only its cones
+    are inverted one by one (``_cone_duals``). Its witnesses go into three
+    lists, one per condition, and each flag says that its list is empty.
+    The wall counts and the connectivity walk read the wall map of
+    ``_wall_owners``, the one ``_walls`` reads; the walk counts the
     cones it reaches by occurrence, so a repeated maximal cone counts as
     often as it appears. Every pair of cones is tested with
     ``cones_meet_in_common_face``, by the exact LP, and each failure is
@@ -457,50 +461,97 @@ def _wall_owners(cones) -> dict:
     return owners
 
 
-@lru_cache(maxsize=4096)
 def _cone_duals(fan: Fan) -> tuple:
     """The dual rows of every maximal cone, in ``max_cones`` order, None for
     a cone that is not unimodular: the one table of the fan's dual rows,
-    which ``_walls``, ``validate_fan``, ``locate_relint``, ``_ray_masks``
-    and ``_normal_forms`` read. Cached per fan (``lru_cache``, 4096 fans)."""
-    return tuple(_dual_rows(fan.cone_vectors(cone)) for cone in fan.max_cones)
+    which ``validate_fan``, ``locate_relint``, ``_ray_masks`` and
+    ``_normal_forms`` read, from the cached pass of ``_wall_pass``."""
+    return _wall_pass(fan)[1]
+
+
+def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
+    """The curve class of every wall, without duplicates, sorted, when the
+    one-pass test of ``validate_fan`` accepts the fan, else None: the other
+    view of the cached pass of ``_wall_pass``."""
+    return _wall_pass(fan)[0]
 
 
 @lru_cache(maxsize=4096)
-def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
-    """The curve class of every wall, without duplicates, sorted, when the
-    one-pass test of ``validate_fan`` accepts the fan, else None.
+def _wall_pass(fan: Fan) -> tuple:
+    """(``_walls``, ``_cone_duals``): one walk over the walls that checks
+    the fan and carries the dual rows from cone to cone, inverting only the
+    first cone (``_walk``). Only a fan the walk rejects has its cones
+    inverted one by one, for the witnesses of ``validate_fan``. Cached per
+    fan (``lru_cache``, 4096 fans)."""
+    duals: dict = {}
+    classes = _walk(fan, duals)
+    if classes is None:
+        return None, tuple(_dual_rows(fan.cone_vectors(c)) for c in fan.max_cones)
+    return classes, tuple(map(duals.__getitem__, fan.max_cones))
+
+
+def _walk(fan: Fan, duals: dict) -> tuple[tuple[int, ...], ...] | None:
+    """The sorted classes of the walls when the one-pass test of
+    ``validate_fan`` accepts the fan, else None; fills ``duals`` with the
+    dual rows of each cone it reaches.
 
     The wall between maximal cones sigma and sigma' with apexes p and q
     gives p + q = sum(a_i * u_i), the class +1 on p and q and -a_i on the
-    u_i, of degree 2 - sum(a_i). The coordinates of q in the dual rows of
-    sigma are the a_i, and -1 on p exactly when the two unimodular cones
-    lie on opposite sides of the wall, test (a). Cached per fan, as its
-    readers are (``lru_cache``, 4096 fans)."""
-    duals = dict(zip(fan.max_cones, _cone_duals(fan)))
-    vectors = fan.vectors()
-    used = {i for cone in duals for i in cone}
-    if None in duals.values() or not 0 < len(used) == len(set(vectors)) == len(vectors):
+    u_i, of degree 2 - sum(a_i). The a_i are the coordinates of q in the
+    dual rows phi of sigma, and its coordinate a_p on p is -1 exactly when
+    sigma' is unimodular, as det(u, q) = a_p * det(u, p), and on the other
+    side of the wall, test (a). Then sigma' has the dual rows
+    phi_i + a_i * phi_p on the u_i and -phi_p on q (the exchange of the
+    ``_fano3`` docstring). The walk starts at the first cone, whose rows
+    come from ``_dual_rows``, and reads each wall once, from the owner it
+    reaches first; a fan whose walls all pass (a) and whose walk reaches
+    every cone has every cone unimodular. Each cone reached is tested
+    against x0 for (b) as its rows are made.
+    """
+    cones, vectors = fan.max_cones, fan.vectors()
+    if not 0 < len(set().union(*cones)) == len(set(vectors)) == len(vectors):
         return None
+    queue = [cones[0]]
+    duals[cones[0]] = _dual_rows(fan.cone_vectors(cones[0]))
+    if duals[cones[0]] is None:
+        return None
+    x0 = tuple(map(sum, zip(*fan.cone_vectors(cones[0]))))
+    owners = _wall_owners(cones)
     classes = set()
-    for wall, sides in _wall_owners(fan.max_cones).items():
-        if len(sides) != 2:
-            return None
-        (cone, k), (other, j) = sides
-        # a dual row has as many entries as the vectors it inverts, so every
-        # dot in this module skips lattice.dot's length check
-        coeffs = [sum(map(mul, row, vectors[other[j]])) for row in duals[cone]]
-        if coeffs.pop(k) >= 0:
-            return None  # (a): both cones on one side of the wall
-        entries = [0] * len(vectors)
-        entries[cone[k]] = entries[other[j]] = 1
-        for i, a in zip(wall, coeffs):
-            entries[i] = -a
-        classes.add(tuple(entries))
-    first, *others = fan.max_cones
-    x0 = tuple(map(sum, zip(*fan.cone_vectors(first))))
-    if any(all(sum(map(mul, r, x0)) >= 0 for r in duals[c]) for c in others):
-        return None  # (b): x0, interior to the first cone, lies in another
+    for cone in queue:
+        rows = duals[cone]
+        k = len(cone)
+        for wall in combinations(cone, k - 1):  # as _wall_owners orders them
+            k -= 1
+            sides = owners.pop(wall, None)  # None once read from the other side
+            if sides is None:
+                continue
+            if len(sides) != 2:
+                return None
+            other, j = sides[sides[0][0] is cone]  # the owner that is not cone
+            # a dual row has as many entries as the vectors it inverts, so every
+            # dot in this module skips lattice.dot's length check
+            coeffs = [sum(map(mul, row, vectors[other[j]])) for row in rows]
+            if coeffs.pop(k) != -1:
+                return None  # (a), or sigma' is not unimodular
+            entries = [0] * len(vectors)
+            entries[cone[k]] = entries[other[j]] = 1
+            for i, a in zip(wall, coeffs):
+                entries[i] = -a
+            classes.add(tuple(entries))
+            if other not in duals:
+                p = rows[k]
+                new = [
+                    tuple([x + a * y for x, y in zip(row, p)]) if a else row
+                    for row, a in zip(rows[:k] + rows[k + 1 :], coeffs)
+                ]
+                new.insert(j, tuple([-y for y in p]))
+                if all(sum(map(mul, row, x0)) >= 0 for row in new):
+                    return None  # (b): x0, interior to the first cone, lies in another
+                duals[other] = tuple(new)
+                queue.append(other)
+    if len(queue) != len(cones):
+        return None  # a cone the walk does not reach, or one listed twice
     return tuple(sorted(classes))
 
 
@@ -631,7 +682,11 @@ def contract_ray(
     cone containing the ray contains exactly h-1 of the x_i. ``fan`` must be
     valid: ``wall_classes`` checks it before the arguments are read (a
     cached wall pass, made already when the fan came from
-    ``birational.blow_down_candidates`` or the CLI).
+    ``birational.blow_down_candidates`` or the CLI). The arguments are then
+    resolved and their sum checked, and ``_contract``, the step that
+    ``birational.blow_down_candidates`` calls on indices it has resolved,
+    builds the result or names the cones that break the star condition,
+    which this function raises as ``StarConditionViolatedError``.
 
     The result needs no check (Sato, *Tohoku Math. J.* 52 (2000)). Let P be
     the collection and x the ray. A maximal cone on x is {x} + P - x_i + t,
@@ -654,27 +709,38 @@ def contract_ray(
             f"no relation of the shape x1+...+xh = {fan.generators[ridx].name}"
             " with the requested collection"
         )
-    cset = set(cidx)
-    h = len(cidx)
-    bad = tuple(
-        mc
-        for mc in fan.max_cones
-        if ridx in mc and len(cset & set(mc)) != h - 1
+    target = _contract(fan, ridx, cidx)
+    if type(target) is Fan:
+        return target
+    names = ",".join(fan.cone_names(cidx))
+    raise StarConditionViolatedError(
+        f"cannot contract {fan.generators[ridx].name} via {{{names}}}:"
+        f" cone {_cone_label(fan, target[0])} does not contain exactly"
+        f" {len(cidx) - 1} collection rays",
+        witnesses=target,
     )
-    if bad:
-        names = ",".join(fan.cone_names(cidx))
-        raise StarConditionViolatedError(
-            f"cannot contract {fan.generators[ridx].name} via {{{names}}}:"
-            f" cone {_cone_label(fan, bad[0])} does not contain exactly"
-            f" {h - 1} collection rays",
-            witnesses=bad,
-        )
-    new_cones = set()
+
+
+def _contract(fan: Fan, x: int, collection: Cone) -> Fan | tuple[Cone, ...]:
+    """The step of ``contract_ray`` on a valid fan and resolved indices, the
+    collection's vectors summing to ray x's: the target fan, or every
+    maximal cone that breaks the star condition. A cone off x only has its
+    indices past x shifted down, which keeps the order of ``max_cones``;
+    the cones on x are merged, and each merged cone goes into its place."""
+    cset = set(collection)
+    kept, merged, bad = [], set(), []
     for mc in fan.max_cones:
-        merged = (set(mc) - {ridx}) | cset if ridx in mc else mc
-        new_cones.add(tuple(sorted(i - (i > ridx) for i in merged)))
-    gens = fan.generators[:ridx] + fan.generators[ridx + 1 :]
-    return Fan(fan.dim, gens, tuple(sorted(new_cones)))
+        if x not in mc:
+            kept.append(mc if mc[-1] < x else tuple([i - (i > x) for i in mc]))
+        elif len(cset.intersection(mc)) != len(cset) - 1:
+            bad.append(mc)
+        elif not bad:
+            merged.add(tuple(sorted([i - (i > x) for i in cset.union(mc) if i != x])))
+    if bad:
+        return tuple(bad)
+    for cone in merged:
+        insort(kept, cone)
+    return Fan(fan.dim, fan.generators[:x] + fan.generators[x + 1 :], tuple(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import or_
 from typing import Iterable, NamedTuple
 
@@ -73,39 +72,57 @@ def primitive_collections(fan: Fan) -> tuple[Cone, ...]:
     collection is a face, so r is a neighbour of every ray of F, a bit of
     the AND of their masks; for |F| = 1 the pair is no face, so r is no
     neighbour of F's ray, though it lies in some cone. The work is bounded
-    by #faces x #rays.
+    by #faces x #rays. Every face is a bitmask, bit i for ray i, built as
+    the subsets of each maximal cone's mask: a candidate F + r and its
+    deletions are ints to look up, and only the collections found become
+    index tuples.
     """
     masks = [0] * len(fan.generators)
     faces = set()
     for mc in fan.max_cones:
-        bits = 0
+        subsets = [0]
         for i in mc:
-            bits |= 1 << i
+            bit = 1 << i
+            subsets += [s | bit for s in subsets]
         for i in mc:
-            masks[i] |= bits
-        for r in range(1, fan.dim + 1):
-            faces.update(combinations(mc, r))
+            masks[i] |= subsets[-1]
+        faces.update(subsets[1:])
     used = reduce(or_, masks, 0)
     out = []
     for face in faces:
-        if len(face) == 1:
-            rays = used & ~masks[face[0]]
-        else:
-            rays = -1
-            for i in face:
-                rays &= masks[i]
-        r = face[-1]
+        low = face & -face
+        if face == low:
+            rays = used & ~masks[low.bit_length() - 1]
+        else:  # the AND of the masks of the face's rays
+            rays, rest = -1, face
+            while rest:
+                low = rest & -rest
+                rays &= masks[low.bit_length() - 1]
+                rest ^= low
+        r = face.bit_length() - 1
         rays >>= r + 1
         while rays:
             skip = (rays & -rays).bit_length()
             rays >>= skip
             r += skip
-            cand = face + (r,)
-            if cand not in faces and all(
-                cand[:i] + cand[i + 1 :] in faces for i in range(len(face))
-            ):
-                out.append(cand)
-    return tuple(sorted(out))
+            cand = face | 1 << r
+            if cand not in faces:
+                rest = face  # the rays of the face whose deletion is untested
+                while rest and cand ^ (rest & -rest) in faces:
+                    rest &= rest - 1
+                if not rest:
+                    out.append(cand)
+    return tuple(sorted(map(_indices, out)))
+
+
+def _indices(mask: int) -> Cone:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def primitive_relation(fan: Fan, collection: Iterable[int | str]) -> PrimitiveRelation:

@@ -65,6 +65,38 @@ def chain_prefixes():
     ]
 
 
+def factorization_fans():
+    """Every fan on the exhaustive factorizations of the tower (Y onto X and
+    P^4, W onto X, X onto P^4) and of three seeded chains onto their base,
+    endpoints included, without repeats: the intermediates the search
+    builds by contraction."""
+    p4, x, w, y = catalog.counterexample_tower()
+    pairs = [(y, x), (y, p4), (w, x), (x, p4)] + [
+        (blowup_chain(seed, dim, steps), catalog.projective_space(dim))
+        for seed, dim, steps in ((1, 3, 6), (2, 4, 4), (2, 4, 8))
+    ]
+    fans = [f for pair in pairs for f in pair]
+    for fine, coarse in pairs:
+        for path in birational.factor_morphism(fine, coarse, exhaustive=True):
+            fans += [step.fan for step in path.steps]
+    return list(dict.fromkeys(fans))
+
+
+def carried_row_fans(catalog_fans):
+    """The valid fans the carried dual rows are checked on: the catalog, the
+    seeded chains, the Fano classes of dimensions 2 and 3 and every fan of
+    ``factorization_fans``."""
+    return list(
+        dict.fromkeys(
+            list(catalog_fans.values())
+            + chain_prefixes()
+            + catalog.enumerate_fano(2)
+            + catalog.enumerate_fano(3)
+            + factorization_fans()
+        )
+    )
+
+
 def verdict_fans(catalog_fans, seeded_chains):
     """Every fan the wall verdicts and the Mori cone are checked on: P^1
     (one wall, the zero cone) is among the enumerations, the threefold is

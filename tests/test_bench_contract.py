@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from toricfan import _fano3, birational, catalog, cli, fan, lattice, mori
+from toricfan.errors import StarConditionViolatedError
 
 from conftest import (
     DOUBLE_P2,
@@ -162,7 +163,7 @@ def test_is_projective_is_one_gordan_lp(monkeypatch):
     monkeypatch.setattr(mori, "mori_cone", no_mori_cone)
     no_relation_table(monkeypatch)
     mori.is_projective.cache_clear()
-    fan._walls.cache_clear()
+    fan._wall_pass.cache_clear()
     w = catalog.catalog_fan("paper-W")
     assert mori.is_projective(w) is True
     assert len(calls) == 1
@@ -176,17 +177,20 @@ def test_is_projective_is_one_gordan_lp(monkeypatch):
 
 
 def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
-    real = birational.contract_ray
+    # the candidates go through the contraction step of contract_ray, which
+    # returns the target or the cones breaking the star condition
+    real = birational._contract
     calls = []
     valid = []
 
     def counting(f, ray, collection):
         calls.append((f, ray, collection))
         target = real(f, ray, collection)
-        valid.append((f, ray, collection))
+        if isinstance(target, fan.Fan):
+            valid.append((f, ray, collection))
         return target
 
-    monkeypatch.setattr(birational, "contract_ray", counting)
+    monkeypatch.setattr(birational, "_contract", counting)
     birational.blow_down_candidates.cache_clear()
     _, x, _, y = tower
     assert birational.factor_morphism(y, x, exhaustive=True)
@@ -221,6 +225,70 @@ def test_factor_search_lists_candidates_once_per_intermediate(monkeypatch):
     )
     assert len(paths) == 84
     assert len(calls) == len({fan.structural_key(f) for f in calls}) == 27
+
+
+def test_factor_search_inverts_one_first_cone_per_fan(monkeypatch):
+    # the wall pass inverts a fan's first cone, through the cache of
+    # _dual_rows, and carries its rows across the walls to every other cone:
+    # a cold exhaustive search makes one pass per distinct fan and one
+    # inverse per distinct first cone among them, 3 for its 28 fans, where
+    # inverting each distinct cone of each fan made 59
+    real_inverse = lattice.unimodular_inverse
+    inverted = []
+
+    def inverting(rows):
+        inverted.append(tuple(zip(*rows)))  # the cone's vectors
+        return real_inverse(rows)
+
+    real_walk = fan._walk
+    walked = []
+
+    def walking(f, duals):
+        walked.append(f)
+        return real_walk(f, duals)
+
+    chain = blowup_chain(2, 4, 8)
+    clear_package_caches()
+    monkeypatch.setattr(lattice, "unimodular_inverse", inverting)
+    monkeypatch.setattr(fan, "_walk", walking)
+    p4 = catalog.projective_space(4)
+    assert len(birational.factor_morphism(chain, p4, exhaustive=True)) == 84
+    assert len(walked) == len(set(walked))
+    firsts = {f.cone_vectors(f.max_cones[0]) for f in walked}
+    assert sorted(inverted) == sorted(firsts)
+    assert (len(inverted), len(walked)) == (3, 28)
+
+
+def test_blow_down_candidates_raise_no_star_error(monkeypatch, tower):
+    # the candidates read the obstruction off the contraction step, which
+    # raises nothing; contract_ray still raises the error, with the text
+    # and the witnesses it had
+    y = tower[3]
+    real_init = StarConditionViolatedError.__init__
+    made = []
+
+    def making(self, message, witnesses):
+        made.append(message)
+        real_init(self, message, witnesses)
+
+    monkeypatch.setattr(StarConditionViolatedError, "__init__", making)
+    clear_package_caches()
+    invalid = [c for c in birational.blow_down_candidates(y) if not c.valid]
+    assert made == []
+    witnesses = ((2, 5, 6, 7), (3, 5, 6, 7))
+    assert [c.obstruction for c in invalid] == [witnesses, witnesses]
+    texts = []
+    for cand in invalid:
+        with pytest.raises(StarConditionViolatedError) as exc:
+            fan.contract_ray(y, cand.relation.target[0], cand.relation.collection)
+        assert exc.value.witnesses == witnesses
+        texts.append(str(exc.value))
+    assert made == texts == [
+        "cannot contract e5 via {e1,e2,e3}: cone <e2,e5,e6,e7> does not"
+        " contain exactly 2 collection rays",
+        "cannot contract e6 via {e2,e3,e4}: cone <e2,e5,e6,e7> does not"
+        " contain exactly 2 collection rays",
+    ]
 
 
 def test_factor_search_builds_no_relation_table(monkeypatch, tower):
@@ -273,12 +341,12 @@ def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
     fans = list(catalog_fans.values()) + chain_prefixes() + catalog.enumerate_fano(2)
     monkeypatch.setattr(fan, "cones_meet_in_common_face", counting)
     monkeypatch.setattr(fan, "_wall_owners", counting_owners)
-    fan._walls.cache_clear()
+    fan._wall_pass.cache_clear()
     for f in fans:
         assert fan.validate_fan(f).ok
     assert calls == []
     # one pass over the walls per distinct valid fan: a repeat hits the
-    # cache of _walls
+    # cache of _wall_pass
     distinct = list(dict.fromkeys(fans))
     assert len(fans) == 24 and len(distinct) == 22
     assert wall_passes == [f.max_cones for f in distinct]
@@ -341,7 +409,7 @@ def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
         wall_passes.append(cones)
         return real_owners(cones)
 
-    real_contract = birational.contract_ray
+    real_contract = birational._contract
     targets = []
 
     def contracting(f, ray, collection):
@@ -351,9 +419,9 @@ def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
     _, x, w, y = tower
     clear_package_caches()
     monkeypatch.setattr(fan, "_wall_owners", counting_owners)
-    monkeypatch.setattr(birational, "contract_ray", contracting)
+    monkeypatch.setattr(birational, "_contract", contracting)
     assert birational.factor_morphism(y, x, exhaustive=True)
-    fans = list(dict.fromkeys([y] + targets))
+    fans = list(dict.fromkeys([y] + [t for t in targets if isinstance(t, fan.Fan)]))
     refining = [f for f in fans if fan.refines(f, x)]
     assert len(fans) == 4 and refining == [y, w, x]
     assert sorted(wall_passes) == sorted(f.max_cones for f in refining)
@@ -364,7 +432,7 @@ def test_factor_path_passes_the_walls_of_each_fan_once(monkeypatch):
     # more fans than the 16 it once held still makes one wall pass per
     # distinct fan
     y = blowup_chain(2, 4, 20)
-    real = fan._walls
+    real = fan._wall_pass
     passed = []
 
     def recording(f):
@@ -372,7 +440,7 @@ def test_factor_path_passes_the_walls_of_each_fan_once(monkeypatch):
         return real(f)
 
     clear_package_caches()
-    monkeypatch.setattr(fan, "_walls", recording)
+    monkeypatch.setattr(fan, "_wall_pass", recording)
     assert birational.factor_morphism(y, catalog.projective_space(4))
     distinct = set(passed)
     assert len(distinct) == 21
@@ -494,18 +562,20 @@ def fano_search_inverses(monkeypatch):
 def test_fano_search_inverts_no_tried_cone(monkeypatch):
     # each tried cone's functional is read off its owner by the wall
     # formula, so the search inverts a cone only when it extends one of its
-    # walls, and validate_fan the cones of each closed complex: 2, 14 and
-    # 479 inverses in dimensions 1 to 3 with no permutation to prune by,
-    # where inverting every distinct tried cone made 2, 17 and 966
+    # walls, and validate_fan the first cone of each closed complex, through
+    # the same cache, carrying its rows to the others: 2, 11 and 414
+    # inverses in dimensions 1 to 3 with no permutation to prune by, where
+    # inverting every cone of a closed complex made 2, 14 and 479 and every
+    # distinct tried cone 2, 17 and 966
     monkeypatch.setattr(_fano3, "_coordinate_permutations", lambda dim: ())
-    assert fano_search_inverses(monkeypatch) == [2, 14, 479]
+    assert fano_search_inverses(monkeypatch) == [2, 11, 414]
 
 
 def test_fano_search_tries_one_apex_per_orbit(monkeypatch):
     # the search skips an apex that a permutation fixing the complex and
     # the wall maps to one tried before, and with it that apex's subtree:
-    # 273 inverses in dimension 3 instead of 479
-    assert fano_search_inverses(monkeypatch) == [2, 14, 273]
+    # 222 inverses in dimension 3 instead of 414
+    assert fano_search_inverses(monkeypatch) == [2, 11, 222]
 
 
 def test_fano_search_builds_one_wall_map_per_call(monkeypatch):

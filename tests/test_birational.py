@@ -11,6 +11,7 @@ from conftest import (
     TWICE_WINDING,
     ZIGZAG_CYCLE,
     blowup_chain,
+    carried_row_fans,
     chain_prefixes,
     clear_package_caches,
     twisted_threefold,
@@ -31,6 +32,7 @@ from toricfan import (
     validate_fan,
 )
 from toricfan import birational, catalog, mori
+from toricfan import fan as fan_module
 
 
 def candidate_summary(fan):
@@ -123,6 +125,27 @@ def test_candidate_validity_matches_contract(catalog_fans):
                     with pytest.raises(StarConditionViolatedError) as exc:
                         contract_ray(fan, ray, coll)
                     assert exc.value.witnesses == cand.obstruction
+
+
+def test_contraction_step_matches_contract_ray(catalog_fans):
+    # blow_down_candidates contracts through contract_ray's step on the
+    # indices it has resolved; for every candidate of the valid fans and the
+    # factorization intermediates the step, the candidate and contract_ray,
+    # given names, agree on the target or on the obstruction
+    counts = [0, 0]
+    for fan in carried_row_fans(catalog_fans):
+        for cand in birational.blow_down_candidates(fan):
+            x, coll = cand.relation.target[0], cand.relation.collection
+            step = fan_module._contract(fan, x, coll)
+            names = (fan.generators[x].name, fan.cone_names(coll))
+            if cand.valid:
+                assert step == cand.target == contract_ray(fan, *names)
+            else:
+                with pytest.raises(StarConditionViolatedError) as exc:
+                    contract_ray(fan, *names)
+                assert step == cand.obstruction == exc.value.witnesses
+            counts[cand.valid] += 1
+    assert counts == [159, 168]  # obstructed, valid
 
 
 def test_candidates_match_the_relation_table(catalog_fans):

@@ -47,7 +47,9 @@ from conftest import (
     TWICE_WINDING,
     ZIGZAG_CYCLE,
     blowup_chain,
+    carried_row_fans,
     chain_prefixes,
+    rejected_complexes,
     twisted_threefold,
 )
 from oracles import (
@@ -55,6 +57,7 @@ from oracles import (
     brute_canonical_gl_key,
     brute_primitive_collections,
     brute_refines,
+    brute_wall_classes,
     own_wall_map_rejection,
     pairwise_faces_ok,
     permutation_determinant,
@@ -576,6 +579,49 @@ def test_rejection_path_matches_the_own_wall_map_oracle(catalog_fans):
         p = catalog.projective_space(d)
         gens = [(g.name, g.vector) for g in p.generators]
         assert validate_fan(make_fan(d, gens, p.max_cones[:1] * 2)).complete
+
+
+def cone_by_cone_inverses(f):
+    """The dual rows of each maximal cone, each cone inverted on its own."""
+    rows = []
+    for cone in f.max_cones:
+        try:
+            rows.append(lattice.unimodular_inverse(tuple(zip(*f.cone_vectors(cone)))))
+        except ValueError:
+            rows.append(None)
+    return tuple(rows)
+
+
+def test_carried_dual_rows_match_each_cone_inverted(catalog_fans):
+    # the wall pass inverts the first cone only and carries its rows across
+    # each wall, phi_i + a_i * phi_p on the wall rays and -phi_p on the new
+    # apex; the table equals the inverse of every cone, and the classes read
+    # off it the brute-force ones, on the valid fans and on every
+    # intermediate of the exhaustive tower and chain factorizations
+    fans = carried_row_fans(catalog_fans)
+    assert len(fans) == 82
+    for f in fans:
+        assert validate_fan(f).ok
+        assert fan_module._cone_duals(f) == cone_by_cone_inverses(f), serialize_fan(f)
+        assert fan_module._walls(f) == brute_wall_classes(f), serialize_fan(f)
+
+
+def test_rejected_fans_keep_their_reports_and_cone_inverses():
+    # a fan the walk rejects is inverted cone by cone, so its smoothness
+    # witnesses, and with them the whole report, are those of the own-wall-map
+    # oracle, which inverts every cone
+    named = [
+        TWICE_WINDING, FOLDED_CYCLE, DOUBLE_P2, parse_fan(OVERLAPPING_TEXT),
+        ZIGZAG_CYCLE, NON_SMOOTH_OVERLAP,
+    ]
+    fans = named + rejected_complexes(20261020, 120)
+    for f in fans:
+        report = validate_fan(f)
+        assert not report.ok and fan_module._walls(f) is None
+        assert report == own_wall_map_rejection(f), serialize_fan(f)
+        assert fan_module._cone_duals(f) == cone_by_cone_inverses(f), serialize_fan(f)
+    assert any(None in fan_module._cone_duals(f) for f in fans)
+    assert any(None not in fan_module._cone_duals(f) for f in fans)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from conftest import (
     ZIGZAG_CYCLE,
     blowup_chain,
     chain_prefixes,
+    factorization_fans,
     rejected_complexes,
     twisted_threefold,
     verdict_fans,
@@ -98,12 +99,15 @@ def test_collections_match_brute_force(catalog_fans):
     """The collections read off the neighbour masks against the scan over
     every ray past the face that the masks replaced and against the direct
     definition, on every fan of the seeded chains and on complexes that
-    validate_fan rejects, with unused rays and repeated cones; the valid
-    fans' relation table holds one relation per collection, its sum placed
-    by the brute-force face search and solved over that face."""
+    validate_fan rejects, with unused rays and repeated cones, and on every
+    intermediate of the exhaustive tower and chain factorizations; the
+    relation table of the catalog, Fano and chain fans holds one relation
+    per collection, its sum placed by the brute-force face search and
+    solved over that face."""
     fans = list(catalog_fans.values()) + catalog.enumerate_fano(2) + chain_prefixes()
     rejected = [DOUBLE_P2, FOLDED_CYCLE, TWICE_WINDING, ZIGZAG_CYCLE]
-    for fan in fans + rejected + rejected_complexes(20261020, 40):
+    others = factorization_fans() + rejected + rejected_complexes(20261020, 40)
+    for fan in fans + others:
         brute = brute_primitive_collections(fan)
         assert list(mori.primitive_collections(fan)) == face_ray_collections(fan) == brute
     for fan in fans:
