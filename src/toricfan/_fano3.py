@@ -97,20 +97,24 @@ cone's n walls on entry and takes them off on return. A wall leaves the
 open set at its second owner, and a third owner, which the face condition
 above rules out, raises ``InternalInconsistencyError`` where it appears.
 So the smallest open wall is the least of the open set, with no scan of
-the map. The map, the sets and the found classes are local to the call,
-so concurrent calls share nothing but the caches of pure functions. Every
-vector the search dots (a pool vector, a vertex, a dual row) has n entries
-by construction, so it dots with ``sum(map(mul, u, x))``, with no length
-check.
+the map. The map, the rows, the sets and the found classes are local to
+the call, so concurrent calls share nothing but the caches of pure
+functions. Every vector the search dots (a pool vector, a vertex, a dual
+row) has n entries by construction, so it dots with
+``sum(map(mul, u, x))``, with no length check.
 
-A tried cone's functional is read off its owner's, with no inverse, as
-for the cone across F - e_i above. Let phi_p be the owner's dual row on p,
-so w = sum(a_i * u_i) - p has a_i = phi_i(w). The dual rows of the new
-cone are phi_i + a_i * phi_p on the u_i and -phi_p on w, so
-u_new = u_owner + (u_owner(w) - 1) * phi_p. The search inverts a cone
-only when it extends one of its walls; ``validate_fan`` inverts the first
-cone of a closed complex and carries its rows to the others by the same
-exchange, across each wall (``fan._walk``).
+Each cone of the complex carries its dual rows and their sum u, and none
+is inverted: the start cone's rows are its own vectors, the e_i, and a
+tried cone's are read off its owner's, as for the cone across F - e_i
+above. Let phi_p be the owner's dual row on p, so w = sum(a_i * u_i) - p
+has a_i = phi_i(w). The dual rows of the new cone are phi_i + a_i * phi_p
+on the u_i and -phi_p on w, so u_new = u_owner + (u_owner(w) - 1) * phi_p,
+which is all the convexity rule weighs. Only a cone the rule admits has
+its rows built (``fan._exchange``), as it is entered, and they are
+dropped on return.
+So the search makes no inverse of its own; ``validate_fan`` inverts the
+first cone of a closed complex and carries its rows to the others by the
+same exchange, across each wall (``fan._walk``).
 
 Deduplication looks a closed complex up among the normal forms of the
 classes found so far (``fan._normal_forms``) by vector part alone, the
@@ -147,7 +151,7 @@ from .fan import (
     Fan,
     RayGenerator,
     validate_fan,
-    _dual_rows,
+    _exchange,
     _normal_forms,
     _vector_part,
     _wall_owners,
@@ -214,6 +218,7 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
     parts: set = set()  # the vector parts of every form of every found class
 
     owners = _wall_owners([start])  # wall -> [(cone, k)], one or two owners
+    duals = {start: (start, (1,) * dim)}  # cone -> (its dual rows, their sum u)
     open_walls = set(owners)  # the walls with one owner
     vertices = set(start)
 
@@ -259,8 +264,8 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             return
         wall = min(open_walls)
         ((owner, k),) = owners[wall]
-        rows = _dual_rows(owner)
-        on_p, u = rows[k], tuple(map(sum, zip(*rows)))
+        rows, u = duals[owner]
+        on_p = rows[k]
         apexes = (x for x in chain(vertices, admissible) if sum(map(mul, on_p, x)) == -1)
         on_wall = _fixing(group, wall)  # these fix the owner and p too
         for w in sorted(apexes):  # in pool order
@@ -276,7 +281,10 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
                 continue
             enter(new_cone)
             vertices.add(w)
+            coeffs = [sum(map(mul, row, w)) for row in rows[:k] + rows[k + 1 :]]
+            duals[new_cone] = _exchange(rows, k, coeffs, new_cone.index(w)), u_new
             grow(cones | {new_cone}, child, child_nu, _fixing(group, new_cone))
+            del duals[new_cone]
             if fresh:
                 vertices.remove(w)
             leave(new_cone)

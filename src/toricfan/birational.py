@@ -91,21 +91,18 @@ def blow_down(
 
     A ray may carry several candidates, and the choice changes the target
     fan, so pass ``via`` to pin it. When every candidate is obstructed, the
-    first is contracted again so that ``contract_ray`` raises its
+    first is contracted, so that ``contract_ray`` raises its
     ``StarConditionViolatedError``.
     """
-    if via is not None:
-        return contract_ray(fan, ray, via)
-    ridx = resolve_ray(fan, ray)
-    cands = [c for c in blow_down_candidates(fan) if c.relation.target == (ridx,)]
-    if not cands:
-        raise NoBlowdownRelationError(
-            f"no relation of the shape x1+...+xh = {fan.generators[ridx].name}"
-        )
-    for cand in cands:
-        if cand.valid:
-            return cand.target
-    return contract_ray(fan, ridx, cands[0].relation.collection)
+    if via is None:
+        ridx = resolve_ray(fan, ray)
+        cands = [c for c in blow_down_candidates(fan) if c.relation.target == (ridx,)]
+        if not cands:
+            raise NoBlowdownRelationError(
+                f"no relation of the shape x1+...+xh = {fan.generators[ridx].name}"
+            )
+        via = next((c for c in cands if c.valid), cands[0]).relation.collection
+    return contract_ray(fan, ray, via)
 
 
 def factor_morphism(

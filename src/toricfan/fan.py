@@ -309,7 +309,7 @@ def _dual_rows(vectors: tuple[lattice.IntVector, ...]) -> tuple[lattice.IntVecto
     return _cached_dual_rows(vectors)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4096)
 def _cached_dual_rows(vectors: tuple[lattice.IntVector, ...]) -> tuple[lattice.IntVector, ...] | None:
     try:
         return lattice.unimodular_inverse(tuple(zip(*vectors)))
@@ -483,17 +483,28 @@ def _wall_pass(fan: Fan) -> tuple:
     first cone (``_walk``). Only a fan the walk rejects has its cones
     inverted one by one, for the witnesses of ``validate_fan``. Cached per
     fan (``lru_cache``, 4096 fans)."""
-    duals: dict = {}
-    classes = _walk(fan, duals)
-    if classes is None:
-        return None, tuple(_dual_rows(fan.cone_vectors(c)) for c in fan.max_cones)
-    return classes, tuple(map(duals.__getitem__, fan.max_cones))
+    return _walk(fan) or (None, tuple(_dual_rows(fan.cone_vectors(c)) for c in fan.max_cones))
 
 
-def _walk(fan: Fan, duals: dict) -> tuple[tuple[int, ...], ...] | None:
-    """The sorted classes of the walls when the one-pass test of
-    ``validate_fan`` accepts the fan, else None; fills ``duals`` with the
-    dual rows of each cone it reaches.
+def _exchange(rows: tuple, k: int, coeffs, j: int) -> tuple:
+    """The dual rows of the cone across the wall that drops position ``k``
+    of the cone of dual rows ``rows``: phi_i + a_i * phi_p on the rays of
+    the wall, in order, and -phi_p on the new apex q, at position ``j``,
+    where phi_p = rows[k] and ``coeffs`` lists a_i = phi_i(q) for the
+    other rows."""
+    p = rows[k]
+    new = [
+        tuple([x + a * y for x, y in zip(row, p)]) if a else row
+        for row, a in zip(rows[:k] + rows[k + 1 :], coeffs)
+    ]
+    new.insert(j, tuple([-y for y in p]))
+    return tuple(new)
+
+
+def _walk(fan: Fan) -> tuple | None:
+    """(the sorted classes of the walls, the dual rows of each cone in
+    ``max_cones`` order) when the one-pass test of ``validate_fan`` accepts
+    the fan, else None.
 
     The wall between maximal cones sigma and sigma' with apexes p and q
     gives p + q = sum(a_i * u_i), the class +1 on p and q and -a_i on the
@@ -501,18 +512,18 @@ def _walk(fan: Fan, duals: dict) -> tuple[tuple[int, ...], ...] | None:
     dual rows phi of sigma, and its coordinate a_p on p is -1 exactly when
     sigma' is unimodular, as det(u, q) = a_p * det(u, p), and on the other
     side of the wall, test (a). Then sigma' has the dual rows
-    phi_i + a_i * phi_p on the u_i and -phi_p on q (the exchange of the
-    ``_fano3`` docstring). The walk starts at the first cone, whose rows
-    come from ``_dual_rows``, and reads each wall once, from the owner it
-    reaches first; a fan whose walls all pass (a) and whose walk reaches
-    every cone has every cone unimodular. Each cone reached is tested
-    against x0 for (b) as its rows are made.
+    phi_i + a_i * phi_p on the u_i and -phi_p on q (``_exchange``, which
+    the Fano search also carries its rows by). The walk starts at the first
+    cone, whose rows come from ``_dual_rows``, and reads each wall once,
+    from the owner it reaches first; a fan whose walls all pass (a) and
+    whose walk reaches every cone has every cone unimodular. Each cone
+    reached is tested against x0 for (b) as its rows are made.
     """
     cones, vectors = fan.max_cones, fan.vectors()
     if not 0 < len(set().union(*cones)) == len(set(vectors)) == len(vectors):
         return None
     queue = [cones[0]]
-    duals[cones[0]] = _dual_rows(fan.cone_vectors(cones[0]))
+    duals = {cones[0]: _dual_rows(fan.cone_vectors(cones[0]))}
     if duals[cones[0]] is None:
         return None
     x0 = tuple(map(sum, zip(*fan.cone_vectors(cones[0]))))
@@ -540,19 +551,14 @@ def _walk(fan: Fan, duals: dict) -> tuple[tuple[int, ...], ...] | None:
                 entries[i] = -a
             classes.add(tuple(entries))
             if other not in duals:
-                p = rows[k]
-                new = [
-                    tuple([x + a * y for x, y in zip(row, p)]) if a else row
-                    for row, a in zip(rows[:k] + rows[k + 1 :], coeffs)
-                ]
-                new.insert(j, tuple([-y for y in p]))
+                new = _exchange(rows, k, coeffs, j)
                 if all(sum(map(mul, row, x0)) >= 0 for row in new):
                     return None  # (b): x0, interior to the first cone, lies in another
-                duals[other] = tuple(new)
+                duals[other] = new
                 queue.append(other)
     if len(queue) != len(cones):
         return None  # a cone the walk does not reach, or one listed twice
-    return tuple(sorted(classes))
+    return tuple(sorted(classes)), tuple(map(duals.__getitem__, cones))
 
 
 def wall_classes(fan: Fan) -> tuple[tuple[int, ...], ...]:

@@ -243,9 +243,9 @@ def test_factor_search_inverts_one_first_cone_per_fan(monkeypatch):
     real_walk = fan._walk
     walked = []
 
-    def walking(f, duals):
+    def walking(f):
         walked.append(f)
-        return real_walk(f, duals)
+        return real_walk(f)
 
     chain = blowup_chain(2, 4, 8)
     clear_package_caches()
@@ -560,30 +560,35 @@ def fano_search_inverses(monkeypatch):
 
 
 def test_fano_search_inverts_no_tried_cone(monkeypatch):
-    # each tried cone's functional is read off its owner by the wall
-    # formula, so the search inverts a cone only when it extends one of its
-    # walls, and validate_fan the first cone of each closed complex, through
-    # the same cache, carrying its rows to the others: 2, 11 and 414
-    # inverses in dimensions 1 to 3 with no permutation to prune by, where
-    # inverting every cone of a closed complex made 2, 14 and 479 and every
-    # distinct tried cone 2, 17 and 966
+    # each cone the search enters carries its dual rows, exchanged from its
+    # owner's across the wall (fan._exchange), and each tried cone's
+    # functional is read off its owner's rows by the wall formula, so the
+    # search makes no inverse of its own: only validate_fan inverts the
+    # first cone of a closed complex, once per distinct first cone through
+    # the cache of _dual_rows, and carries its rows to the others, 1, 5 and
+    # 74 inverses for the 1, 9 and 158 complexes closed in dimensions 1 to 3
+    # with no permutation to prune by, where inverting the owner of each
+    # extended wall made 2, 11 and 414, every cone of a closed complex 2, 14
+    # and 479 and every distinct tried cone 2, 17 and 966
+    assert not hasattr(_fano3, "_dual_rows")
     monkeypatch.setattr(_fano3, "_coordinate_permutations", lambda dim: ())
-    assert fano_search_inverses(monkeypatch) == [2, 11, 414]
+    assert fano_search_inverses(monkeypatch) == [1, 5, 74]
 
 
 def test_fano_search_tries_one_apex_per_orbit(monkeypatch):
     # the search skips an apex that a permutation fixing the complex and
     # the wall maps to one tried before, and with it that apex's subtree:
-    # 222 inverses in dimension 3 instead of 414
-    assert fano_search_inverses(monkeypatch) == [2, 11, 222]
+    # 44 inverses in dimension 3 instead of 74
+    assert fano_search_inverses(monkeypatch) == [1, 5, 44]
 
 
 def test_fano_search_builds_one_wall_map_per_call(monkeypatch):
     # the search maps the walls of its start cone and carries the map down:
     # each cone it enters adds its walls and takes them off on return, so
     # one map per call, where rebuilding it per complex entered made 2, 24
-    # and 1,160 in dimensions 1 to 3 (2,129 trying every apex; the
-    # inverses it makes stay pinned by test_fano_search_inverts_no_tried_cone)
+    # and 1,160 in dimensions 1 to 3 (2,129 trying every apex); the dual
+    # rows it carries beside the map are pinned by
+    # test_fano_search_inverts_no_tried_cone
     real = _fano3._wall_owners
     calls = []
 

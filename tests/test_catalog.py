@@ -332,10 +332,12 @@ def against_pool_scan(monkeypatch, dim, limit=None, pruned=False):
     (``oracles.scanned_cones``), in the same order; those it enters are
     those the two-half rule admits (``oracles.convex_rule``); the
     functional it weighs each by, read off the cone's owner by the wall
-    formula, is the inverse-based one (``oracles.functional``); and the
+    formula, is the inverse-based one (``oracles.functional``); the
     admissible set it carries is its recomputation from scratch
-    (``oracles.admissible_set``). A complex still on the search path when
-    the search stops has tried a prefix of its cones.
+    (``oracles.admissible_set``); and the dual rows it carries for each cone
+    it enters, exchanged from rows it carried before (``fan._exchange``),
+    are that cone's inverse (``fan._dual_rows``). A complex still on the
+    search path when the search stops has tried a prefix of its cones.
 
     Without ``pruned`` the search runs ``unpruned``. With it, the group the
     search carries on every complex it enters is the brute-force one
@@ -345,6 +347,18 @@ def against_pool_scan(monkeypatch, dim, limit=None, pruned=False):
     entered, cones tried and cones skipped by symmetry."""
     entered, tried, admitted, sets, groups = [search_root(dim)], {}, {}, {}, {}
     real_rule, real_fixing = _fano3._convex, _fano3._fixing
+    real_exchange = _fano3._exchange
+    (start,) = entered[0]
+    carried = {_dual_rows(start)}  # the start cone's rows: its own vectors
+    entering = []  # the cone admitted last, until its rows are exchanged
+
+    def exchange(rows, k, coeffs, j):
+        new = real_exchange(rows, k, coeffs, j)
+        assert rows in carried  # the owner's, checked when it was entered
+        cone = entering.pop()
+        assert new == _dual_rows(cone), cone
+        carried.add(new)
+        return new
 
     def fixing(group, vectors):
         kept = real_fixing(group, vectors)
@@ -363,12 +377,14 @@ def against_pool_scan(monkeypatch, dim, limit=None, pruned=False):
             if len(entered) == limit:
                 raise Enough(cones | {new_cone})
             entered.append(cones | {new_cone})
+            entering.append(new_cone)
         return child
 
     stopped = frozenset()
     with monkeypatch.context() as m:
         m.setattr(_fano3, "_convex", rule)
         m.setattr(_fano3, "_fixing", fixing)
+        m.setattr(_fano3, "_exchange", exchange)
         if not pruned:
             unpruned(m)
         groups[entered[0]] = _fano3._coordinate_permutations(dim)
@@ -376,6 +392,7 @@ def against_pool_scan(monkeypatch, dim, limit=None, pruned=False):
             _fano3.enumerate_fano_fans(dim)
         except Enough as stop:
             (stopped,) = stop.args
+    assert not entering  # every cone entered had its rows exchanged
     pool = _fano3._primitive_pool(dim)
     skipped = 0
     for cones in entered:
