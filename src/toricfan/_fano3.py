@@ -60,12 +60,11 @@ alone, so below g(K) it closes the g-images of the complexes it closes
 below K. At the chosen wall the search keeps the g that fix the wall,
 and so its owner and p; such a g permutes the apexes on p, as it fixes
 the dual row on p. An apex w that one of them maps to a smaller vector
-is skipped: g carries each complex closed below w to one of the same
-class closed below g(w), which is tried first. So the first complex of
-each class that the search would close trying every apex is never
-skipped (at the shallowest skip above it, its image would be an earlier
-one), and the classes, their representatives and their order do not
-change.
+is skipped: the least apex of its orbit, g(w) for one such g, is tried
+whatever the order, and g carries each complex closed below w to one of
+the same class closed below g(w). So, by induction on the depth of the
+subtree, the classes closed below each complex do not change, and
+neither do the classes found.
 
 One bound by argument gives the pool and the one prune (Øbro's special
 facet, arXiv:0704.0049). A complete fan has a maximal cone F holding nu,
@@ -127,12 +126,17 @@ rays determine it: two forms with one vector part, of one fan or of two,
 have one image, and both fans are isomorphic to it. So the vector part of
 a complex's first form is that of a found class's form exactly when the
 complex belongs to that class, and two classes have disjoint sets of
-vector parts. The first complex of a new class, its representative,
-drains its forms into the set of found vector parts and is stored under
-its least one. Full keys (``fan._key``) compare by vector part first, so
-a class's least vector part is that of its canonical key, the least of its
-forms' full keys (``canonical_gl_key``), and as two classes' least vector
-parts differ, their order is canonical-key order.
+vector parts. The first complex of a new class drains its forms into the
+set of found vector parts. Full keys (``fan._key``) compare by vector
+part first, so the least of them, the class's canonical key
+(``canonical_gl_key``), is the key of a form of least vector part; all
+such forms have one image, so the fan of that image, its rays e0, e1, ...
+in lex order (``_fan_from_cones``), has the canonical key as its
+structural key. That fan, the class's canonical form, is its
+representative, stored under the least vector part: it depends on the
+class alone, not on the order in which the search meets the class's
+complexes. As two classes' least vector parts differ, the classes are
+returned in canonical-key order.
 Dimensions 1 to 3 close 1, 9 and 95 complexes for 1, 5 and 18 classes
 (1, 9 and 158 when every apex is tried) and build no full key; dimension
 4 closes 2,095 for its 124.
@@ -195,11 +199,11 @@ def _convex(cones, vertices: set, new_cone, u, admissible, nu):
 
 
 def _fan_from_cones(dim: int, cones) -> Fan:
-    """The fan of a closed complex, built directly, as it passes
-    ``make_fan``'s checks by construction: its rays e0, e1, ... are the
-    distinct vertices in sorted order, integer tuples of length ``dim``, and
-    each cone, a sorted tuple of ``dim`` distinct vertices, maps to
-    increasing indices."""
+    """The fan of a closed complex, or of its image under a normal form,
+    built directly, as it passes ``make_fan``'s checks by construction: its
+    rays e0, e1, ... are the distinct vertices in sorted order, integer
+    tuples of length ``dim``, and each cone, a sorted tuple of ``dim``
+    distinct vertices, maps to increasing indices."""
     vertices = sorted({v for cone in cones for v in cone})
     index = {v: i for i, v in enumerate(vertices)}
     return Fan(
@@ -211,10 +215,10 @@ def _fan_from_cones(dim: int, cones) -> Fan:
 
 def enumerate_fano_fans(dim: int) -> list[Fan]:
     """All smooth toric Fano fans of dimension ``dim``, up to GL(dim,Z),
-    in canonical-key order."""
+    each as its canonical form, in canonical-key order."""
     pool = _primitive_pool(dim)
     start = tuple(v for v in pool if sum(v) == 1)  # the e_i alone
-    found: dict = {}  # least vector part -> the first complex of its class
+    found: dict = {}  # least vector part -> its class's canonical form
     parts: set = set()  # the vector parts of every form of every found class
 
     owners = _wall_owners([start])  # wall -> [(cone, k)], one or two owners
@@ -255,12 +259,14 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             if not mori.is_fano(fan)[0]:
                 raise InternalInconsistencyError("closed cone complex is not Fano")
             forms = _normal_forms(fan)
-            part = _vector_part(next(forms)[0])
-            if part in parts:
+            first = next(forms)[0]
+            if _vector_part(first) in parts:
                 return  # a class found before
-            new = {part, *(_vector_part(images) for images, _, _ in forms)}
+            new = {_vector_part(i): i for i in [first, *(i for i, _, _ in forms)]}
             parts.update(new)
-            found[min(new)] = fan
+            least, images = min(new.items())  # its image is the canonical form
+            image_cones = [tuple(sorted(map(images.__getitem__, c))) for c in fan.max_cones]
+            found[least] = _fan_from_cones(dim, image_cones)
             return
         wall = min(open_walls)
         ((owner, k),) = owners[wall]

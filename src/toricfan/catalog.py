@@ -85,7 +85,10 @@ def _enumerate_cached(dim: int) -> tuple[Fan, ...]:
 
 def enumerate_fano(dim: int) -> list[Fan]:
     """All smooth complete Fano fans of the given dimension, one per
-    lattice-isomorphism class, in canonical-key order.
+    lattice-isomorphism class, in canonical-key order. Each class is given
+    as its canonical form: rays e0, e1, ... in lex order of their vectors,
+    so its ``structural_key`` is its ``canonical_gl_key``, and the result
+    depends on the classes alone, not on the order of the search.
 
     One advancing-front search serves dimensions 1 to 4 (see ``_fano3``);
     the result is cached per dimension. Dimensions 1 to 3 together take

@@ -32,6 +32,7 @@ from toricfan.fan import (
     _wall_owners,
     cones_meet_in_common_face,
     contract_ray,
+    make_fan,
 )
 
 
@@ -657,11 +658,15 @@ def brute_canonical_gl_key(fan):
     )
 
 
+def fan_of_key(key):
+    """The fan a structural key describes: rays e0, e1, ... the key's
+    vector part in order, maximal cones its cone part."""
+    dim, vectors, cones = key
+    return make_fan(dim, [(f"e{i}", v) for i, v in enumerate(vectors)], cones)
+
+
 def brute_fano_classes(closed):
-    """The first fan of ``closed`` in each class of
-    ``brute_canonical_gl_key``, in key order: the enumerator's output,
-    deduplicated with no index of normal forms."""
-    first = {}
-    for fan in closed:
-        first.setdefault(brute_canonical_gl_key(fan), fan)
-    return [first[key] for key in sorted(first)]
+    """The canonical form of each class of ``brute_canonical_gl_key`` among
+    the fans of ``closed``, built from the key, in key order: the
+    enumerator's output, deduplicated with no index of normal forms."""
+    return [fan_of_key(key) for key in sorted(set(map(brute_canonical_gl_key, closed)))]

@@ -485,23 +485,35 @@ def test_fano_enumeration_sweeps_normal_forms_only_for_new_classes(monkeypatch):
     # the classes found so far; only the first complex of each class has
     # every form generated, 1, 5 and 18 of the 1, 9 and 95 closed in
     # dimensions 1 to 3
-    real = fan._normal_forms
+    real, real_validate = fan._normal_forms, _fano3.validate_fan
     swept = []
+    closed = []
 
     def counting(f):
         yield from real(f)
         swept.append(f)  # reached only when the caller drains every form
 
+    def recording(f):  # called once on each closed complex
+        closed.append(f)
+        return real_validate(f)
+
     monkeypatch.setattr(fan, "_normal_forms", counting)
     monkeypatch.setattr(_fano3, "_normal_forms", counting)
+    monkeypatch.setattr(_fano3, "validate_fan", recording)
     clear_package_caches()
     enumerate_fano = catalog._enumerate_cached.__wrapped__
     counts = []
     for d in (1, 2, 3):
         swept.clear()
+        closed.clear()
         classes = enumerate_fano(d)
-        assert set(swept) == set(classes)  # the representatives
-        counts.append(len(swept))
+        opened = list(swept)
+        counts.append(len(opened))
+        first = {}  # the first closed complex of each class, in closing order
+        for f in closed:
+            first.setdefault(fan.canonical_gl_key(f), f)
+        assert opened == list(first.values())
+        assert len(classes) == len(opened)
     assert counts == [1, 5, 18]
 
 

@@ -1,3 +1,4 @@
+import builtins
 import time
 from collections import Counter
 from itertools import product
@@ -6,7 +7,7 @@ from math import gcd, inf
 import pytest
 
 from toricfan import _fano3, catalog, lattice, mori
-from toricfan import canonical_gl_key, fan_isomorphism
+from toricfan import canonical_gl_key, fan_isomorphism, structural_key
 from toricfan import make_fan, validate_fan
 from toricfan.errors import (
     InternalInconsistencyError,
@@ -179,15 +180,16 @@ def closed_complexes(monkeypatch, dims):
     is checked to be Fano by Batyrev's criterion, a positive degree on
     every primitive relation, beside the wall verdict the search reads, and
     to equal ``make_fan`` of its own rays and cones, as the search builds
-    it with no structural check."""
+    it with no structural check. A closed complex is recorded as the search
+    validates it, once, so the representative the search builds for a new
+    class is not counted."""
     closed = []
     entered = []
-    real_fan, real_rule = _fano3._fan_from_cones, _fano3._convex
+    real_validate, real_rule = _fano3.validate_fan, _fano3._convex
 
-    def record(dim, cones):
-        fan = real_fan(dim, cones)
+    def record(fan):
         closed[-1].append(fan)
-        return fan
+        return real_validate(fan)
 
     def rule(cones, vertices, new_cone, u, admissible, nu):
         child = real_rule(cones, vertices, new_cone, u, admissible, nu)
@@ -197,7 +199,7 @@ def closed_complexes(monkeypatch, dims):
 
     classes = []
     with monkeypatch.context() as m:  # undone on return, so calls may repeat
-        m.setattr(_fano3, "_fan_from_cones", record)
+        m.setattr(_fano3, "validate_fan", record)
         m.setattr(_fano3, "_convex", rule)
         for d in dims:
             closed.append([])
@@ -242,14 +244,44 @@ def test_one_apex_per_orbit_keeps_every_class(monkeypatch):
 
 
 def test_enumeration_matches_brute_deduplication(monkeypatch):
-    """The classes the search returns, each the first complex it closes in
-    its class, equal every complex it closes deduplicated by the
-    brute-force canonical key: the same representatives in the same order.
-    Dimension 3 closes 95 complexes for 18 classes, most of them looked up
-    by a vector part that some found class has."""
+    """The classes the search returns, each as its canonical form, equal
+    every complex it closes deduplicated by the brute-force canonical key,
+    each class built from its key: the same representatives in the same
+    order. Dimension 3 closes 95 complexes for 18 classes, most of them
+    looked up by a vector part that some found class has."""
     classes, closed, _ = closed_complexes(monkeypatch, (1, 2, 3))
     assert classes == [oracles.brute_fano_classes(c) for c in closed]
     assert [len(c) for c in classes] == [1, 5, 18]
+
+
+def assert_canonical_forms(fans):
+    """Each representative is its class's canonical form, the fan built
+    from its brute-force canonical key (rays e0, e1, ... in lex order), so
+    it depends on the class alone and not on the order in which the search
+    closes the complexes of that class."""
+    for fan in fans:
+        assert fan == oracles.fan_of_key(oracles.brute_canonical_gl_key(fan))
+        assert structural_key(fan) == canonical_gl_key(fan)
+
+
+def test_representatives_are_canonical_forms():
+    for d in (1, 2, 3):
+        assert_canonical_forms(catalog.enumerate_fano(d))
+
+
+def test_representatives_do_not_depend_on_the_wall_order(monkeypatch):
+    """Expanding the greatest open wall in place of the least closes the
+    complexes of each class in another order, the first of a class being
+    another complex in dimensions 2 and 3, yet the search returns the same
+    fans: every Fano completion of a complex puts one cone on each of its
+    open walls, whichever is expanded first."""
+    least = [_fano3.enumerate_fano_fans(d) for d in (1, 2, 3)]
+
+    def greatest_wall(items):  # the search's min over its set of open walls
+        return builtins.max(items) if isinstance(items, set) else builtins.min(items)
+
+    monkeypatch.setattr(_fano3, "min", greatest_wall, raising=False)
+    assert [_fano3.enumerate_fano_fans(d) for d in (1, 2, 3)] == least
 
 
 def test_a_third_owner_of_a_wall_raises(monkeypatch):
@@ -551,8 +583,9 @@ def test_enumerate_dim4_classes():
     """The search finds the 124 classes of smooth toric Fano 4-folds, by
     Picard number 1 to 8 the published 1, 9, 28, 47, 27, 10, 1 and 1
     (Batyrev, J. Math. Sci. 94 (1999); Sato, Tohoku Math. J. 52 (2000)),
-    with distinct canonical keys in canonical-key order, in under a minute
-    of CPU. The catalog serves dimensions 1 to 4 and refuses 5."""
+    with distinct canonical keys in canonical-key order, each class as its
+    canonical form, in under a minute of CPU. The catalog serves dimensions
+    1 to 4 and refuses 5."""
     start = time.process_time()
     fans = catalog.enumerate_fano(4)
     cpu = time.process_time() - start
@@ -563,6 +596,7 @@ def test_enumerate_dim4_classes():
     assert len(set(keys)) == 124
     assert keys == sorted(keys)
     assert cpu < 60
+    assert_canonical_forms(fans)
     with pytest.raises(UnsupportedDimensionError):
         catalog.enumerate_fano(5)
 

@@ -251,6 +251,15 @@ def test_factor_require_fano_exits_3(cli_run, fan_files):
     assert "no factorization with Fano intermediates" in out
 
 
+def test_factor_without_any_path_exits_3(cli_run, fan_files, monkeypatch):
+    # no real pair without a factorization is at hand, so the search is
+    # stubbed to find no path
+    monkeypatch.setattr(birational, "factor_morphism", lambda *args, **kwargs: ())
+    code, out, _ = cli_run("factor", fan_files["paper-Y"], fan_files["paper-X"])
+    assert code == 3
+    assert out == "no factorization\n"
+
+
 def test_factor_identity_exits_0(cli_run, fan_files):
     code, out, _ = cli_run("factor", fan_files["paper-X"], fan_files["paper-X"])
     assert code == 0

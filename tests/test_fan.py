@@ -222,22 +222,27 @@ def test_parse_drops_one_leading_byte_order_mark():
     assert str(exc.value) == "line 1: unknown directive '\\ufeffdim'"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "ray a 1 0\n",  # ray before dim
-        "dim 2\ndim 2\n",  # duplicate dim
-        "dim 0\n",  # nonpositive dimension
-        "dim 2\nray a 1 x\n",  # non-integer coordinate
-        "dim 2\nray a 1 0\nray b 0 1\nmaxcone a b\nray c -1 -1\n",  # ray after maxcone
-        "dim 2\nray a 1 0\nmaxcone a a\n",  # repeated ray in cone
-        "dim 2\nwibble\n",  # unknown directive
-        "",  # missing dim
-    ],
-)
+SYNTAX_ERRORS = {
+    "ray a 1 0\n": "line 1: 'ray' before 'dim'",
+    "dim 2\ndim 2\n": "line 2: duplicate 'dim' line",
+    "dim 0\n": "line 1: dimension must be positive",
+    "dim\n": "line 1: expected 'dim <n>'",  # no dimension
+    "dim 2 3\n": "line 1: expected 'dim <n>'",  # two dimensions
+    "dim 2\nray a 1 x\n": "line 2: ray 'a': coordinates must be integers",
+    "dim 2\nray a 1 0\nray b 0 1\nmaxcone a b\nray c -1 -1\n": (
+        "line 5: 'ray' after 'maxcone'"
+    ),
+    "dim 2\nray a 1 0\nmaxcone a a\n": "line 3: repeated ray in cone (0, 0)",
+    "dim 2\nwibble\n": "line 2: unknown directive 'wibble'",
+    "": "missing 'dim' line",
+}
+
+
+@pytest.mark.parametrize("text", list(SYNTAX_ERRORS))
 def test_parse_syntax_errors(text):
-    with pytest.raises(FanSyntaxError):
+    with pytest.raises(FanSyntaxError) as exc:
         parse_fan(text)
+    assert str(exc.value) == SYNTAX_ERRORS[text]
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0661"])
@@ -570,7 +575,7 @@ def test_rejection_path_matches_the_own_wall_map_oracle(catalog_fans):
     for f, report in zip(fans, reports):
         assert report == own_wall_map_rejection(f), serialize_fan(f)
     rejected = [r for r in reports if not r.ok]
-    assert (len(fans), len(rejected)) == (361, 345)
+    assert (len(fans), len(rejected)) == (361, 347)
     for flag in ("smooth", "complete", "faces_ok"):
         assert {getattr(r, flag) for r in rejected} == {False, True}
     # a lone cone twice passes every wall count and the walk, which reaches
@@ -1285,6 +1290,20 @@ def test_isomorphism_skips_non_unimodular_first_cone():
     assert fan_isomorphism(fan, fan) == ((1, 0), (0, 1))
     assert canonical_gl_key(fan) is not None
     assert canonical_gl_key(fan) == brute_canonical_gl_key(fan)
+
+
+def test_isomorphism_without_a_unimodular_cone():
+    # a complete fan whose cones ab, ac, bc have determinants 2, -2 and 4:
+    # it has no normal form, so no map to P^2 is found either way and it
+    # has no canonical key
+    fan = make_fan(
+        2, [("a", (1, 0)), ("b", (-1, 2)), ("c", (-1, -2))], [(0, 1), (1, 2), (0, 2)]
+    )
+    assert [lattice.determinant(fan.cone_vectors(c)) for c in fan.max_cones] == [2, -2, 4]
+    p2 = catalog.projective_space(2)
+    assert fan_isomorphism(fan, p2) is None
+    assert fan_isomorphism(p2, fan) is None
+    assert canonical_gl_key(fan) is None
 
 
 def test_isomorphism_rejects_repeated_vectors():
