@@ -89,18 +89,20 @@ whole pool would give after the apex half and the bound, as a vertex v
 there is off the owner and so already has u_owner(v) <= 0. Each is then
 weighed by the vertex half alone (``_convex``).
 
-The search maps the walls once, at the root, and carries the map down: the
-owners of each wall, with the position of each owner's ray off it, beside
-the set of open walls, the vertex set and u_F(nu). A child adds its new
-cone's n walls on entry and takes them off on return. A wall leaves the
-open set at its second owner, and a third owner, which the face condition
-above rules out, raises ``InternalInconsistencyError`` where it appears.
-So the smallest open wall is the least of the open set, with no scan of
-the map. The map, the rows, the sets and the found classes are local to
-the call, so concurrent calls share nothing but the caches of pure
-functions. Every vector the search dots (a pool vector, a vertex, a dual
-row) has n entries by construction, so it dots with
-``sum(map(mul, u, x))``, with no length check.
+The complex is the map from each of its cones to the cone's dual rows and
+their sum u. The search carries it down beside the owners of each wall,
+with the position of each owner's ray off it, the set of open walls, the
+vertex set and u_F(nu). The start cone enters like any other: a cone adds
+itself to the complex, its n walls and its vertices on entry and takes
+them off on return. A wall leaves the open set at its second owner, and a
+third owner, which the face condition above rules out, raises
+``InternalInconsistencyError`` where it appears. So the smallest open wall
+is the least of the open set, with no scan of the map. The complex, the
+wall map, the sets and the found classes are local to the call, so
+concurrent calls share nothing but the caches of pure functions. Every
+vector the search dots (a pool vector, a vertex, a dual row) has n
+entries by construction, so it dots with ``sum(map(mul, u, x))``, with no
+length check.
 
 Each cone of the complex carries its dual rows and their sum u, and none
 is inverted: the start cone's rows are its own vectors, the e_i, and a
@@ -110,10 +112,10 @@ has a_i = phi_i(w). The dual rows of the new cone are phi_i + a_i * phi_p
 on the u_i and -phi_p on w, so u_new = u_owner + (u_owner(w) - 1) * phi_p,
 which is all the convexity rule weighs. Only a cone the rule admits has
 its rows built (``fan._exchange``), as it is entered, and they are
-dropped on return.
-So the search makes no inverse of its own; ``validate_fan`` inverts the
-first cone of a closed complex and carries its rows to the others by the
-same exchange, across each wall (``fan._walk``).
+dropped on return. So the search makes no inverse of its own;
+``validate_fan`` inverts the first cone of a closed complex and carries
+its rows to the others by the same exchange, across each wall
+(``fan._walk``).
 
 Deduplication looks a closed complex up among the normal forms of the
 classes found so far (``fan._normal_forms``) by vector part alone, the
@@ -158,7 +160,6 @@ from .fan import (
     _exchange,
     _normal_forms,
     _vector_part,
-    _wall_owners,
 )
 
 
@@ -184,15 +185,17 @@ def _fixing(group, vectors) -> tuple:
     )
 
 
-def _convex(cones, vertices: set, new_cone, u, admissible, nu):
+def _convex(duals: dict, vertices: set, new_cone, u, admissible, nu):
     """The convexity rule at ``new_cone``, of functional ``u``, whose apex
-    is a vertex or drawn from ``admissible``, the admissible set of
-    ``cones`` (with vertex set ``vertices``): the vertex half, u(v) <= 0
-    for every vertex v off ``new_cone``. Returns None if it fails, else the
+    is a vertex or drawn from ``admissible``, the admissible set of the
+    complex ``duals`` (its cones mapped to their dual rows and their sum,
+    with vertex set ``vertices``): the vertex half, u(v) <= 0 for every
+    vertex v off ``new_cone``. Returns None if it fails, else the
     admissible set with ``new_cone`` added, whose vertices have
     u_F(nu) = ``nu``: the x of ``admissible`` with u(x) <= 0, which drops
-    the apex, and nu + sum(x) >= 0. ``cones`` is read only by rules that
-    stand in for this one, and they may ignore ``u``."""
+    the apex, and nu + sum(x) >= 0. ``duals`` is read only by rules that
+    stand in for this one, which may ignore ``u``; the search changes it
+    after the call, so they copy what they keep of it."""
     if any(sum(map(mul, u, v)) > 0 for v in vertices.difference(new_cone)):
         return None
     return tuple(x for x in admissible if sum(map(mul, u, x)) <= 0 and nu + sum(x) >= 0)
@@ -209,7 +212,7 @@ def _fan_from_cones(dim: int, cones) -> Fan:
     return Fan(
         dim,
         tuple(RayGenerator(f"e{i}", v) for i, v in enumerate(vertices)),
-        tuple(sorted(tuple(map(index.__getitem__, cone)) for cone in cones)),
+        [tuple(map(index.__getitem__, cone)) for cone in cones],
     )
 
 
@@ -221,14 +224,16 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
     found: dict = {}  # least vector part -> its class's canonical form
     parts: set = set()  # the vector parts of every form of every found class
 
-    owners = _wall_owners([start])  # wall -> [(cone, k)], one or two owners
-    duals = {start: (start, (1,) * dim)}  # cone -> (its dual rows, their sum u)
-    open_walls = set(owners)  # the walls with one owner
-    vertices = set(start)
+    owners: dict = {}  # wall -> [(cone, k)], one or two owners
+    duals: dict = {}  # the complex: cone -> (its dual rows, their sum u)
+    open_walls: set = set()  # the walls with one owner
+    vertices: set = set()
 
-    def enter(cone):  # adds the walls of a cone the rule admitted
+    def enter(cone, rows_u):  # adds a cone with its rows, walls and vertices
+        duals[cone] = rows_u
+        vertices.update(cone)
         k = len(cone)
-        for wall in combinations(cone, k - 1):  # as _wall_owners orders them
+        for wall in combinations(cone, k - 1):  # as fan._wall_owners orders them
             k -= 1
             sides = owners.setdefault(wall, [])
             sides.append((cone, k))
@@ -239,7 +244,9 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             else:
                 raise InternalInconsistencyError("wall covered three times")
 
-    def leave(cone):  # undoes enter(cone)
+    def leave(cone, fresh):  # undoes enter(cone), which added the vertices fresh
+        del duals[cone]
+        vertices.difference_update(fresh)
         for wall in combinations(cone, len(cone) - 1):
             sides = owners[wall]
             sides.pop()
@@ -249,9 +256,9 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
                 del owners[wall]
                 open_walls.discard(wall)
 
-    def grow(cones: frozenset, admissible: tuple, nu: int, group: tuple):
+    def grow(admissible: tuple, nu: int, group: tuple):
         if not open_walls:
-            fan = _fan_from_cones(dim, cones)
+            fan = _fan_from_cones(dim, duals)
             if not validate_fan(fan).ok:
                 raise InternalInconsistencyError(
                     "closed cone complex failed validation"
@@ -278,24 +285,20 @@ def enumerate_fano_fans(dim: int) -> list[Fan]:
             if any(tuple(map(w.__getitem__, g)) < w for g in on_wall):
                 continue  # g maps this subtree onto one tried before
             new_cone = tuple(sorted(wall + (w,)))
-            fresh = w not in vertices
+            fresh = () if w in vertices else (w,)
             child_nu = nu + sum(w) if fresh else nu
             c = sum(map(mul, u, w)) - 1
             u_new = tuple(a + c * b for a, b in zip(u, on_p))
-            child = _convex(cones, vertices, new_cone, u_new, admissible, child_nu)
+            child = _convex(duals, vertices, new_cone, u_new, admissible, child_nu)
             if child is None:
                 continue
-            enter(new_cone)
-            vertices.add(w)
             coeffs = [sum(map(mul, row, w)) for row in rows[:k] + rows[k + 1 :]]
-            duals[new_cone] = _exchange(rows, k, coeffs, new_cone.index(w)), u_new
-            grow(cones | {new_cone}, child, child_nu, _fixing(group, new_cone))
-            del duals[new_cone]
-            if fresh:
-                vertices.remove(w)
-            leave(new_cone)
+            enter(new_cone, (_exchange(rows, k, coeffs, new_cone.index(w)), u_new))
+            grow(child, child_nu, _fixing(group, new_cone))
+            leave(new_cone, fresh)
 
-    # u_start = sum and u_F(nu) = dim at the root
+    # the start cone enters like any other; u_start = sum and u_F(nu) = dim
+    enter(start, (start, (1,) * dim))
     admissible = tuple(v for v in pool if -dim <= sum(v) <= 0)
-    grow(frozenset([start]), admissible, dim, _coordinate_permutations(dim))
+    grow(admissible, dim, _coordinate_permutations(dim))
     return [found[k] for k in sorted(found)]

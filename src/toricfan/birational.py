@@ -135,11 +135,11 @@ def factor_morphism(
 
     One memo maps each intermediate fan to its step suffixes down to
     ``coarse`` (at most one unless ``exhaustive``), so each intermediate
-    lists its candidates once. The memo compares fans as values:
-    the contraction step slices the generators of the fan it contracts and
-    keeps the cones sorted, so every intermediate has ``fine``'s rays in
-    ``fine``'s order, equal fans are equal ``Fan`` values, and a memoized
-    suffix is the one a new walk would build.
+    lists its candidates once. The memo compares fans as values: the
+    contraction step slices the generators of the fan it contracts, so
+    every intermediate has ``fine``'s rays in ``fine``'s order, and ``Fan``
+    sorts its maximal cones, so equal fans are equal ``Fan`` values and a
+    memoized suffix is the one a new walk would build.
     """
     for endpoint in (fine, coarse):
         mori.wall_classes(endpoint)  # the check only; the classes are not read

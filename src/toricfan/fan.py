@@ -17,7 +17,6 @@ several times as long as a NamedTuple to build at import.
 from __future__ import annotations
 
 import re
-from bisect import insort
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from operator import mul
@@ -67,10 +66,14 @@ class Fan:
     """A fan in Z^dim: ray generators and maximal cones of full dimension.
 
     An immutable value: fans compare by (dim, generators, max_cones) and
-    refuse assignment. It is written by hand, not as a NamedTuple, because
-    a NamedTuple has no instance dict to hold the cached ``_hash``, which
-    leaves out the names: without it every cache lookup would hash the
-    whole fan again.
+    refuse assignment. The constructor stores both containers as tuples,
+    the maximal cones sorted: it is the one place that order is kept, so
+    two fans listing the same cones in another order are one value with
+    one hash. Each builder sorts the rays inside each cone.
+
+    It is written by hand, not as a NamedTuple, because a NamedTuple has no
+    instance dict to hold the cached ``_hash``, which leaves out the names:
+    without it every cache lookup would hash the whole fan again.
     """
 
     dim: int
@@ -80,10 +83,11 @@ class Fan:
     def __init__(
         self,
         dim: int,
-        generators: tuple[RayGenerator, ...],
-        max_cones: tuple[Cone, ...],
+        generators: Iterable[RayGenerator],
+        max_cones: Iterable[Cone],
     ) -> None:
-        self.__dict__.update(dim=dim, generators=generators, max_cones=max_cones)
+        gens, cones = tuple(generators), tuple(sorted(max_cones))
+        self.__dict__.update(dim=dim, generators=gens, max_cones=cones)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a Fan")
@@ -148,8 +152,7 @@ def make_fan(
     for gen in generators:
         gens.append(_generator(dim, gen, taken))
         taken.add(gens[-1].name)
-    cones = sorted(_cone(dim, cone, len(gens)) for cone in max_cones)
-    return Fan(dim, tuple(gens), tuple(cones))
+    return Fan(dim, gens, [_cone(dim, cone, len(gens)) for cone in max_cones])
 
 
 def _generator(dim: int, gen, taken) -> RayGenerator:
@@ -280,15 +283,16 @@ def parse_fan(text: str) -> Fan:
         raise type(err)(f"{err} (line {lineno})") from None
     if dim is None:
         raise FanSyntaxError("missing 'dim' line")
-    return Fan(dim, tuple(gens), tuple(sorted(cones)))
+    return Fan(dim, gens, cones)
 
 
 def serialize_fan(fan: Fan) -> str:
-    """Canonical text form: rays in input order, cones sorted by index tuple."""
+    """Canonical text form: rays in input order, cones in ``max_cones``
+    order, which ``Fan`` keeps sorted by index tuple."""
     lines = [f"dim {fan.dim}"]
     for g in fan.generators:
         lines.append("ray " + g.name + " " + " ".join(str(c) for c in g.vector))
-    for cone in sorted(fan.max_cones):
+    for cone in fan.max_cones:
         lines.append("maxcone " + " ".join(fan.cone_names(cone)))
     return "\n".join(lines) + "\n"
 
@@ -670,7 +674,7 @@ def star_subdivide(
             cones += [tuple(j for j in mc if j != i) + (new_index,) for i in cidx]
         else:
             cones.append(mc)
-    return Fan(fan.dim, fan.generators + (gen,), tuple(sorted(cones)))
+    return Fan(fan.dim, fan.generators + (gen,), cones)
 
 
 def contract_ray(
@@ -731,22 +735,21 @@ def _contract(fan: Fan, x: int, collection: Cone) -> Fan | tuple[Cone, ...]:
     """The step of ``contract_ray`` on a valid fan and resolved indices, the
     collection's vectors summing to ray x's: the target fan, or every
     maximal cone that breaks the star condition. A cone off x only has its
-    indices past x shifted down, which keeps the order of ``max_cones``;
-    the cones on x are merged, and each merged cone goes into its place."""
-    cset = set(collection)
-    kept, merged, bad = [], set(), []
+    indices past x shifted down; the h cones on x that share a set t of
+    rays off the collection merge into one, built from the one that misses
+    the collection's first ray (``contract_ray`` shows that all h exist)."""
+    cset, first = set(collection), collection[0]
+    kept, bad = [], []
     for mc in fan.max_cones:
         if x not in mc:
             kept.append(mc if mc[-1] < x else tuple([i - (i > x) for i in mc]))
         elif len(cset.intersection(mc)) != len(cset) - 1:
             bad.append(mc)
-        elif not bad:
-            merged.add(tuple(sorted([i - (i > x) for i in cset.union(mc) if i != x])))
+        elif not bad and first not in mc:
+            kept.append(tuple(sorted([i - (i > x) for i in cset.union(mc) if i != x])))
     if bad:
         return tuple(bad)
-    for cone in merged:
-        insort(kept, cone)
-    return Fan(fan.dim, fan.generators[:x] + fan.generators[x + 1 :], tuple(kept))
+    return Fan(fan.dim, fan.generators[:x] + fan.generators[x + 1 :], kept)
 
 
 # ---------------------------------------------------------------------------
@@ -859,12 +862,12 @@ def fan_isomorphism(a: Fan, b: Fan):
         or len(a.max_cones) != len(b.max_cones)
     ):
         return None
+    if len(set(b.vectors())) != len(b.generators):
+        return None
     if not a.max_cones:
         if sorted(a.vectors()) != sorted(b.vectors()):
             return None
         return tuple(tuple(int(i == j) for j in range(a.dim)) for i in range(a.dim))
-    if len(set(b.vectors())) != len(b.generators):
-        return None
     first = next(_normal_forms(a), None)
     if first is None:
         return None
@@ -895,8 +898,8 @@ def canonical_gl_key(fan: Fan):
     normal forms, i.e. over all maps sending an ordered maximal cone onto
     the standard basis; None without a unimodular maximal cone.
     fan_isomorphism matches normal forms of the same kind, so two fans
-    without repeated generator vectors get equal keys iff it finds a map
-    between them.
+    without repeated generator vectors and with a unimodular maximal cone
+    get equal keys iff it finds a map between them.
 
     The least key has the least vector part, so the cone parts are built
     only for the forms that tie on it: 4 of the 408 forms of paper-Y.

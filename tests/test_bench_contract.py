@@ -595,26 +595,30 @@ def test_fano_search_tries_one_apex_per_orbit(monkeypatch):
 
 
 def test_fano_search_builds_one_wall_map_per_call(monkeypatch):
-    # the search maps the walls of its start cone and carries the map down:
-    # each cone it enters adds its walls and takes them off on return, so
-    # one map per call, where rebuilding it per complex entered made 2, 24
-    # and 1,160 in dimensions 1 to 3 (2,129 trying every apex); the dual
-    # rows it carries beside the map are pinned by
+    # the search carries one wall map down: each cone it enters, the start
+    # cone too, adds its walls and takes them off on return, where
+    # rebuilding the map per complex entered made 2, 24 and 1,160 in
+    # dimensions 1 to 3 (2,129 trying every apex). So it maps no walls
+    # through _wall_owners: from cold caches, only the wall pass of
+    # validate_fan does, once for each of the 1, 9 and 95 closed complexes.
+    # The dual rows carried beside the map are pinned by
     # test_fano_search_inverts_no_tried_cone
-    real = _fano3._wall_owners
+    assert not hasattr(_fano3, "_wall_owners")
+    real = fan._wall_owners
     calls = []
 
     def counting(cones):
         calls.append(cones)
         return real(cones)
 
-    monkeypatch.setattr(_fano3, "_wall_owners", counting)
+    clear_package_caches()  # the wall passes
+    monkeypatch.setattr(fan, "_wall_owners", counting)
     counts = []
     for d in (1, 2, 3):
         calls.clear()
         _fano3.enumerate_fano_fans(d)
         counts.append(len(calls))
-    assert counts == [1, 1, 1]
+    assert counts == [1, 9, 95]
 
 
 def test_canonical_key_builds_full_keys_only_for_ties(monkeypatch, tower):

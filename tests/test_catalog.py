@@ -14,7 +14,7 @@ from toricfan.errors import (
     InvalidDimensionError,
     UnsupportedDimensionError,
 )
-from toricfan.fan import _dual_rows
+from toricfan.fan import ValidationReport, _dual_rows, _wall_owners
 
 import oracles
 from conftest import chain_prefixes, search_root, twisted_threefold
@@ -192,6 +192,7 @@ def closed_complexes(monkeypatch, dims):
         return real_validate(fan)
 
     def rule(cones, vertices, new_cone, u, admissible, nu):
+        cones = frozenset(cones)  # the search's complex, which it changes later
         child = real_rule(cones, vertices, new_cone, u, admissible, nu)
         if child is not None:  # grow enters the complex with new_cone added
             entered[-1].append(cones | {new_cone})
@@ -212,7 +213,7 @@ def closed_complexes(monkeypatch, dims):
             assert all(r.degree > 0 for r in mori.primitive_relations(fan))
         for cones in entered_d:
             v = len({x for cone in cones for x in cone})
-            if all(len(o) == 2 for o in _fano3._wall_owners(cones).values()):
+            if all(len(o) == 2 for o in _wall_owners(cones).values()):
                 continue  # closed
             assert len(cones) <= {1: 1, 2: v - 1, 3: 2 * v - 5}[d]
     return classes, closed, entered
@@ -298,6 +299,30 @@ def test_a_third_owner_of_a_wall_raises(monkeypatch):
     with pytest.raises(InternalInconsistencyError, match="covered three times"):
         _fano3.enumerate_fano_fans(2)
     assert len(tried) == 4
+
+
+def failed_validation(fan):
+    return ValidationReport(True, False, True, ("stub",))
+
+
+@pytest.mark.parametrize(
+    "module, name, stub, message",
+    [
+        (_fano3, "validate_fan", failed_validation, "failed validation"),
+        (mori, "is_fano", lambda fan: (False, ()), "is not Fano"),
+    ],
+    ids=["validation", "fano"],
+)
+def test_a_closed_complex_failing_a_self_check_raises(
+    monkeypatch, module, name, stub, message
+):
+    """Each closed complex is checked by ``validate_fan`` and by the wall
+    verdict of ``mori.is_fano``; a stub failing either check makes the
+    search raise at the first complex it closes."""
+    monkeypatch.setattr(module, name, stub)
+    expected = f"^closed cone complex {message}$"
+    with pytest.raises(InternalInconsistencyError, match=expected):
+        _fano3.enumerate_fano_fans(2)
 
 
 def max_rays(dim):
@@ -399,6 +424,7 @@ def against_pool_scan(monkeypatch, dim, limit=None, pruned=False):
         return kept
 
     def rule(cones, vertices, new_cone, u, admissible, nu):
+        cones = frozenset(cones)  # the search's complex, which it changes later
         assert u == oracles.functional(new_cone), new_cone
         tried.setdefault(cones, []).append(new_cone)
         sets[cones] = admissible
@@ -431,7 +457,7 @@ def against_pool_scan(monkeypatch, dim, limit=None, pruned=False):
         assert sets[cones] == oracles.admissible_set(cones, pool)
         if pruned:
             assert set(groups[cones]) == oracles.cone_stabilizer(cones)
-        if all(len(o) == 2 for o in _fano3._wall_owners(cones).values()):
+        if all(len(o) == 2 for o in _wall_owners(cones).values()):
             assert cones not in tried  # closed
             continue
         vertices = {x for cone in cones for x in cone}

@@ -310,6 +310,29 @@ def test_equal_fans_hash_equal(catalog_fans):
         assert fan.dim == copy.dim
 
 
+@pytest.mark.parametrize("key", ["p2", "paper-Y"])
+def test_fan_keeps_its_maximal_cones_sorted(key):
+    # the constructor sorts the maximal cones, so a fan built with them in
+    # another order is the same value: equal, with the same hash and text,
+    # and a hit in every per-fan cache
+    fan = catalog.catalog_fan(key)
+    reordered = fan_module.Fan(fan.dim, fan.generators, fan.max_cones[::-1])
+    assert reordered.max_cones == fan.max_cones
+    assert reordered == fan and hash(reordered) == hash(fan)
+    assert serialize_fan(reordered) == serialize_fan(fan)
+    assert mori.primitive_collections(reordered) is mori.primitive_collections(fan)
+
+
+def test_fan_built_from_lists_is_its_tuple_built_copy():
+    # the constructor stores both containers as tuples, so a fan built from
+    # lists hashes, validates and equals its tuple-built copy
+    p2 = catalog.projective_space(2)
+    fan = fan_module.Fan(2, list(p2.generators), list(p2.max_cones))
+    assert validate_fan(fan).ok
+    assert fan == p2 and hash(fan) == hash(p2)
+    assert type(fan.generators) is tuple and type(fan.max_cones) is tuple
+
+
 def test_records_keep_repr_hash_and_immutability(tower):
     # each record reprs, hashes and refuses assignment as it always has;
     # its hash is that of its field tuple, so caches and dicts keyed by
@@ -1154,6 +1177,7 @@ def searched_cone_pairs(monkeypatch, dims):
     real_rule = _fano3._convex
 
     def rule(cones, vertices, new_cone, u, admissible, nu):
+        cones = frozenset(cones)  # the search's complex, which it changes later
         weighed.update((new_cone, cone) for cone in cones)
         child = real_rule(cones, vertices, new_cone, u, admissible, nu)
         if child is not None:  # grow enters the complex with new_cone added
@@ -1304,8 +1328,21 @@ def test_isomorphism_without_a_unimodular_cone():
     assert fan_isomorphism(fan, p2) is None
     assert fan_isomorphism(p2, fan) is None
     assert canonical_gl_key(fan) is None
+    # so equal keys need a unimodular cone: a second such fan, determinants
+    # 3, -3 and 6, has the same key, None, and no map either way
+    other = make_fan(
+        2, [("a", (1, 0)), ("b", (-1, 3)), ("c", (-1, -3))], [(0, 1), (1, 2), (0, 2)]
+    )
+    dets = [lattice.determinant(other.cone_vectors(c)) for c in other.max_cones]
+    assert dets == [3, -3, 6]
+    assert canonical_gl_key(other) == canonical_gl_key(fan)
+    assert fan_isomorphism(fan, other) is None
+    assert fan_isomorphism(other, fan) is None
 
 
 def test_isomorphism_rejects_repeated_vectors():
     fan = make_fan(2, [("a", (1, 0)), ("b", (1, 0)), ("c", (0, 1))], [(0, 2), (1, 2)])
     assert fan_isomorphism(fan, fan) is None
+    # and so has a fan with no cones: the check comes before that case
+    coneless = make_fan(2, [("a", (1, 0)), ("b", (1, 0))], [])
+    assert fan_isomorphism(coneless, coneless) is None
