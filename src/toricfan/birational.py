@@ -118,14 +118,24 @@ def factor_morphism(
     rays as ``coarse``. A complete fan refining ``coarse`` holds every ray
     of ``coarse``, so with as many rays it holds no other, and each coarse
     cone is then the one fine cone inside it: the fan equals ``coarse``.
-    The coarse-cone bitmasks of ``fine``'s rays are computed once (see
-    ``fan.refines``); every target's rays are among them, so each
-    refinement test is one AND per maximal cone. Both endpoints, and every
-    intermediate via ``blow_down_candidates``, go through the cached wall
-    pass of ``mori.wall_classes``, so a fan that ``validate_fan`` rejects
-    raises ``InternalInconsistencyError``; the step flags come from
-    ``mori.is_fano_by_walls`` and the cached ``mori.is_projective``, both
-    read off that pass, so the search locates no primitive relation. With
+    The coarse-cone bitmasks of ``fine``'s rays are read once per call
+    from the cache of ``fan._ray_masks``, keyed by the coarse fan and the
+    vector, so calls onto one coarse fan test each vector once; every
+    target's rays are among them, so each refinement test is one AND per
+    maximal cone. Both endpoints, and every intermediate via
+    ``blow_down_candidates``, go through the cached wall pass of
+    ``mori.wall_classes``, so a fan that ``validate_fan`` rejects raises
+    ``InternalInconsistencyError``. The step flags read that pass, so the
+    search locates no primitive relation: ``fano`` is
+    ``mori.is_fano_by_walls``, and ``projective`` is True when the next fan
+    toward ``coarse`` is projective, else the cached ``mori.is_projective``.
+    Each step fan is the star subdivision of the fan below it, the blow-up
+    along a smooth invariant center, and a blow-up of a projective variety
+    is projective (Hartshorne, *Algebraic Geometry*, II.7). So onto a
+    projective ``coarse``, such as P^n, the search runs no Gordan LP, and
+    onto a non-projective one it runs the LP only up to the first step it
+    finds projective. The flag below the last step is
+    ``mori.is_projective(coarse)``, read once per call. With
     ``require_fano``, intermediates strictly between the endpoints must be
     Fano. With ``exhaustive``, all complete paths are returned, otherwise
     only the first; the empty tuple means the search finished and no
@@ -150,6 +160,7 @@ def factor_morphism(
             " morphism to factor"
         )
     rays = len(coarse.generators)
+    coarse_projective = mori.is_projective(coarse)
     memo: dict = {}
 
     def suffixes(current: Fan) -> tuple[tuple[FactorStep, ...], ...]:
@@ -171,6 +182,9 @@ def factor_morphism(
             rest = suffixes(target)
             if not rest:
                 continue
+            # target is the blow-up of the fan its first suffix steps to,
+            # or ``coarse`` itself when that suffix is empty
+            below = rest[0][0].projective if rest[0] else coarse_projective
             # collection rays survive the contraction, so their names name
             # the blow-up center in the target as well
             step = FactorStep(
@@ -178,7 +192,7 @@ def factor_morphism(
                 current.cone_names(cand.relation.collection),
                 target,
                 mori.is_fano_by_walls(target),
-                mori.is_projective(target),
+                below or mori.is_projective(target),
             )
             found.extend((step,) + r for r in rest)
             if not exhaustive:

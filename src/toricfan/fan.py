@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice
@@ -67,9 +67,11 @@ class Fan:
 
     An immutable value: fans compare by (dim, generators, max_cones) and
     refuse assignment. The constructor stores both containers as tuples,
-    the maximal cones sorted: it is the one place that order is kept, so
-    two fans listing the same cones in another order are one value with
-    one hash. Each builder sorts the rays inside each cone.
+    each maximal cone as a tuple and the maximal cones sorted: it is the one
+    place that order is kept, so two fans listing the same cones in another
+    order, or as lists, are one value with one hash. Each builder sorts the
+    rays inside each cone; a cone whose indices do not strictly increase
+    fails ``validate_fan``.
 
     It is written by hand, not as a NamedTuple, because a NamedTuple has no
     instance dict to hold the cached ``_hash``, which leaves out the names:
@@ -86,7 +88,7 @@ class Fan:
         generators: Iterable[RayGenerator],
         max_cones: Iterable[Cone],
     ) -> None:
-        gens, cones = tuple(generators), tuple(sorted(max_cones))
+        gens, cones = tuple(generators), tuple(sorted(map(tuple, max_cones)))
         self.__dict__.update(dim=dim, generators=gens, max_cones=cones)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -360,25 +362,28 @@ def validate_fan(fan: Fan) -> ValidationReport:
     force the support to be the whole space: the cycle (1,0) (-2,-1)
     (-1,-1) (-1,-2) (0,-1), cones r_i r_(i+1), passes and folds back over
     part of the plane. Together with faces_ok it does.
-    faces_ok: no generator vector repeats, every generator is used and any
-    two maximal cones intersect in the cone of their shared rays.
+    faces_ok: no generator vector repeats, every generator is used, every
+    maximal cone lists its ray indices strictly increasing (the form
+    ``Cone`` promises and every reader of the cones assumes) and any two
+    maximal cones intersect in the cone of their shared rays.
 
     ``_walls`` decides all three in one walk over the walls (``_walk``),
     which inverts the first cone only and carries its dual rows across each
-    wall: the generators are distinct and used, each wall lies in two cones,
-    (a) on opposite sides of it with the cone across unimodular, the walk
-    reaches every cone, so every cone is unimodular, and (b) x0, the sum of
-    the first cone's generators, lies in no other cone. By (a), crossing a
-    wall off the (n-2)-skeleton swaps one cone for one, so every generic
-    point lies in the same number d of cones (n >= 2; for n = 1, (a) alone
-    forces the rays 1 and -1). As x0 is interior to the first cone, (b)
-    makes d = 1, and as each component of the wall-adjacency graph adds at
-    least 1 to d, the graph is connected. The same count in the quotient by
-    a face F shows that the cones containing F cover a neighbourhood of
-    relint F. So if x lies in cones s and s', with x in relint F for a face
-    F of s, the generic points of s' near x lie in a cone containing F,
-    which can only be s'; F is then the face of s' holding x, and every pair
-    meets in the cone of its shared rays.
+    wall: the generators are distinct and used, the cones' indices strictly
+    increase, each wall lies in two cones, (a) on opposite sides of it with
+    the cone across unimodular, the walk reaches every cone, so every cone
+    is unimodular, and (b) x0, the sum of the first cone's generators, lies
+    in no other cone. By (a), crossing a wall off the (n-2)-skeleton swaps
+    one cone for one, so every generic point lies in the same number d of
+    cones (n >= 2; for n = 1, (a) alone forces the rays 1 and -1). As x0 is
+    interior to the first cone, (b) makes d = 1, and as each component of
+    the wall-adjacency graph adds at least 1 to d, the graph is connected.
+    The same count in the quotient by a face F shows that the cones
+    containing F cover a neighbourhood of relint F. So if x lies in cones s
+    and s', with x in relint F for a face F of s, the generic points of s'
+    near x lie in a cone containing F, which can only be s'; F is then the
+    face of s' holding x, and every pair meets in the cone of its shared
+    rays.
 
     Only a fan ``_walls`` rejects is examined further, and only its cones
     are inverted one by one (``_cone_duals``). Its witnesses go into three
@@ -438,6 +443,12 @@ def validate_fan(fan: Fan) -> ValidationReport:
         f"generator {g.name} lies in no maximal cone"
         for i, g in enumerate(fan.generators)
         if i not in used
+    ]
+    faces += [
+        f"maximal cone {_cone_label(fan, cone)} does not list its rays in"
+        " strictly increasing index order"
+        for cone in cones
+        if not all(map(lt, cone, cone[1:]))
     ]
     for a, b in combinations(cones, 2):
         if a == b:
@@ -521,11 +532,15 @@ def _walk(fan: Fan) -> tuple | None:
     cone, whose rows come from ``_dual_rows``, and reads each wall once,
     from the owner it reaches first; a fan whose walls all pass (a) and
     whose walk reaches every cone has every cone unimodular. Each cone
-    reached is tested against x0 for (b) as its rows are made.
+    reached is tested against x0 for (b) as its rows are made. A cone whose
+    indices do not strictly increase is rejected before the walk: the wall
+    map and every reader of the cones assume that order.
     """
     cones, vectors = fan.max_cones, fan.vectors()
     if not 0 < len(set().union(*cones)) == len(set(vectors)) == len(vectors):
         return None
+    if not all([all(map(lt, cone, cone[1:])) for cone in cones]):
+        return None  # a cone whose indices do not strictly increase
     queue = [cones[0]]
     duals = {cones[0]: _dual_rows(fan.cone_vectors(cones[0]))}
     if duals[cones[0]] is None:
@@ -761,29 +776,41 @@ def refines(fine: Fan, coarse: Fan) -> bool:
 
     A cone lies in a convex cone iff its generators do, so a fine cone lies
     in the coarse fan iff the AND of its rays' ``_ray_masks`` is non-zero.
+    It shares the mask cache of ``_ray_masks`` with
+    ``birational.factor_morphism``.
     """
     return _masks_cover(fine, _ray_masks(fine, coarse))
 
 
 def _ray_masks(fine: Fan, coarse: Fan) -> dict[lattice.IntVector, int]:
     """Each fine generator vector -> bitmask of the coarse maximal cones
-    holding it, by the signs of the dual rows or, for a non-unimodular
-    cone, exactly by ``lattice.nonneg_rational_combination``."""
+    holding it, bit i for ``coarse.max_cones[i]``. Each vector's mask is
+    read from a cache keyed by (coarse, vector), ``_coarse_mask``, so calls
+    onto one coarse fan, such as the factorizations of many fine fans onto
+    P^n, test each vector against the coarse cones once."""
     if fine.dim != coarse.dim:
         raise DimensionMismatchError(
             f"cannot compare fans of dimension {fine.dim} and {coarse.dim}"
         )
-    masks = dict.fromkeys(fine.vectors(), 0)
+    return {v: _coarse_mask(coarse, v) for v in fine.vectors()}
+
+
+@lru_cache(maxsize=4096)
+def _coarse_mask(coarse: Fan, v: lattice.IntVector) -> int:
+    """The bitmask of the maximal cones of ``coarse`` holding ``v``, by the
+    signs of the dual rows or, for a non-unimodular cone, exactly by
+    ``lattice.nonneg_rational_combination``. Cached (``lru_cache``, 4096
+    pairs of a fan and a vector)."""
+    mask = 0
     for bit, (cone, dual) in enumerate(zip(coarse.max_cones, _cone_duals(coarse))):
-        vecs = coarse.cone_vectors(cone)
-        for v in masks:
-            if (
-                all(sum(map(mul, row, v)) >= 0 for row in dual)
-                if dual
-                else lattice.nonneg_rational_combination(vecs, v) is not None
-            ):
-                masks[v] |= 1 << bit
-    return masks
+        if (
+            all(sum(map(mul, row, v)) >= 0 for row in dual)
+            if dual
+            else lattice.nonneg_rational_combination(coarse.cone_vectors(cone), v)
+            is not None
+        ):
+            mask |= 1 << bit
+    return mask
 
 
 def _masks_cover(fan: Fan, masks: dict[lattice.IntVector, int]) -> bool:

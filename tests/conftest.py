@@ -65,16 +65,21 @@ def chain_prefixes():
     ]
 
 
-def factorization_fans():
-    """Every fan on the exhaustive factorizations of the tower (Y onto X and
-    P^4, W onto X, X onto P^4) and of three seeded chains onto their base,
-    endpoints included, without repeats: the intermediates the search
-    builds by contraction."""
+def factorization_pairs():
+    """(fine, coarse) pairs of the tower (Y onto X and P^4, W onto X, X onto
+    P^4) and of three seeded chains onto their base."""
     p4, x, w, y = catalog.counterexample_tower()
-    pairs = [(y, x), (y, p4), (w, x), (x, p4)] + [
+    return [(y, x), (y, p4), (w, x), (x, p4)] + [
         (blowup_chain(seed, dim, steps), catalog.projective_space(dim))
         for seed, dim, steps in ((1, 3, 6), (2, 4, 4), (2, 4, 8))
     ]
+
+
+def factorization_fans():
+    """Every fan on the exhaustive factorizations of ``factorization_pairs``,
+    endpoints included, without repeats: the intermediates the search
+    builds by contraction."""
+    pairs = factorization_pairs()
     fans = [f for pair in pairs for f in pair]
     for fine, coarse in pairs:
         for path in birational.factor_morphism(fine, coarse, exhaustive=True):

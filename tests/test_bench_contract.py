@@ -259,6 +259,50 @@ def test_factor_search_inverts_one_first_cone_per_fan(monkeypatch):
     assert (len(inverted), len(walked)) == (3, 28)
 
 
+def test_factor_search_onto_a_projective_fan_runs_no_lp(monkeypatch):
+    # each step is a blow-up of the fan below it, so onto P^4, where -K is
+    # ample, every projective flag comes with no Gordan LP, and the coarse
+    # cones are unimodular, so the refinement masks need none either; one
+    # Gordan LP per non-Fano step made 24
+    real = lattice.solve_eq_nonneg
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(rows)
+        return real(rows, rhs)
+
+    chain = blowup_chain(2, 4, 8)
+    clear_package_caches()
+    monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
+    p4 = catalog.projective_space(4)
+    assert len(birational.factor_morphism(chain, p4, exhaustive=True)) == 84
+    assert calls == []
+
+
+def test_factorizations_onto_one_fan_test_each_vector_once(monkeypatch):
+    # the coarse-cone mask of each vector is cached per (coarse, vector):
+    # a cold miss reads the coarse fan's dual rows once, and a second
+    # factorization onto the same fan, or a refinement test, tests only the
+    # vectors not seen before
+    real = fan._cone_duals
+    read = []
+
+    def reading(f):
+        read.append(f)
+        return real(f)
+
+    short, long = blowup_chain(2, 4, 4), blowup_chain(2, 4, 8)
+    p4 = catalog.projective_space(4)
+    clear_package_caches()
+    monkeypatch.setattr(fan, "_cone_duals", reading)
+    assert birational.factor_morphism(short, p4)
+    assert read == [p4] * len(short.generators)
+    assert birational.factor_morphism(long, p4)
+    assert fan.refines(short, p4) and fan.refines(long, p4)
+    assert read == [p4] * len(long.generators)
+    assert set(short.vectors()) < set(long.vectors())
+
+
 def test_blow_down_candidates_raise_no_star_error(monkeypatch, tower):
     # the candidates read the obstruction off the contraction step, which
     # raises nothing; contract_ray still raises the error, with the text

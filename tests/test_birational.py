@@ -14,6 +14,7 @@ from conftest import (
     carried_row_fans,
     chain_prefixes,
     clear_package_caches,
+    factorization_pairs,
     twisted_threefold,
 )
 from oracles import table_blow_down_candidates
@@ -31,7 +32,7 @@ from toricfan import (
     structurally_equal,
     validate_fan,
 )
-from toricfan import birational, catalog, mori
+from toricfan import birational, catalog, lattice, mori
 from toricfan import fan as fan_module
 
 
@@ -358,9 +359,10 @@ def test_factor_first_path_is_prefix_of_exhaustive(tower):
     assert first[0] == every[0]
 
 
-def test_path_replay_and_intermediate_properties(tower):
-    p4, x, _, y = tower
-    for fine, coarse in [(y, x), (x, p4), (y, p4)]:
+def test_path_replay_and_intermediate_properties():
+    # each step's projective flag is taken from the fan below it when that
+    # one is projective; the LP of is_projective must agree on every step
+    for fine, coarse in factorization_pairs():
         for path in birational.factor_morphism(fine, coarse, exhaustive=True):
             assert len(path.steps) <= len(fine.generators) - len(
                 coarse.generators
@@ -375,6 +377,35 @@ def test_path_replay_and_intermediate_properties(tower):
             for step in reversed(path.steps):
                 current = star_subdivide(current, step.center, step.ray)
             assert structurally_equal(current, fine)
+
+
+def test_step_projectivity_onto_a_non_projective_fan(monkeypatch):
+    # the twisted threefold is not projective; its blow-up at (b, a1) is,
+    # its blow-up at (a, b) is not. Onto it the search runs the LP until a
+    # step is projective, and a step above a projective one takes its flag
+    # with no LP
+    real = lattice.solve_eq_nonneg
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(rows)
+        return real(rows, rhs)
+
+    monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
+    twisted = twisted_threefold()
+    fine2 = star_subdivide(
+        star_subdivide(twisted, ("b", "a1"), "p"), ("a", "b"), "q"
+    )
+    fine3 = star_subdivide(fine2, ("c", "d"), "r")
+    for fine, count in ((fine2, 1), (fine3, 3)):
+        clear_package_caches()
+        calls.clear()
+        paths = birational.factor_morphism(fine, twisted, exhaustive=True)
+        assert len(paths) == count and calls
+        steps = [step for path in paths for step in path.steps]
+        assert {step.projective for step in steps} == {True, False}
+        for step in steps:
+            assert step.projective == mori.is_projective(step.fan)
 
 
 def test_extremality_iff_projective_target(tower):

@@ -324,13 +324,46 @@ def test_fan_keeps_its_maximal_cones_sorted(key):
 
 
 def test_fan_built_from_lists_is_its_tuple_built_copy():
-    # the constructor stores both containers as tuples, so a fan built from
-    # lists hashes, validates and equals its tuple-built copy
+    # the constructor stores both containers and each cone as tuples, so a
+    # fan built from lists hashes, validates and equals its tuple-built copy
     p2 = catalog.projective_space(2)
-    fan = fan_module.Fan(2, list(p2.generators), list(p2.max_cones))
-    assert validate_fan(fan).ok
-    assert fan == p2 and hash(fan) == hash(p2)
-    assert type(fan.generators) is tuple and type(fan.max_cones) is tuple
+    for cones in (list(p2.max_cones), [list(c) for c in p2.max_cones]):
+        fan = fan_module.Fan(2, list(p2.generators), cones)
+        assert validate_fan(fan).ok
+        assert fan == p2 and hash(fan) == hash(p2)
+        assert type(fan.generators) is tuple and type(fan.max_cones) is tuple
+        assert all(type(c) is tuple for c in fan.max_cones)
+
+
+def test_cones_out_of_index_order_fail_validation():
+    # a Cone lists strictly increasing indices, and the contraction relies on
+    # it; a fan built with its cones' rays reversed meets every geometric
+    # condition, so the wall gate rejects it by that order alone and
+    # validate_fan names each such cone
+    p3 = catalog.projective_space(3)
+    b2 = star_subdivide(star_subdivide(p3, ("e1", "e2"), "e4"), ("e0", "e3"), "e5")
+    rev2 = fan_module.Fan(3, b2.generators, [c[::-1] for c in b2.max_cones])
+    report = validate_fan(rev2)
+    assert report.smooth and report.complete and not report.faces_ok
+    assert fan_module._walls(rev2) is None
+    assert report.witnesses == tuple(
+        f"maximal cone <{','.join(rev2.cone_names(c))}> does not list its rays"
+        " in strictly increasing index order"
+        for c in rev2.max_cones
+    )
+    for ray, via in (("e4", ("e1", "e2")), ("e5", ("e0", "e3"))):
+        assert validate_fan(contract_ray(b2, ray, via)).ok
+        with pytest.raises(InternalInconsistencyError):
+            contract_ray(rev2, ray, via)
+    # one cone out of order is named among the witnesses
+    first, *rest = b2.max_cones
+    swapped = fan_module.Fan(3, b2.generators, [first[::-1]] + rest)
+    report = validate_fan(swapped)
+    assert not report.ok and fan_module._walls(swapped) is None
+    assert (
+        f"maximal cone <{','.join(swapped.cone_names(first[::-1]))}> does not"
+        " list its rays in strictly increasing index order"
+    ) in report.witnesses
 
 
 def test_records_keep_repr_hash_and_immutability(tower):
