@@ -37,6 +37,14 @@ def counterexample_tower() -> tuple[Fan, Fan, Fan, Fan]:
     X blows up the line {e1,e2,e3}, W then the line {e2,e3,e4}, Y then the
     surface {e4,e5}. X and Y are Fano, W is not, and Y -> X factors through
     W only; no factorization has all-Fano intermediates.
+
+    Products with P^1 carry the answer to every dimension n >= 4. The
+    maximal cones of F x P^1 are sigma x (0, 1) and sigma x (0, -1) for the
+    maximal cones sigma of F, so its primitive collections are those of F
+    and {(0, 1), (0, -1)}. The latter sums to 0, which is no ray, so every
+    blow-down of F x P^1 is a blow-down of F times P^1, and F x P^1 is Fano
+    iff F is. So Y x (P^1)^k -> X x (P^1)^k factors only through
+    W x (P^1)^k, which is not Fano.
     """
     p4 = projective_space(4)
     x = star_subdivide(p4, ("e1", "e2", "e3"), "e5")

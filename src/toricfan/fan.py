@@ -362,47 +362,55 @@ def validate_fan(fan: Fan) -> ValidationReport:
     force the support to be the whole space: the cycle (1,0) (-2,-1)
     (-1,-1) (-1,-2) (0,-1), cones r_i r_(i+1), passes and folds back over
     part of the plane. Together with faces_ok it does.
-    faces_ok: no generator vector repeats, every generator is used, every
-    maximal cone lists its ray indices strictly increasing (the form
+    faces_ok: every ray index of a maximal cone names a generator, no
+    generator vector repeats, every generator is used, every maximal cone
+    lists its ray indices strictly increasing (the form
     ``Cone`` promises and every reader of the cones assumes) and any two
     maximal cones intersect in the cone of their shared rays.
 
-    ``_walls`` decides all three in one walk over the walls (``_walk``),
-    which inverts the first cone only and carries its dual rows across each
-    wall: the generators are distinct and used, the cones' indices strictly
-    increase, each wall lies in two cones, (a) on opposite sides of it with
-    the cone across unimodular, the walk reaches every cone, so every cone
-    is unimodular, and (b) x0, the sum of the first cone's generators, lies
-    in no other cone. By (a), crossing a wall off the (n-2)-skeleton swaps
-    one cone for one, so every generic point lies in the same number d of
-    cones (n >= 2; for n = 1, (a) alone forces the rays 1 and -1). As x0 is
-    interior to the first cone, (b) makes d = 1, and as each component of
-    the wall-adjacency graph adds at least 1 to d, the graph is connected.
-    The same count in the quotient by a face F shows that the cones
-    containing F cover a neighbourhood of relint F. So if x lies in cones s
-    and s', with x in relint F for a face F of s, the generic points of s'
-    near x lie in a cone containing F, which can only be s'; F is then the
-    face of s' holding x, and every pair meets in the cone of its shared
-    rays.
+    ``_walk`` decides all three in one walk over the walls, which inverts
+    the first cone only and carries its dual rows across each wall: the
+    cones' indices are exactly those of the generators, which are distinct,
+    the cones' indices strictly increase, each wall lies in two cones, (a)
+    on opposite sides of it with the cone across unimodular, the walk
+    reaches every cone, so every cone is unimodular, and (b) x0, the sum of
+    the first cone's generators, lies in no other cone. By (a), crossing a
+    wall off the (n-2)-skeleton swaps one cone for one, so every generic
+    point lies in the same number d of cones (n >= 2; for n = 1, (a) alone
+    forces the rays 1 and -1). As x0 is interior to the first cone, (b)
+    makes d = 1, and as each component of the wall-adjacency graph adds at
+    least 1 to d, the graph is connected. The same count in the quotient by
+    a face F shows that the cones containing F cover a neighbourhood of
+    relint F. So if x lies in cones s and s', with x in relint F for a face
+    F of s, the generic points of s' near x lie in a cone containing F,
+    which can only be s'; F is then the face of s' holding x, and every pair
+    meets in the cone of its shared rays.
 
-    Only a fan ``_walls`` rejects is examined further, and only its cones
-    are inverted one by one (``_cone_duals``). Its witnesses go into three
-    lists, one per condition, and each flag says that its list is empty.
-    The wall counts and the connectivity walk read the wall map of
-    ``_wall_owners``, the one ``_walls`` reads; the walk counts the
-    cones it reaches by occurrence, so a repeated maximal cone counts as
-    often as it appears. Every pair of cones is tested with
+    Only a fan ``_walk`` rejects is examined further. Its witnesses go into
+    three lists, one per condition, and each flag says that its list is
+    empty. A cone with a ray index out of range is named by its index
+    tuple under faces_ok and left out of every other check. A cone is
+    smooth when its determinant (``lattice.determinant``) is 1 or -1. The
+    wall counts and the connectivity walk read the wall map of
+    ``_wall_owners``, the one ``_walk`` reads; the walk counts the cones it
+    reaches by occurrence, so a repeated maximal cone counts as often as it
+    appears. Every pair of cones is tested with
     ``cones_meet_in_common_face``, by the exact LP, and each failure is
     named.
     """
-    if _walls(fan) is not None:
+    if _wall_pass(fan) is not None:
         return ValidationReport(True, True, True, ())
-    cones = fan.max_cones
+    rays = len(fan.generators)
+    cones = tuple(c for c in fan.max_cones if all(0 <= i < rays for i in c))
+    faces = [
+        f"maximal cone {cone} has a ray index out of range"
+        for cone in fan.max_cones
+        if cone not in cones
+    ]
     smooth = [
-        f"maximal cone {_cone_label(fan, cone)} has determinant"
-        f" {lattice.determinant(fan.cone_vectors(cone))}"
-        for cone, dual in zip(cones, _cone_duals(fan))
-        if dual is None
+        f"maximal cone {_cone_label(fan, cone)} has determinant {det}"
+        for cone in cones
+        if (det := lattice.determinant(fan.cone_vectors(cone))) not in (1, -1)
     ]
     owners = _wall_owners(cones)
     complete = [
@@ -429,7 +437,6 @@ def validate_fan(fan: Fan) -> ValidationReport:
                 f" ({count} of {len(cones)} cones reached)"
             )
 
-    faces = []
     first: dict[lattice.IntVector, int] = {}
     for i, g in enumerate(fan.generators):
         j = first.setdefault(g.vector, i)
@@ -477,28 +484,17 @@ def _wall_owners(cones) -> dict:
 
 
 def _cone_duals(fan: Fan) -> tuple:
-    """The dual rows of every maximal cone, in ``max_cones`` order, None for
-    a cone that is not unimodular: the one table of the fan's dual rows,
-    which ``validate_fan``, ``locate_relint``, ``_ray_masks`` and
-    ``_normal_forms`` read, from the cached pass of ``_wall_pass``."""
+    """The dual rows of every maximal cone of a fan ``wall_classes``
+    accepts, in ``max_cones`` order: the one table of the fan's dual rows,
+    which ``locate_relint``, ``_coarse_mask`` and ``_normal_forms`` read,
+    from the cached pass behind ``wall_classes``."""
     return _wall_pass(fan)[1]
 
 
-def _walls(fan: Fan) -> tuple[tuple[int, ...], ...] | None:
-    """The curve class of every wall, without duplicates, sorted, when the
-    one-pass test of ``validate_fan`` accepts the fan, else None: the other
-    view of the cached pass of ``_wall_pass``."""
-    return _wall_pass(fan)[0]
-
-
 @lru_cache(maxsize=4096)
-def _wall_pass(fan: Fan) -> tuple:
-    """(``_walls``, ``_cone_duals``): one walk over the walls that checks
-    the fan and carries the dual rows from cone to cone, inverting only the
-    first cone (``_walk``). Only a fan the walk rejects has its cones
-    inverted one by one, for the witnesses of ``validate_fan``. Cached per
-    fan (``lru_cache``, 4096 fans)."""
-    return _walk(fan) or (None, tuple(_dual_rows(fan.cone_vectors(c)) for c in fan.max_cones))
+def _wall_pass(fan: Fan) -> tuple | None:
+    """``_walk``, cached per fan (``lru_cache``, 4096 fans)."""
+    return _walk(fan)
 
 
 def _exchange(rows: tuple, k: int, coeffs, j: int) -> tuple:
@@ -532,12 +528,17 @@ def _walk(fan: Fan) -> tuple | None:
     cone, whose rows come from ``_dual_rows``, and reads each wall once,
     from the owner it reaches first; a fan whose walls all pass (a) and
     whose walk reaches every cone has every cone unimodular. Each cone
-    reached is tested against x0 for (b) as its rows are made. A cone whose
-    indices do not strictly increase is rejected before the walk: the wall
-    map and every reader of the cones assume that order.
+    reached is tested against x0 for (b) as its rows are made. Before the
+    walk, a fan is rejected whose cones' indices are not exactly those of
+    its generators (no cone, an unused ray or an index out of range), whose
+    generator vectors repeat or one of whose cones does not list its
+    indices strictly increasing: the wall map and every reader of the cones
+    assume that order.
     """
     cones, vectors = fan.max_cones, fan.vectors()
-    if not 0 < len(set().union(*cones)) == len(set(vectors)) == len(vectors):
+    if not cones or set().union(*cones) != set(range(len(vectors))):
+        return None
+    if len(set(vectors)) != len(vectors):
         return None
     if not all([all(map(lt, cone, cone[1:])) for cone in cones]):
         return None  # a cone whose indices do not strictly increase
@@ -582,15 +583,15 @@ def _walk(fan: Fan) -> tuple | None:
 
 def wall_classes(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """The curve class of every wall, without duplicates, sorted, from the
-    cached pass of ``_walls``. This is the one validity gate of the package:
-    contraction, the blow-down tools, the relation table, the Mori cone and
-    the wall verdicts call it before any other work, so a fan that
-    ``validate_fan`` rejects raises ``InternalInconsistencyError``, with no
-    LP run."""
-    classes = _walls(fan)
-    if classes is None:
+    cached pass ``_wall_pass``. This is the one validity gate of the
+    package: contraction, the blow-down tools, the relation table, the Mori
+    cone, the wall verdicts, refinement and the isomorphism queries call it
+    before any other work, so a fan that ``validate_fan`` rejects raises
+    ``InternalInconsistencyError``, with no LP run."""
+    walk = _wall_pass(fan)
+    if walk is None:
         raise InternalInconsistencyError(f"{fan!r} fails validate_fan")
-    return classes
+    return walk[0]
 
 
 # ---------------------------------------------------------------------------
@@ -774,20 +775,24 @@ def _contract(fan: Fan, x: int, collection: Cone) -> Fan | tuple[Cone, ...]:
 def refines(fine: Fan, coarse: Fan) -> bool:
     """True iff every maximal cone of ``fine`` lies in some cone of ``coarse``.
 
-    A cone lies in a convex cone iff its generators do, so a fine cone lies
-    in the coarse fan iff the AND of its rays' ``_ray_masks`` is non-zero.
-    It shares the mask cache of ``_ray_masks`` with
+    Both fans must be valid: ``wall_classes`` checks each before any other
+    work. A cone lies in a convex cone iff its generators do, so a fine cone
+    lies in the coarse fan iff the AND of its rays' ``_ray_masks`` is
+    non-zero. It shares the mask cache of ``_ray_masks`` with
     ``birational.factor_morphism``.
     """
+    for f in (fine, coarse):
+        wall_classes(f)  # the check only; the classes are not read
     return _masks_cover(fine, _ray_masks(fine, coarse))
 
 
 def _ray_masks(fine: Fan, coarse: Fan) -> dict[lattice.IntVector, int]:
     """Each fine generator vector -> bitmask of the coarse maximal cones
-    holding it, bit i for ``coarse.max_cones[i]``. Each vector's mask is
-    read from a cache keyed by (coarse, vector), ``_coarse_mask``, so calls
-    onto one coarse fan, such as the factorizations of many fine fans onto
-    P^n, test each vector against the coarse cones once."""
+    holding it, bit i for ``coarse.max_cones[i]``, for a ``coarse`` that
+    ``wall_classes`` accepts. Each vector's mask is read from a cache keyed
+    by (coarse, vector), ``_coarse_mask``, so calls onto one coarse fan,
+    such as the factorizations of many fine fans onto P^n, test each vector
+    against the coarse cones once."""
     if fine.dim != coarse.dim:
         raise DimensionMismatchError(
             f"cannot compare fans of dimension {fine.dim} and {coarse.dim}"
@@ -798,17 +803,11 @@ def _ray_masks(fine: Fan, coarse: Fan) -> dict[lattice.IntVector, int]:
 @lru_cache(maxsize=4096)
 def _coarse_mask(coarse: Fan, v: lattice.IntVector) -> int:
     """The bitmask of the maximal cones of ``coarse`` holding ``v``, by the
-    signs of the dual rows or, for a non-unimodular cone, exactly by
-    ``lattice.nonneg_rational_combination``. Cached (``lru_cache``, 4096
-    pairs of a fan and a vector)."""
+    signs of their dual rows. Cached (``lru_cache``, 4096 pairs of a fan and
+    a vector)."""
     mask = 0
-    for bit, (cone, dual) in enumerate(zip(coarse.max_cones, _cone_duals(coarse))):
-        if (
-            all(sum(map(mul, row, v)) >= 0 for row in dual)
-            if dual
-            else lattice.nonneg_rational_combination(coarse.cone_vectors(cone), v)
-            is not None
-        ):
+    for bit, dual in enumerate(_cone_duals(coarse)):
+        if all(sum(map(mul, row, v)) >= 0 for row in dual):
             mask |= 1 << bit
     return mask
 
@@ -849,16 +848,15 @@ def _key(dim: int, vectors: Sequence[lattice.IntVector], cones: Iterable[Cone]):
 
 def _normal_forms(fan: Fan):
     """(images, columns, inverse) for each ordering of each maximal cone's
-    rays that is a Z-basis, cones in max_cones order: ``columns`` holds the
-    ordered basis, ``inverse`` sends it to the standard basis and ``images``
-    lists the generators moved by ``inverse``, in generator order. The form's
-    structural key is ``_key(fan.dim, images, fan.max_cones)``;
-    ``fan_isomorphism`` and ``canonical_gl_key`` compare
-    ``_vector_part(images)`` first and build that key only on a tie.
+    rays, cones in max_cones order, of a fan ``wall_classes`` accepts:
+    ``columns`` holds the ordered basis, ``inverse`` sends it to the
+    standard basis and ``images`` lists the generators moved by ``inverse``,
+    in generator order. The form's structural key is
+    ``_key(fan.dim, images, fan.max_cones)``; ``fan_isomorphism`` and
+    ``canonical_gl_key`` compare ``_vector_part(images)`` first and build
+    that key only on a tie.
     """
     for cone, dual in zip(fan.max_cones, _cone_duals(fan)):
-        if dual is None:
-            continue
         basis = fan.cone_vectors(cone)
         coords = [tuple(sum(map(mul, row, v)) for row in dual) for v in fan.vectors()]
         # reordering the basis reorders the rows of its inverse, and with
@@ -874,31 +872,23 @@ def _normal_forms(fan: Fan):
 def fan_isomorphism(a: Fan, b: Fan):
     """A GL(n,Z) matrix mapping a's generators and cones onto b's, or None.
 
-    The first normal form of ``a`` (its first unimodular maximal cone, rays
-    in the given order) is looked up among the normal forms of ``b``: a form
+    Both fans must be valid: ``wall_classes`` checks each before any other
+    work. The first normal form of ``a`` (its first maximal cone, rays in
+    the given order) is looked up among the normal forms of ``b``: a form
     whose vector part differs is passed over, and the cone part is compared
     only when the vector parts agree. On a match the map is b's basis
     columns times a's inverse, which carries a's generators and maximal
-    cones onto b's. The matrix acts on column vectors. Fans with repeated
-    generator vectors have no isomorphism, and an ``a`` without a unimodular
-    maximal cone, which has no normal form, gets None.
+    cones onto b's. The matrix acts on column vectors.
     """
+    for f in (a, b):
+        wall_classes(f)  # the check only; the classes are not read
     if (
         a.dim != b.dim
         or len(a.generators) != len(b.generators)
         or len(a.max_cones) != len(b.max_cones)
     ):
         return None
-    if len(set(b.vectors())) != len(b.generators):
-        return None
-    if not a.max_cones:
-        if sorted(a.vectors()) != sorted(b.vectors()):
-            return None
-        return tuple(tuple(int(i == j) for j in range(a.dim)) for i in range(a.dim))
-    first = next(_normal_forms(a), None)
-    if first is None:
-        return None
-    images, _, inverse = first
+    images, _, inverse = next(_normal_forms(a))
     key = _key(a.dim, images, a.max_cones)
     for other, columns, _ in _normal_forms(b):
         if _vector_part(other) == key[1] and _key(b.dim, other, b.max_cones) == key:
@@ -923,21 +913,18 @@ def structurally_equal(a: Fan, b: Fan) -> bool:
 def canonical_gl_key(fan: Fan):
     """Canonical form under GL(n,Z): the least structural key over all
     normal forms, i.e. over all maps sending an ordered maximal cone onto
-    the standard basis; None without a unimodular maximal cone.
-    fan_isomorphism matches normal forms of the same kind, so two fans
-    without repeated generator vectors and with a unimodular maximal cone
-    get equal keys iff it finds a map between them.
+    the standard basis. ``wall_classes`` checks the fan first.
+    ``fan_isomorphism`` matches normal forms of the same kind, so two valid
+    fans get equal keys iff isomorphic.
 
     The least key has the least vector part, so the cone parts are built
     only for the forms that tie on it: 4 of the 408 forms of paper-Y.
     """
+    wall_classes(fan)  # the check only; the classes are not read
     forms = [(_vector_part(images), images) for images, _, _ in _normal_forms(fan)]
-    least = min((vectors for vectors, _ in forms), default=None)
+    least = min(vectors for vectors, _ in forms)
     return min(
-        (
-            _key(fan.dim, images, fan.max_cones)
-            for vectors, images in forms
-            if vectors == least
-        ),
-        default=None,
+        _key(fan.dim, images, fan.max_cones)
+        for vectors, images in forms
+        if vectors == least
     )

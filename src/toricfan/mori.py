@@ -8,7 +8,7 @@ generators is a curve class. The primitive classes generate the cone of
 effective curves, which makes extremality a finite, exact computation.
 
 ``primitive_relations`` is the one cached relation table per fan and the
-only code that builds a relation: it places each collection's sum with
+only code that locates a relation: it places each collection's sum with
 ``fan.locate_relint``. The Mori cone and the Fano witnesses read the table,
 and ``primitive_relation`` reads one entry of it, for the reports' degree
 column and for callers naming a single collection. The verdicts read

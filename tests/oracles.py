@@ -648,13 +648,11 @@ _faces_meet = lru_cache(maxsize=None)(cones_meet_in_common_face)
 
 
 def brute_canonical_gl_key(fan):
-    """The least full structural key over every normal form of ``fan``, each
-    with its cones relabeled, or None without a unimodular maximal cone;
-    ``canonical_gl_key`` relabels cones only for the forms that tie on the
-    least vector part."""
+    """The least full structural key over every normal form of a valid
+    ``fan``, each with its cones relabeled; ``canonical_gl_key`` relabels
+    cones only for the forms that tie on the least vector part."""
     return min(
-        (_key(fan.dim, images, fan.max_cones) for images, _, _ in _normal_forms(fan)),
-        default=None,
+        _key(fan.dim, images, fan.max_cones) for images, _, _ in _normal_forms(fan)
     )
 
 
@@ -670,3 +668,16 @@ def brute_fano_classes(closed):
     the fans of ``closed``, built from the key, in key order: the
     enumerator's output, deduplicated with no index of normal forms."""
     return [fan_of_key(key) for key in sorted(set(map(brute_canonical_gl_key, closed)))]
+
+
+def times_p1(fan):
+    """The product fan x P^1 in dimension n + 1, built directly: each ray v
+    of ``fan`` as (v, 0), then u_n = (0, ..., 0, 1) and d_n = (0, ..., 0, -1),
+    named by the new coordinate n so that each factor's rays keep their own
+    names; the maximal cones are sigma + u_n and sigma + d_n."""
+    n = fan.dim
+    gens = [(g.name, g.vector + (0,)) for g in fan.generators]
+    gens += [(f"u{n}", (0,) * n + (1,)), (f"d{n}", (0,) * n + (-1,))]
+    up, down = len(fan.generators), len(fan.generators) + 1
+    cones = [c + (up,) for c in fan.max_cones] + [c + (down,) for c in fan.max_cones]
+    return make_fan(n + 1, gens, cones)

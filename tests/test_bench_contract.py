@@ -399,14 +399,14 @@ def test_valid_fans_skip_the_pairwise_face_check(monkeypatch, catalog_fans):
 
 
 def test_rejection_path_builds_one_wall_map(monkeypatch):
-    # the wall pass of _walls is cached first, so the maps counted are the
-    # rejection path's: it reads the one map of _wall_owners
+    # the wall pass is cached first, so the maps counted are the rejection
+    # path's: it reads the one map of _wall_owners
     named = [
         TWICE_WINDING, FOLDED_CYCLE, DOUBLE_P2, fan.parse_fan(OVERLAPPING_TEXT),
         ZIGZAG_CYCLE, NON_SMOOTH_OVERLAP,
     ]
     for f in named:
-        assert fan._walls(f) is None
+        assert fan._wall_pass(f) is None
     real = fan._wall_owners
     calls = []
 
@@ -445,7 +445,9 @@ def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
     # contract_ray checks the fan it contracts, which blow_down_candidates
     # has checked, and not the fan it returns; a target that refines X is
     # checked by its step flags and its own candidates, one cached wall
-    # pass for both, and W-bar, which does not refine X, by nothing
+    # pass for both, and W-bar, which does not refine X, by nothing. The
+    # passes are counted before the test's own refinement filter, which
+    # checks every fan it is given
     real_owners = fan._wall_owners
     wall_passes = []
 
@@ -465,10 +467,11 @@ def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
     monkeypatch.setattr(fan, "_wall_owners", counting_owners)
     monkeypatch.setattr(birational, "_contract", contracting)
     assert birational.factor_morphism(y, x, exhaustive=True)
+    searched = list(wall_passes)
     fans = list(dict.fromkeys([y] + [t for t in targets if isinstance(t, fan.Fan)]))
     refining = [f for f in fans if fan.refines(f, x)]
     assert len(fans) == 4 and refining == [y, w, x]
-    assert sorted(wall_passes) == sorted(f.max_cones for f in refining)
+    assert sorted(searched) == sorted(f.max_cones for f in refining)
 
 
 def test_factor_path_passes_the_walls_of_each_fan_once(monkeypatch):

@@ -17,7 +17,7 @@ from conftest import (
     factorization_pairs,
     twisted_threefold,
 )
-from oracles import table_blow_down_candidates
+from oracles import table_blow_down_candidates, times_p1
 from toricfan import (
     InternalInconsistencyError,
     NoBlowdownRelationError,
@@ -241,6 +241,35 @@ def test_factor_y_to_x_no_fano_chain(tower):
     _, x, _, y = tower
     assert birational.factor_morphism(y, x, require_fano=True, exhaustive=True) == ()
     assert birational.factor_morphism(y, x, require_fano=True) == ()
+
+
+def test_product_with_p1_keeps_the_counterexample(tower):
+    # the maximal cones of F x P^1 are sigma + u and sigma + d, so its
+    # primitive collections are F's and {u, d}, whose sum 0 is no ray: each
+    # blow-down of F x P^1 is a blow-down of F times P^1, and F x P^1 is
+    # Fano iff F is. So Y x (P^1)^k -> X x (P^1)^k has no Fano chain, and
+    # its one factorization passes through the non-Fano W x (P^1)^k
+    p4, x, w, y = tower
+    for f in tower:
+        g = times_p1(f)
+        u, d = len(f.generators), len(f.generators) + 1
+        assert validate_fan(g).ok
+        assert set(mori.primitive_collections(g)) == {
+            *mori.primitive_collections(f), (u, d)
+        }
+        assert mori.is_fano(g)[0] == mori.is_fano(f)[0]
+        assert [c.target for c in birational.blow_down_candidates(g) if c.valid] == [
+            times_p1(c.target) for c in birational.blow_down_candidates(f) if c.valid
+        ]
+    for k in (1, 2):
+        fine, coarse, middle = y, x, w
+        for _ in range(k):
+            fine, coarse, middle = times_p1(fine), times_p1(coarse), times_p1(middle)
+        assert birational.factor_morphism(fine, coarse, require_fano=True) == ()
+        (path,) = birational.factor_morphism(fine, coarse, exhaustive=True)
+        assert [s.ray for s in path.steps] == ["e7", "e6"]
+        assert [s.fan for s in path.steps] == [middle, coarse]
+        assert [s.fano for s in path.steps] == [False, True]
 
 
 @pytest.mark.parametrize("center, paths", [(("e0", "e1"), 3), (("e0", "e4"), 2)])

@@ -345,7 +345,7 @@ def test_cones_out_of_index_order_fail_validation():
     rev2 = fan_module.Fan(3, b2.generators, [c[::-1] for c in b2.max_cones])
     report = validate_fan(rev2)
     assert report.smooth and report.complete and not report.faces_ok
-    assert fan_module._walls(rev2) is None
+    assert fan_module._wall_pass(rev2) is None
     assert report.witnesses == tuple(
         f"maximal cone <{','.join(rev2.cone_names(c))}> does not list its rays"
         " in strictly increasing index order"
@@ -359,7 +359,7 @@ def test_cones_out_of_index_order_fail_validation():
     first, *rest = b2.max_cones
     swapped = fan_module.Fan(3, b2.generators, [first[::-1]] + rest)
     report = validate_fan(swapped)
-    assert not report.ok and fan_module._walls(swapped) is None
+    assert not report.ok and fan_module._wall_pass(swapped) is None
     assert (
         f"maximal cone <{','.join(swapped.cone_names(first[::-1]))}> does not"
         " list its rays in strictly increasing index order"
@@ -496,9 +496,9 @@ def test_complete_cycles_that_are_not_fans():
         report = validate_fan(f)
         assert report.smooth and report.complete and not report.faces_ok
         assert report.witnesses
-        assert fan_module._walls(f) is None
+        assert fan_module._wall_pass(f) is None
     for f in catalog.enumerate_fano(2):
-        assert fan_module._walls(f) is not None
+        assert fan_module._wall_pass(f) is not None
 
 
 GL_TWISTS = {
@@ -572,6 +572,12 @@ def _raises_inconsistency(verdict, f):
     return False
 
 
+def _raises_at_the_gate(*queries):
+    for query in queries:
+        with pytest.raises(InternalInconsistencyError, match="fails validate_fan"):
+            query()
+
+
 def test_linear_face_check_matches_all_pairs_and_oracle(monkeypatch, catalog_fans):
     fans = _face_check_inputs(catalog_fans)
     linear = [validate_fan(f) for f in fans]
@@ -579,7 +585,7 @@ def test_linear_face_check_matches_all_pairs_and_oracle(monkeypatch, catalog_fan
     for f, report in zip(fans, linear):
         for verdict in (mori.wall_classes, mori.is_fano_by_walls, mori.is_projective):
             assert _raises_inconsistency(verdict, f) != report.ok, serialize_fan(f)
-    monkeypatch.setattr(fan_module, "_walls", lambda f: None)
+    monkeypatch.setattr(fan_module, "_wall_pass", lambda f: None)
     pairs = [validate_fan(f) for f in fans]
     for f, fast, slow in zip(fans, linear, pairs):
         assert fast == slow, serialize_fan(f)
@@ -664,25 +670,76 @@ def test_carried_dual_rows_match_each_cone_inverted(catalog_fans):
     for f in fans:
         assert validate_fan(f).ok
         assert fan_module._cone_duals(f) == cone_by_cone_inverses(f), serialize_fan(f)
-        assert fan_module._walls(f) == brute_wall_classes(f), serialize_fan(f)
+        assert fan_module.wall_classes(f) == brute_wall_classes(f), serialize_fan(f)
 
 
-def test_rejected_fans_keep_their_reports_and_cone_inverses():
-    # a fan the walk rejects is inverted cone by cone, so its smoothness
-    # witnesses, and with them the whole report, are those of the own-wall-map
-    # oracle, which inverts every cone
+def test_rejected_fans_keep_their_reports_and_stop_at_the_gate():
+    # a fan the walk rejects has its smoothness witnesses from the
+    # determinant of each cone, and with them the whole report is that of
+    # the own-wall-map oracle, which inverts every cone; no dual rows are
+    # read from it, as every query that reads them stops at the gate
     named = [
         TWICE_WINDING, FOLDED_CYCLE, DOUBLE_P2, parse_fan(OVERLAPPING_TEXT),
         ZIGZAG_CYCLE, NON_SMOOTH_OVERLAP,
     ]
     fans = named + rejected_complexes(20261020, 120)
+    reports = []
     for f in fans:
-        report = validate_fan(f)
-        assert not report.ok and fan_module._walls(f) is None
-        assert report == own_wall_map_rejection(f), serialize_fan(f)
-        assert fan_module._cone_duals(f) == cone_by_cone_inverses(f), serialize_fan(f)
-    assert any(None in fan_module._cone_duals(f) for f in fans)
-    assert any(None not in fan_module._cone_duals(f) for f in fans)
+        reports.append(validate_fan(f))
+        assert not reports[-1].ok and fan_module._wall_pass(f) is None
+        assert reports[-1] == own_wall_map_rejection(f), serialize_fan(f)
+        p = catalog.projective_space(f.dim)
+        _raises_at_the_gate(
+            lambda: locate_relint(f, (1,) * f.dim),
+            lambda: refines(f, p),
+            lambda: refines(p, f),
+            lambda: fan_isomorphism(f, p),
+            lambda: fan_isomorphism(p, f),
+            lambda: canonical_gl_key(f),
+        )
+    assert {r.smooth for r in reports} == {False, True}
+
+
+def test_cone_indices_out_of_range_fail_validation():
+    # a Fan built directly may name a ray index outside its generators: the
+    # walk rejects it before reading a vector, validate_fan names each such
+    # cone by its index tuple under faces_ok and leaves it out of the other
+    # checks, and every query stops at the gate
+    p2 = catalog.projective_space(2)
+    high = fan_module.Fan(2, p2.generators, [(0, 1), (1, 5), (0, 5)])
+    low = fan_module.Fan(2, p2.generators, [(-1, 0), (0, 1), (1, 2)])
+    assert validate_fan(high) == (
+        True,
+        False,
+        False,
+        (
+            "wall <e0> lies in 1 maximal cone(s), expected 2",
+            "wall <e1> lies in 1 maximal cone(s), expected 2",
+            "maximal cone (0, 5) has a ray index out of range",
+            "maximal cone (1, 5) has a ray index out of range",
+            "generator e2 lies in no maximal cone",
+        ),
+    )
+    assert validate_fan(low) == (
+        True,
+        False,
+        False,
+        (
+            "wall <e0> lies in 1 maximal cone(s), expected 2",
+            "wall <e2> lies in 1 maximal cone(s), expected 2",
+            "maximal cone (-1, 0) has a ray index out of range",
+        ),
+    )
+    for f in (high, low):
+        assert fan_module._wall_pass(f) is None
+        _raises_at_the_gate(
+            lambda: mori.wall_classes(f),
+            lambda: mori.mori_cone(f),
+            lambda: mori.is_fano(f),
+            lambda: birational.blow_down_candidates(f),
+            lambda: locate_relint(f, (1, 1)),
+            lambda: birational.factor_morphism(f, p2),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1068,19 +1125,24 @@ def _non_smooth_plane_fan():
     )
 
 
-def test_refines_decides_non_unimodular_coarse_cones(catalog_fans):
+def test_refines_rejects_non_unimodular_fans(catalog_fans):
+    # refinement is defined on valid fans: each argument goes through the
+    # gate, so a fan with non-unimodular cones raises on either side, also
+    # where its cones would decide the containment
     f = _non_smooth_plane_fan()
-    assert refines(f, f) is True
     # (0,1) splits <a,b>; the pieces lie in non-unimodular cones of f
     split = make_fan(
         2,
         [("a", (1, 0)), ("b", (-1, 2)), ("c", (-1, -2)), ("d", (0, 1))],
         [(0, 3), (1, 3), (1, 2), (0, 2)],
     )
-    assert refines(split, f) is True
-    # <e1,e2> of P^2 runs from (0,1) to (-1,-1), across the ray b of f
-    assert refines(catalog_fans["p2"], f) is False
-    assert refines(f, catalog_fans["p2"]) is False
+    p2 = catalog_fans["p2"]
+    _raises_at_the_gate(
+        lambda: refines(f, f),
+        lambda: refines(split, f),
+        lambda: refines(p2, f),
+        lambda: refines(f, p2),
+    )
 
 
 def _refinement_pairs(catalog_fans):
@@ -1099,8 +1161,6 @@ def _refinement_pairs(catalog_fans):
         yield from zip(twisted, [twisted[0]] * len(twisted))
         yield from zip(twisted, prefixes)
         yield from zip(prefixes, twisted)
-    f = _non_smooth_plane_fan()
-    yield from ((f, f), (f, catalog_fans["p2"]), (catalog_fans["p2"], f))
 
 
 def test_refines_matches_brute_force_oracle(catalog_fans):
@@ -1328,54 +1388,63 @@ def test_canonical_key_matches_the_brute_oracle(catalog_fans):
 
 
 def test_isomorphism_of_fans_without_maximal_cones():
-    # with no cone to map, only the generator vectors are compared
+    # a fan with no maximal cone is not complete: the gate rejects it
+    # before the generator vectors are compared
     a = make_fan(2, [("a", (1, 0)), ("b", (0, 1))], [])
     b = make_fan(2, [("x", (0, 1)), ("y", (1, 0))], [])
-    c = make_fan(2, [("a", (1, 0)), ("b", (1, 1))], [])
-    assert fan_isomorphism(a, b) == ((1, 0), (0, 1))
-    assert fan_isomorphism(a, c) is None
-    # and without a normal form there is no canonical key
-    assert canonical_gl_key(a) is None and brute_canonical_gl_key(a) is None
+    _raises_at_the_gate(
+        lambda: fan_isomorphism(a, b),
+        lambda: fan_isomorphism(b, a),
+        lambda: canonical_gl_key(a),
+    )
 
 
-def test_isomorphism_skips_non_unimodular_first_cone():
-    # <a,b> has determinant 2; the other two cones are unimodular
+def test_isomorphism_rejects_a_non_unimodular_first_cone():
+    # <a,b> has determinant 2; the other two cones are unimodular, and the
+    # fan is rejected whichever side it is on
     fan = make_fan(
         2, [("a", (1, 0)), ("b", (1, 2)), ("c", (-1, -1))], [(0, 1), (1, 2), (0, 2)]
     )
     assert fan.max_cones[0] == (0, 1)
-    assert fan_isomorphism(fan, fan) == ((1, 0), (0, 1))
-    assert canonical_gl_key(fan) is not None
-    assert canonical_gl_key(fan) == brute_canonical_gl_key(fan)
+    p2 = catalog.projective_space(2)
+    _raises_at_the_gate(
+        lambda: fan_isomorphism(fan, fan),
+        lambda: fan_isomorphism(fan, p2),
+        lambda: fan_isomorphism(p2, fan),
+        lambda: canonical_gl_key(fan),
+    )
 
 
 def test_isomorphism_without_a_unimodular_cone():
-    # a complete fan whose cones ab, ac, bc have determinants 2, -2 and 4:
-    # it has no normal form, so no map to P^2 is found either way and it
-    # has no canonical key
+    # complete fans whose cones ab, ac, bc have determinants 2, -2 and 4,
+    # and 3, -3 and 6: neither has a normal form, and each is rejected
+    # before one is looked for, so two such fans share no key
     fan = make_fan(
         2, [("a", (1, 0)), ("b", (-1, 2)), ("c", (-1, -2))], [(0, 1), (1, 2), (0, 2)]
     )
     assert [lattice.determinant(fan.cone_vectors(c)) for c in fan.max_cones] == [2, -2, 4]
-    p2 = catalog.projective_space(2)
-    assert fan_isomorphism(fan, p2) is None
-    assert fan_isomorphism(p2, fan) is None
-    assert canonical_gl_key(fan) is None
-    # so equal keys need a unimodular cone: a second such fan, determinants
-    # 3, -3 and 6, has the same key, None, and no map either way
     other = make_fan(
         2, [("a", (1, 0)), ("b", (-1, 3)), ("c", (-1, -3))], [(0, 1), (1, 2), (0, 2)]
     )
     dets = [lattice.determinant(other.cone_vectors(c)) for c in other.max_cones]
     assert dets == [3, -3, 6]
-    assert canonical_gl_key(other) == canonical_gl_key(fan)
-    assert fan_isomorphism(fan, other) is None
-    assert fan_isomorphism(other, fan) is None
+    p2 = catalog.projective_space(2)
+    _raises_at_the_gate(
+        lambda: fan_isomorphism(fan, p2),
+        lambda: fan_isomorphism(p2, fan),
+        lambda: fan_isomorphism(fan, other),
+        lambda: fan_isomorphism(other, fan),
+        lambda: canonical_gl_key(fan),
+        lambda: canonical_gl_key(other),
+    )
 
 
 def test_isomorphism_rejects_repeated_vectors():
+    # a repeated generator vector fails validate_fan, with cones or without
     fan = make_fan(2, [("a", (1, 0)), ("b", (1, 0)), ("c", (0, 1))], [(0, 2), (1, 2)])
-    assert fan_isomorphism(fan, fan) is None
-    # and so has a fan with no cones: the check comes before that case
     coneless = make_fan(2, [("a", (1, 0)), ("b", (1, 0))], [])
-    assert fan_isomorphism(coneless, coneless) is None
+    _raises_at_the_gate(
+        lambda: fan_isomorphism(fan, fan),
+        lambda: fan_isomorphism(coneless, coneless),
+        lambda: canonical_gl_key(fan),
+    )

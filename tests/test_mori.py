@@ -7,12 +7,15 @@ from toricfan import (
     InternalInconsistencyError,
     InvalidArgumentError,
     birational,
+    canonical_gl_key,
     catalog,
     contract_ray,
+    fan_isomorphism,
     lattice,
     locate_relint,
     make_fan,
     mori,
+    refines,
     validate_fan,
 )
 from toricfan.fan import resolve_cone
@@ -483,7 +486,8 @@ UNUSED_RAY = make_fan(
 )
 def test_verdicts_reject_bad_fans_with_typed_errors(monkeypatch, fans):
     # every reader of a fan's geometry stops at the one gate,
-    # fan.wall_classes, before it runs an LP or reads its arguments
+    # fan.wall_classes, before it runs an LP or reads its arguments; a query
+    # of two fans stops there with the bad fan on either side
     real = lattice.solve_eq_nonneg
     lp_calls = []
 
@@ -493,6 +497,7 @@ def test_verdicts_reject_bad_fans_with_typed_errors(monkeypatch, fans):
 
     monkeypatch.setattr(lattice, "solve_eq_nonneg", counting)
     for fan in fans:
+        p = catalog.projective_space(fan.dim)
         for verdict in (
             mori.wall_classes,
             mori.is_fano_by_walls,
@@ -507,6 +512,11 @@ def test_verdicts_reject_bad_fans_with_typed_errors(monkeypatch, fans):
             lambda f: birational.factor_morphism(f, f),
             lambda f: locate_relint(f, (1,) * f.dim),
             lambda f: mori.primitive_relation(f, (0, 1)),
+            lambda f: refines(f, p),
+            lambda f: refines(p, f),
+            lambda f: fan_isomorphism(f, p),
+            lambda f: fan_isomorphism(p, f),
+            canonical_gl_key,
         ):
             with pytest.raises(InternalInconsistencyError, match="fails validate_fan"):
                 verdict(fan)
