@@ -2,13 +2,17 @@
 
 A blow-down is a relation x1+...+xh = x along which ``fan.contract_ray``
 succeeds. This module alone decides which are tried, by one shape rule: the
-collection's vectors sum to the generator x. ``blow_down_candidates`` is
-the one generator: it contracts each primitive collection of that shape,
-for the reports, for ``blow_down``, which picks the collection for a bare
-ray, and for factorization. Factorization searches for chains of valid
-blow-downs carrying a fine fan onto a coarse one it refines, depth-first
-with one memo of the step suffixes below each intermediate, optionally
-insisting that every strict intermediate be Fano.
+collection's vectors sum to the generator x. ``_candidates`` is the one
+generator: it contracts each primitive collection of that shape, behind
+the validity gate of ``blow_down_candidates`` for the reports and for
+``blow_down``, which picks the collection for a bare ray, and directly for
+the fans the factorization search builds by contraction. Factorization
+searches for chains of valid blow-downs carrying a fine fan onto a coarse
+one it refines, depth-first with one memo of the step suffixes below each
+intermediate, optionally insisting that every strict intermediate be Fano.
+It passes the walls of its two endpoints only: the wall classes of the
+fine fan, pushed down each contraction (``_push``), are the wall classes
+of each intermediate, and decide its Fano flag.
 
 The records are ``typing.NamedTuple`` classes, not dataclasses, so that a
 cold start does not import ``dataclasses`` (see the ``fan`` docstring).
@@ -55,7 +59,6 @@ class FactorizationPath(NamedTuple):
     steps: tuple[FactorStep, ...]
 
 
-@lru_cache(maxsize=4096)
 def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
     """Each primitive collection whose vectors sum to a generator x, read as
     x1+...+xh = x and contracted by ``fan._contract``, the step of
@@ -63,9 +66,18 @@ def blow_down_candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
     those that fail; ordered by the name of x, then by collection. The
     indices come resolved and the sum checked, so the step runs without
     ``contract_ray``'s argument checks and raises nothing. Raises on a fan
-    ``validate_fan`` rejects, via ``mori.wall_classes``; cached (4096
-    fans)."""
+    ``validate_fan`` rejects, via ``mori.wall_classes``, then reads the
+    cached list of ``_candidates``."""
     mori.wall_classes(fan)  # the check only; the classes are not read
+    return _candidates(fan)
+
+
+@lru_cache(maxsize=4096)
+def _candidates(fan: Fan) -> tuple[BlowdownCandidate, ...]:
+    """``blow_down_candidates`` on a fan known to be valid, unchecked;
+    cached (4096 fans). The factorization search calls it on the fans it
+    builds by contraction, which Sato's argument (``fan.contract_ray``)
+    shows valid."""
     index = {v: i for i, v in enumerate(fan.vectors())}
     pairs = []
     for coll in mori.primitive_collections(fan):
@@ -122,19 +134,26 @@ def factor_morphism(
     from the cache of ``fan._ray_masks``, keyed by the coarse fan and the
     vector, so calls onto one coarse fan test each vector once; every
     target's rays are among them, so each refinement test is one AND per
-    maximal cone. Both endpoints, and every intermediate via
-    ``blow_down_candidates``, go through the cached wall pass of
+    maximal cone. Both endpoints go through the cached wall pass of
     ``mori.wall_classes``, so a fan that ``validate_fan`` rejects raises
-    ``InternalInconsistencyError``. The step flags read that pass, so the
-    search locates no primitive relation: ``fano`` is
-    ``mori.is_fano_by_walls``, and ``projective`` is True when the next fan
-    toward ``coarse`` is projective, else the cached ``mori.is_projective``.
-    Each step fan is the star subdivision of the fan below it, the blow-up
-    along a smooth invariant center, and a blow-up of a projective variety
-    is projective (Hartshorne, *Algebraic Geometry*, II.7). So onto a
-    projective ``coarse``, such as P^n, the search runs no Gordan LP, and
-    onto a non-projective one it runs the LP only up to the first step it
-    finds projective. The flag below the last step is
+    ``InternalInconsistencyError``; an intermediate is valid by Sato's
+    argument (``fan.contract_ray``), so its candidates come unchecked from
+    ``_candidates`` and its walls are never passed. The search carries a
+    set of curve classes instead: ``wall_classes(fine)``, pushed down each
+    contraction by ``_push``, is the set of wall classes of each fan it
+    reaches, which generate its Mori cone (Reid, "Decomposition of toric
+    morphisms", 1983; Cox, Little and Schenck, *Toric Varieties*, Thm
+    6.3.20), and a divisor is ample iff it is positive on each. So ``fano``
+    is the positivity of the sum of the entries of every carried class, the
+    test of ``mori.is_fano_by_walls``, and the search locates no primitive
+    relation. ``projective`` is True when the next fan toward ``coarse`` is
+    projective, else the cached ``mori.is_projective``, which passes the
+    walls of that one fan. Each step fan is the star subdivision of the fan
+    below it, the blow-up along a smooth invariant center, and a blow-up of
+    a projective variety is projective (Hartshorne, *Algebraic Geometry*,
+    II.7). So onto a projective ``coarse``, such as P^n, the search runs no
+    Gordan LP, and onto a non-projective one it runs the LP only up to the
+    first step it finds projective. The flag below the last step is
     ``mori.is_projective(coarse)``, read once per call. With
     ``require_fano``, intermediates strictly between the endpoints must be
     Fano. With ``exhaustive``, all complete paths are returned, otherwise
@@ -149,10 +168,12 @@ def factor_morphism(
     contraction step slices the generators of the fan it contracts, so
     every intermediate has ``fine``'s rays in ``fine``'s order, and ``Fan``
     sorts its maximal cones, so equal fans are equal ``Fan`` values and a
-    memoized suffix is the one a new walk would build.
+    memoized suffix is the one a new walk would build. The classes carried
+    into a fan are its wall classes by whatever path it is reached, so the
+    memo needs no key beyond the fan.
     """
-    for endpoint in (fine, coarse):
-        mori.wall_classes(endpoint)  # the check only; the classes are not read
+    fine_classes = mori.wall_classes(fine)
+    mori.wall_classes(coarse)  # the check only; the classes are not read
     masks = _ray_masks(fine, coarse)
     if not _masks_cover(fine, masks):
         raise NotARefinementError(
@@ -163,23 +184,21 @@ def factor_morphism(
     coarse_projective = mori.is_projective(coarse)
     memo: dict = {}
 
-    def suffixes(current: Fan) -> tuple[tuple[FactorStep, ...], ...]:
+    def suffixes(current: Fan, classes) -> tuple[tuple[FactorStep, ...], ...]:
         if len(current.generators) == rays:
             return ((),)
         if current in memo:
             return memo[current]
         found: list[tuple[FactorStep, ...]] = []
-        for cand in blow_down_candidates(current):
+        for cand in _candidates(current):
             target = cand.target
             if not cand.valid or not _masks_cover(target, masks):
                 continue
-            if (
-                require_fano
-                and len(target.generators) != rays
-                and not mori.is_fano_by_walls(target)
-            ):
+            pushed = _push(classes, cand.relation.target[0], cand.relation.collection)
+            fano = all(sum(c) > 0 for c in pushed)
+            if require_fano and len(target.generators) != rays and not fano:
                 continue
-            rest = suffixes(target)
+            rest = suffixes(target, pushed)
             if not rest:
                 continue
             # target is the blow-up of the fan its first suffix steps to,
@@ -191,7 +210,7 @@ def factor_morphism(
                 cand.ray_name(current),
                 current.cone_names(cand.relation.collection),
                 target,
-                mori.is_fano_by_walls(target),
+                fano,
                 below or mori.is_projective(target),
             )
             found.extend((step,) + r for r in rest)
@@ -200,4 +219,26 @@ def factor_morphism(
         memo[current] = tuple(found)
         return memo[current]
 
-    return tuple(FactorizationPath(s) for s in suffixes(fine))
+    return tuple(FactorizationPath(s) for s in suffixes(fine, fine_classes))
+
+
+def _push(classes, x: int, collection: Cone) -> tuple[tuple[int, ...], ...]:
+    """The images of curve classes under the contraction of ray x via
+    ``collection``, without zeros or repeats: pi_* c is c with entry x
+    deleted and c_x added to the entry of each collection ray, the indices
+    past x shifting down as in ``fan._contract``. For the blow-up pi of the
+    collection's cone, pi^* D'_i = D_i + E on a collection ray and D_i on
+    any other, and pi_* c . D' = c . pi^* D'. Each T-invariant curve of the
+    source maps to a point or, with degree 1, onto a T-invariant curve of
+    the target, and each T-invariant curve of the target is such an image,
+    so the images of a fan's wall classes are the target's wall classes."""
+    out = set()
+    for c in classes:
+        entries = list(c)
+        cx = entries.pop(x)
+        if cx:
+            for i in collection:
+                entries[i - (i > x)] += cx
+        if any(entries):
+            out.add(tuple(entries))
+    return tuple(out)

@@ -364,23 +364,23 @@ def validate_fan(fan: Fan) -> ValidationReport:
     part of the plane. Together with faces_ok it does.
     faces_ok: every ray index of a maximal cone names a generator, no
     generator vector repeats, every generator is used, every maximal cone
-    lists its ray indices strictly increasing (the form
+    has ``dim`` rays and lists their indices strictly increasing (the form
     ``Cone`` promises and every reader of the cones assumes) and any two
     maximal cones intersect in the cone of their shared rays.
 
     ``_walk`` decides all three in one walk over the walls, which inverts
     the first cone only and carries its dual rows across each wall: the
     cones' indices are exactly those of the generators, which are distinct,
-    the cones' indices strictly increase, each wall lies in two cones, (a)
-    on opposite sides of it with the cone across unimodular, the walk
-    reaches every cone, so every cone is unimodular, and (b) x0, the sum of
-    the first cone's generators, lies in no other cone. By (a), crossing a
-    wall off the (n-2)-skeleton swaps one cone for one, so every generic
-    point lies in the same number d of cones (n >= 2; for n = 1, (a) alone
-    forces the rays 1 and -1). As x0 is interior to the first cone, (b)
-    makes d = 1, and as each component of the wall-adjacency graph adds at
-    least 1 to d, the graph is connected. The same count in the quotient by
-    a face F shows that the cones containing F cover a neighbourhood of
+    each cone has n indices, strictly increasing, each wall lies in two
+    cones, (a) on opposite sides of it with the cone across unimodular, the
+    walk reaches every cone, so every cone is unimodular, and (b) x0, the
+    sum of the first cone's generators, lies in no other cone. By (a),
+    crossing a wall off the (n-2)-skeleton swaps one cone for one, so every
+    generic point lies in the same number d of cones (n >= 2; for n = 1, (a)
+    alone forces the rays 1 and -1). As x0 is interior to the first cone,
+    (b) makes d = 1, and as each component of the wall-adjacency graph adds
+    at least 1 to d, the graph is connected. The same count in the quotient
+    by a face F shows that the cones containing F cover a neighbourhood of
     relint F. So if x lies in cones s and s', with x in relint F for a face
     F of s, the generic points of s' near x lie in a cone containing F,
     which can only be s'; F is then the face of s' holding x, and every pair
@@ -389,7 +389,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
     Only a fan ``_walk`` rejects is examined further. Its witnesses go into
     three lists, one per condition, and each flag says that its list is
     empty. A cone with a ray index out of range is named by its index
-    tuple under faces_ok and left out of every other check. A cone is
+    tuple under faces_ok, and one with other than ``dim`` rays by its rays;
+    both are left out of every other check. A cone is
     smooth when its determinant (``lattice.determinant``) is 1 or -1. The
     wall counts and the connectivity walk read the wall map of
     ``_wall_owners``, the one ``_walk`` reads; the walk counts the cones it
@@ -400,13 +401,19 @@ def validate_fan(fan: Fan) -> ValidationReport:
     """
     if _wall_pass(fan) is not None:
         return ValidationReport(True, True, True, ())
-    rays = len(fan.generators)
-    cones = tuple(c for c in fan.max_cones if all(0 <= i < rays for i in c))
-    faces = [
-        f"maximal cone {cone} has a ray index out of range"
-        for cone in fan.max_cones
-        if cone not in cones
-    ]
+    rays, n = len(fan.generators), fan.dim
+    faces, kept = [], []
+    for cone in fan.max_cones:
+        if not all(0 <= i < rays for i in cone):
+            faces.append(f"maximal cone {cone} has a ray index out of range")
+        elif len(cone) != n:
+            faces.append(
+                f"maximal cone {_cone_label(fan, cone)} has {len(cone)} rays,"
+                f" expected {n}"
+            )
+        else:
+            kept.append(cone)
+    cones = tuple(kept)
     smooth = [
         f"maximal cone {_cone_label(fan, cone)} has determinant {det}"
         for cone in cones
@@ -531,17 +538,19 @@ def _walk(fan: Fan) -> tuple | None:
     reached is tested against x0 for (b) as its rows are made. Before the
     walk, a fan is rejected whose cones' indices are not exactly those of
     its generators (no cone, an unused ray or an index out of range), whose
-    generator vectors repeat or one of whose cones does not list its
-    indices strictly increasing: the wall map and every reader of the cones
-    assume that order.
+    generator vectors repeat or one of whose cones does not have ``dim``
+    indices listed strictly increasing: the first cone's inverse needs a
+    square matrix, and the wall map and every reader of the cones assume
+    that order.
     """
     cones, vectors = fan.max_cones, fan.vectors()
     if not cones or set().union(*cones) != set(range(len(vectors))):
         return None
     if len(set(vectors)) != len(vectors):
         return None
-    if not all([all(map(lt, cone, cone[1:])) for cone in cones]):
-        return None  # a cone whose indices do not strictly increase
+    n = fan.dim
+    if not all([len(cone) == n and all(map(lt, cone, cone[1:])) for cone in cones]):
+        return None  # a cone of the wrong length, or not strictly increasing
     queue = [cones[0]]
     duals = {cones[0]: _dual_rows(fan.cone_vectors(cones[0]))}
     if duals[cones[0]] is None:
@@ -710,7 +719,7 @@ def contract_ray(
     cached wall pass, made already when the fan came from
     ``birational.blow_down_candidates`` or the CLI). The arguments are then
     resolved and their sum checked, and ``_contract``, the step that
-    ``birational.blow_down_candidates`` calls on indices it has resolved,
+    ``birational._candidates`` calls on indices it has resolved,
     builds the result or names the cones that break the star condition,
     which this function raises as ``StarConditionViolatedError``.
 

@@ -191,7 +191,7 @@ def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
         return target
 
     monkeypatch.setattr(birational, "_contract", counting)
-    birational.blow_down_candidates.cache_clear()
+    birational._candidates.cache_clear()
     _, x, _, y = tower
     assert birational.factor_morphism(y, x, exhaustive=True)
     assert len(calls) == len(set(calls))
@@ -212,14 +212,14 @@ def test_factor_search_contracts_each_candidate_once(monkeypatch, tower):
 
 def test_factor_search_lists_candidates_once_per_intermediate(monkeypatch):
     # the exhaustive search reaches most intermediates by several paths
-    real = birational.blow_down_candidates
+    real = birational._candidates
     calls = []
 
     def counting(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(birational, "blow_down_candidates", counting)
+    monkeypatch.setattr(birational, "_candidates", counting)
     paths = birational.factor_morphism(
         blowup_chain(2, 4, 8), catalog.projective_space(4), exhaustive=True
     )
@@ -230,9 +230,9 @@ def test_factor_search_lists_candidates_once_per_intermediate(monkeypatch):
 def test_factor_search_inverts_one_first_cone_per_fan(monkeypatch):
     # the wall pass inverts a fan's first cone, through the cache of
     # _dual_rows, and carries its rows across the walls to every other cone:
-    # a cold exhaustive search makes one pass per distinct fan and one
-    # inverse per distinct first cone among them, 3 for its 28 fans, where
-    # inverting each distinct cone of each fan made 59
+    # a cold exhaustive search passes the walls of its two endpoints only,
+    # with one inverse each, where a pass per distinct fan made 3 inverses
+    # for 28 fans and inverting each distinct cone of each fan made 59
     real_inverse = lattice.unimodular_inverse
     inverted = []
 
@@ -256,7 +256,8 @@ def test_factor_search_inverts_one_first_cone_per_fan(monkeypatch):
     assert len(walked) == len(set(walked))
     firsts = {f.cone_vectors(f.max_cones[0]) for f in walked}
     assert sorted(inverted) == sorted(firsts)
-    assert (len(inverted), len(walked)) == (3, 28)
+    assert (len(inverted), len(walked)) == (2, 2)
+    assert walked == [chain, p4]
 
 
 def test_factor_search_onto_a_projective_fan_runs_no_lp(monkeypatch):
@@ -359,9 +360,9 @@ def test_blow_down_reports_locate_no_relation(monkeypatch, tower, tmp_path, caps
     no_relation_table(monkeypatch, ("primitive_relation", "primitive_relations"))
     assert len(birational.blow_down_candidates(y)) == 4
     # cleared so that each entry builds the list itself
-    birational.blow_down_candidates.cache_clear()
+    birational._candidates.cache_clear()
     assert fan.fan_isomorphism(birational.blow_down(y, "e7"), w) is not None
-    birational.blow_down_candidates.cache_clear()
+    birational._candidates.cache_clear()
     assert cli.main(["blowdowns", str(path)]) == 0
     assert capsys.readouterr().out.startswith("blow-down candidates (4):\n")
 
@@ -442,12 +443,12 @@ def test_factor_search_builds_no_structural_key(monkeypatch, tower):
 
 
 def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
-    # contract_ray checks the fan it contracts, which blow_down_candidates
-    # has checked, and not the fan it returns; a target that refines X is
-    # checked by its step flags and its own candidates, one cached wall
-    # pass for both, and W-bar, which does not refine X, by nothing. The
-    # passes are counted before the test's own refinement filter, which
-    # checks every fan it is given
+    # the search passes the walls of its two endpoints only: the gate's
+    # pass on Y gives the classes it pushes down each contraction, which
+    # decide the Fano flags of W and X, and X's pass its projectivity; W and
+    # W-bar, built by contraction, are passed by nothing. The passes are
+    # counted before the test's own refinement filter, which checks every
+    # fan it is given
     real_owners = fan._wall_owners
     wall_passes = []
 
@@ -471,13 +472,12 @@ def test_factor_search_shares_the_wall_pass(monkeypatch, tower):
     fans = list(dict.fromkeys([y] + [t for t in targets if isinstance(t, fan.Fan)]))
     refining = [f for f in fans if fan.refines(f, x)]
     assert len(fans) == 4 and refining == [y, w, x]
-    assert sorted(searched) == sorted(f.max_cones for f in refining)
+    assert searched == [y.max_cones, x.max_cones]
 
 
 def test_factor_path_passes_the_walls_of_each_fan_once(monkeypatch):
-    # _walls caches as many fans as its readers do, so a factor path through
-    # more fans than the 16 it once held still makes one wall pass per
-    # distinct fan
+    # the search passes the walls of its endpoints only, once each, where a
+    # pass per distinct fan of the path made 21
     y = blowup_chain(2, 4, 20)
     real = fan._wall_pass
     passed = []
@@ -490,8 +490,8 @@ def test_factor_path_passes_the_walls_of_each_fan_once(monkeypatch):
     monkeypatch.setattr(fan, "_wall_pass", recording)
     assert birational.factor_morphism(y, catalog.projective_space(4))
     distinct = set(passed)
-    assert len(distinct) == 21
-    assert real.cache_info().misses == len(distinct)
+    assert distinct == {y, catalog.projective_space(4)}
+    assert real.cache_info().misses == len(distinct) == 2
 
 
 def test_fano_enumeration_builds_no_relation_table(monkeypatch):

@@ -280,14 +280,14 @@ def test_fano_search_backs_out_below_the_first_level(monkeypatch, tower, center,
     _, x, _, y = tower
     z = star_subdivide(y, center)
     assert mori.is_fano(z)[0] and refines(z, x)
-    real = birational.blow_down_candidates
+    real = birational._candidates
     listed = []
 
     def listing(f):
         listed.append(f)
         return real(f)
 
-    monkeypatch.setattr(birational, "blow_down_candidates", listing)
+    monkeypatch.setattr(birational, "_candidates", listing)
     assert birational.factor_morphism(z, x, require_fano=True) == ()
     assert [structurally_equal(f, y) for f in listed] == [False, True]
     assert len(birational.factor_morphism(z, x, exhaustive=True)) == paths
@@ -406,6 +406,42 @@ def test_path_replay_and_intermediate_properties():
             for step in reversed(path.steps):
                 current = star_subdivide(current, step.center, step.ray)
             assert structurally_equal(current, fine)
+
+
+def _generates(classes, others):
+    """Each class is a nonnegative rational combination of ``others``, by
+    the exact LP."""
+    return all(
+        lattice.nonneg_rational_combination(others, c) is not None for c in classes
+    )
+
+
+def test_pushed_classes_generate_each_step_mori_cone():
+    # the search carries wall_classes(fine) down each contraction by pi_*
+    # and reads each step's Fano flag off the carried set: replayed along
+    # every path, the carried set and the step fan's wall classes generate
+    # the same cone, checked each way by the exact LP, and the flag is the
+    # positivity of the set
+    twisted = twisted_threefold()
+    fine2 = star_subdivide(star_subdivide(twisted, ("b", "a1"), "p"), ("a", "b"), "q")
+    p4, x, _, y = catalog.counterexample_tower()
+    pairs = factorization_pairs() + [(fine2, twisted), (times_p1(y), times_p1(x))]
+    checked = set()
+    for fine, coarse in pairs:
+        for path in birational.factor_morphism(fine, coarse, exhaustive=True):
+            current, classes = fine, mori.wall_classes(fine)
+            for step in path.steps:
+                x_idx = current.index_of(step.ray)
+                via = tuple(sorted(map(current.index_of, step.center)))
+                classes = birational._push(classes, x_idx, via)
+                assert step.fano == all(sum(c) > 0 for c in classes)
+                key = (step.fan, frozenset(classes))
+                if key not in checked:
+                    checked.add(key)
+                    walls = mori.wall_classes(step.fan)
+                    assert _generates(classes, walls) and _generates(walls, classes)
+                current = step.fan
+    assert len(checked) > len(pairs)
 
 
 def test_step_projectivity_onto_a_non_projective_fan(monkeypatch):

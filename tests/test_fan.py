@@ -742,6 +742,32 @@ def test_cone_indices_out_of_range_fail_validation():
         )
 
 
+def test_cones_of_the_wrong_length_fail_validation():
+    # a Fan built directly may hold a maximal cone with other than dim rays:
+    # the walk rejects it before inverting the first cone, which Fan's
+    # order makes the short one, validate_fan names it under faces_ok and
+    # leaves it out of the determinant and wall checks, and every query
+    # stops at the gate
+    p2 = catalog.projective_space(2)
+    for extra in ((0,), (0, 1, 2), ()):
+        f = fan_module.Fan(2, p2.generators, list(p2.max_cones) + [extra])
+        label = "<" + ",".join(f.cone_names(extra)) + ">"
+        assert validate_fan(f) == (
+            True,
+            True,
+            False,
+            (f"maximal cone {label} has {len(extra)} rays, expected 2",),
+        )
+        assert fan_module._wall_pass(f) is None
+        _raises_at_the_gate(
+            lambda: mori.wall_classes(f),
+            lambda: mori.is_fano(f),
+            lambda: birational.blow_down_candidates(f),
+            lambda: birational.factor_morphism(f, p2),
+            lambda: birational.factor_morphism(p2, f),
+        )
+
+
 # ---------------------------------------------------------------------------
 # locate_relint
 

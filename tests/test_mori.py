@@ -510,6 +510,8 @@ def test_verdicts_reject_bad_fans_with_typed_errors(monkeypatch, fans):
             lambda f: birational.blow_down(f, 0, via=(1, 2)),
             lambda f: contract_ray(f, 0, (1, 2)),
             lambda f: birational.factor_morphism(f, f),
+            lambda f: birational.factor_morphism(f, p),
+            lambda f: birational.factor_morphism(p, f),
             lambda f: locate_relint(f, (1,) * f.dim),
             lambda f: mori.primitive_relation(f, (0, 1)),
             lambda f: refines(f, p),
